@@ -157,9 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, *, ctx=False, kind=None):
         p.add_argument("input", nargs="?", help="input text (defaults to stdin)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--fuel", type=int, default=10000)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=default_seed)
         if ctx:
             p.add_argument("--ctx", default="", help="hypotheses, e.g. 'a: X, f: X -> X'")
         if kind:
@@ -167,7 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("parse", help="parse and pretty-print"),
            kind=(("term", "type", "fterm", "ftype"), "term"))
-    common(sub.add_parser("reduce", help="normalize a term, printing the trace"))
+    pr = sub.add_parser("reduce", help="normalize a term, printing the trace")
+    common(pr)
+    pr.add_argument("--fuel", type=int, default=10000)
     for name, help_ in (("check", "type-check an annotated term"),
                         ("elaborate", "print the full typing derivation"),
                         ("to-sadd", "convert the derivation to the rigid system"),
@@ -180,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("suite", help="run a property suite")
     ps.add_argument("name", choices=SUITES)
     ps.add_argument("--format", choices=("text", "json"), default="text")
-    ps.add_argument("--fuel", type=int, default=10000)
     ps.add_argument("--budget", type=int, default=None)
     ps.add_argument("--seed", type=int, default=default_seed)
     ps.add_argument("--cases", type=int, default=10000)
@@ -212,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RuleViolation, ConversionFailure, ElaborationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

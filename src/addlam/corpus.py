@@ -40,7 +40,6 @@ from .typesys import (
     TZero,
     Type,
     is_unit,
-    to_raw,
     type_canonicalize,
     type_equiv,
     type_subst_vec,

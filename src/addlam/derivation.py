@@ -1,12 +1,20 @@
-"""First-class typing derivations for the additive system, their
-checker, elaboration from annotated terms, and the derivation
-transformations behind subject reduction (substitution lemmas, one-step
-reduction of derivations)."""
+"""First-class typing derivations, their checker, elaboration from
+annotated terms, and the derivation transformations behind subject
+reduction (substitution lemmas, one-step reduction of derivations).
+
+The paper presents one type system twice: the additive system here,
+typed up to type equivalence, and the structured system of
+``structured.py``, whose sum types are rigid binary trees.  The checker
+and the transformations are written once.  Each derivation class names
+its ``System``, and the members of the two ``System`` instances are the
+only places where the presentations differ."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
+from .reduction import Redex, StaleRedex, step
 from .syntax import (
     Abs,
     App,
@@ -21,8 +29,8 @@ from .syntax import (
     mk_sum,
     show_term,
     sort_key,
-    substitute,
     summands,
+    transfer_path,
 )
 from .typesys import (
     Context,
@@ -34,7 +42,6 @@ from .typesys import (
     TZero,
     Type,
     ftv,
-    fresh_tname,
     instantiate,
     is_unit,
     show_type,
@@ -69,35 +76,6 @@ class UnsupportedDerivationShape(Exception):
     not normalise; surfaced rather than silently mishandled."""
 
 
-ADD_RULES = ("ax", "ax0", "equiv", "arrI", "arrE", "plusI", "forallI", "forallE")
-
-
-@dataclass(frozen=True)
-class AddDerivation:
-    rule: str
-    ctx: Context
-    term: Term
-    ty: Type
-    premises: tuple["AddDerivation", ...] = ()
-    binder: str | None = None  # arrI term binder / forallI type binder
-    inst_ty: Type | None = None  # forallE
-    arr_u: Type | None = None  # arrE: shared arrow domain U
-    arr_ts: tuple[Type, ...] | None = None  # arrE: T_i, alpha = len
-    arr_vs: tuple[tuple[Type, ...], ...] | None = None  # arrE: V vectors, beta = len
-    arr_xs: tuple[str, ...] | None = None  # arrE: generalised variables
-
-    @property
-    def alpha(self) -> int:
-        return len(self.arr_ts) if self.arr_ts is not None else 0
-
-    @property
-    def beta(self) -> int:
-        return len(self.arr_vs) if self.arr_vs is not None else 0
-
-    def describe(self) -> str:
-        return f"{self.rule}: {self.ctx} |- {show_term(self.term)} : {show_type(self.ty)}"
-
-
 def forall_close(xs, u: Type) -> Type:
     for x in reversed(tuple(xs)):
         u = TForall(x, u)
@@ -108,130 +86,247 @@ def _fail(msg: str):
     raise RuleViolation((), msg)
 
 
-# --- smart constructors (validate one node, assuming valid premises) -------
+# --- the two systems ---------------------------------------------------------
 
 
-def ax(ctx: Context, name: str) -> AddDerivation:
-    u = ctx.get(name)
-    if u is None:
-        _fail(f"variable {name} not in context")
-    return AddDerivation("ax", ctx, Var(name), u)
+class System:
+    """One presentation of the type system.  The node constructors below
+    validate one node, assuming valid premises, and are shared; a
+    subclass supplies what differs:
+
+    * ``rules``, and ``unit_hypotheses`` (must an axiom's hypothesis be
+      a unit type);
+    * ``norm``, ``eq``, ``subst``: normal form, equality and unit
+      substitution of types;
+    * ``retype(d, ty)``: d re-derived at an equal type ``ty``;
+    * ``fail(msg)``: reject the premises of a transformation;
+    * ``wit_values``/``wit_map``: read and rewrite an ``arrE`` witness map;
+    * ``app_witness``: check application premise types against the
+      witnesses; returns the stored witnesses and the result type;
+    * ``beta_vector``: the instantiation vector of a unit-typed redex;
+    * ``focus_dist``, ``drop_zero``, ``descend_sum``: split a derivation
+      of a sum for the distributivity rules, the zero-summand rule and a
+      step inside one summand."""
+
+    unit_hypotheses = False
+
+    def __init__(self, cls: type):
+        self.cls = cls
+        cls.system = self  # so the engine finds the system from a node
+
+    def instantiate(self, ty: Type, v: Type) -> Type:
+        c = self.norm(ty)
+        return self.subst(c.body, c.var, v)
+
+    def ax(self, ctx: Context, name: str):
+        u = ctx.get(name)
+        if u is None:
+            _fail(f"variable {name} not in context")
+        if self.unit_hypotheses and not is_unit(u):
+            _fail(f"hypothesis {name} is not unit-typed")
+        return self.cls("ax", ctx, Var(name), u)
+
+    def ax0(self, ctx: Context):
+        return self.cls("ax0", ctx, Zero, TZero)
+
+    def arr_i(self, d, binder: str):
+        u = d.ctx.get(binder)
+        if u is None:
+            _fail(f"abstraction binder {binder} not in premise context")
+        term = canonicalize(Abs(binder, d.term))
+        ty = self.norm(TArrow(u, d.ty))
+        return self.cls("arrI", d.ctx.remove(binder), term, ty, (d,), binder=binder)
+
+    def plus_i(self, d1, d2):
+        if d1.ctx != d2.ctx:
+            _fail("sum premises typed in different contexts")
+        term = mk_sum((d1.term, d2.term))
+        return self.cls("plusI", d1.ctx, term, self.norm(TSum((d1.ty, d2.ty))), (d1, d2))
+
+    def forall_i(self, d, binder: str):
+        if not is_unit(d.ty):
+            _fail(f"generalisation over a non-unit type {show_type(d.ty)}")
+        if binder in d.ctx.free_tvars():
+            _fail(f"{binder} occurs free in the context")
+        ty = self.norm(TForall(binder, d.ty))
+        return self.cls("forallI", d.ctx, d.term, ty, (d,), binder=binder)
+
+    def forall_e(self, d, v: Type):
+        v = self.norm(v)
+        if not is_unit(v):
+            _fail(f"instantiation with a non-unit type {show_type(v)}")
+        if not isinstance(d.ty, TForall):
+            _fail(f"instantiating a non-quantified type {show_type(d.ty)}")
+        return self.cls("forallE", d.ctx, d.term, self.instantiate(d.ty, v), (d,), inst_ty=v)
+
+    def arr_e(self, d1, d2, u: Type, ts, vs, xs=()):
+        xs = tuple(xs)
+        if d1.ctx != d2.ctx:
+            _fail("application premises typed in different contexts")
+        u, ts, vs, res = self.app_witness(d1.ty, d2.ty, u, ts, vs, xs)
+        term = canonicalize(App(d1.term, d2.term))
+        return self.cls(
+            "arrE", d1.ctx, term, res, (d1, d2),
+            arr_u=u, arr_ts=ts, arr_vs=vs, arr_xs=xs,
+        )
 
 
-def ax0(ctx: Context) -> AddDerivation:
-    return AddDerivation("ax0", ctx, Zero, TZero)
+@dataclass(frozen=True)
+class Derivation:
+    """One node of a typing derivation of the subclass's system."""
+
+    system: ClassVar[System]
+    rule: str
+    ctx: Context
+    term: Term
+    ty: Type
+    premises: tuple["Derivation", ...] = ()
+    binder: str | None = None  # arrI term binder / forallI type binder
+    inst_ty: Type | None = None  # forallE
+    arr_u: Type | None = None  # arrE: shared arrow domain U
+    arr_ts: tuple | None = None  # arrE: the T's, one per function summand
+    arr_vs: tuple | None = None  # arrE: V vectors, one per argument summand
+    arr_xs: tuple[str, ...] | None = None  # arrE: generalised variables
+
+    def describe(self) -> str:
+        return f"{self.rule}: {self.ctx} |- {show_term(self.term)} : {show_type(self.ty)}"
 
 
-def equiv(d: AddDerivation, ty: Type) -> AddDerivation:
-    ty = type_canonicalize(ty)
-    if not type_equiv(d.ty, ty):
-        _fail(f"equiv between inequivalent types {show_type(d.ty)} and {show_type(ty)}")
-    if d.rule == "equiv":  # fuse consecutive equivalence nodes
-        d = d.premises[0]
-    if d.ty == ty:
-        return d
-    return AddDerivation("equiv", d.ctx, d.term, ty, (d,))
+@dataclass(frozen=True)
+class AddDerivation(Derivation):
+    """A derivation of the additive system: types are canonical and
+    ``arr_ts``/``arr_vs`` list T_i (alpha of them) and V vectors (beta)."""
+
+    @property
+    def alpha(self) -> int:
+        return len(self.arr_ts) if self.arr_ts is not None else 0
+
+    @property
+    def beta(self) -> int:
+        return len(self.arr_vs) if self.arr_vs is not None else 0
 
 
-def arr_i(d: AddDerivation, binder: str) -> AddDerivation:
-    u = d.ctx.get(binder)
-    if u is None:
-        _fail(f"abstraction binder {binder} not in premise context")
-    term = canonicalize(Abs(binder, d.term))
-    ty = type_canonicalize(TArrow(u, d.ty))
-    return AddDerivation("arrI", d.ctx.remove(binder), term, ty, (d,), binder=binder)
+class AdditiveSystem(System):
+    """Types compared up to equivalence; an ``equiv`` node retypes."""
+
+    rules = ("ax", "ax0", "equiv", "arrI", "arrE", "plusI", "forallI", "forallE")
+    norm = staticmethod(type_canonicalize)
+    eq = staticmethod(type_equiv)
+    subst = staticmethod(type_subst)
+
+    def fail(self, msg: str):
+        _fail(msg)
+
+    def retype(self, d: AddDerivation, ty: Type) -> AddDerivation:
+        ty = type_canonicalize(ty)
+        if not type_equiv(d.ty, ty):
+            _fail(f"equiv between inequivalent types {show_type(d.ty)} and {show_type(ty)}")
+        if d.rule == "equiv":  # fuse consecutive equivalence nodes
+            d = d.premises[0]
+        if d.ty == ty:
+            return d
+        return AddDerivation("equiv", d.ctx, d.term, ty, (d,))
+
+    def wit_values(self, m):
+        return m
+
+    def wit_map(self, fn, m):
+        return tuple(fn(v) for v in m)
+
+    def app_witness(self, fun_ty, arg_ty, u, ts, vs, xs):
+        u = type_canonicalize(u)
+        ts = tuple(type_canonicalize(t) for t in ts)
+        vs = tuple(tuple(type_canonicalize(v) for v in vec) for vec in vs)
+        if not is_unit(u):
+            _fail(f"arrow domain {show_type(u)} is not a unit type")
+        for vec in vs:
+            if len(vec) != len(xs):
+                _fail("instantiation vector length mismatch")
+            if not all(is_unit(v) for v in vec):
+                _fail("instantiation vectors must hold unit types")
+        want = sum_of_units(forall_close(xs, TArrow(u, t)) for t in ts)
+        if not type_equiv(fun_ty, want):
+            _fail(f"function premise has type {show_type(fun_ty)}, expected {show_type(want)}")
+        want = sum_of_units(type_subst_vec(u, xs, vec) for vec in vs)
+        if not type_equiv(arg_ty, want):
+            _fail(f"argument premise has type {show_type(arg_ty)}, expected {show_type(want)}")
+        res = sum_of_units(type_subst_vec(t, xs, vec) for t in ts for vec in vs)
+        return u, ts, vs, res
+
+    def beta_vector(self, core: AddDerivation):
+        return core.arr_vs[0] if core.alpha == 1 and core.beta == 1 else None
+
+    def focus_dist(self, core: AddDerivation, part: int, side: int) -> AddDerivation:
+        prem, other = core.premises[side], core.premises[1 - side]
+        pieces = decompose_sum(prem)
+        if not 0 <= part < len(pieces):
+            raise StaleRedex("split component out of range")
+        left, rest = pieces[part], _rebuild_sum(pieces[:part] + pieces[part + 1:])
+        u, ts, vs, xs = core.arr_u, core.arr_ts, core.arr_vs, core.arr_xs
+        if side == 0:
+            expected = [type_canonicalize(forall_close(xs, TArrow(u, t))) for t in ts]
+            kl = _match_units(left.ty, expected)
+            kr = [k for k in range(len(ts)) if k not in kl]
+            dl = self.arr_e(left, other, u, tuple(ts[k] for k in kl), vs, xs)
+            dr = self.arr_e(rest, other, u, tuple(ts[k] for k in kr), vs, xs)
+        else:
+            expected = [type_canonicalize(type_subst_vec(u, xs, vec)) for vec in vs]
+            kl = _match_units(left.ty, expected)
+            kr = [k for k in range(len(vs)) if k not in kl]
+            dl = self.arr_e(other, left, u, ts, tuple(vs[k] for k in kl), xs)
+            dr = self.arr_e(other, rest, u, ts, tuple(vs[k] for k in kr), xs)
+        return self.plus_i(dl, dr)
+
+    def drop_zero(self, core: AddDerivation, part: int) -> AddDerivation:
+        pieces = decompose_sum(core)
+        if not 0 <= part < len(pieces) or pieces[part].term is not Zero:
+            raise StaleRedex("no zero component at the stated position")
+        return _rebuild_sum(pieces[:part] + pieces[part + 1:])
+
+    def descend_sum(self, core: AddDerivation, head: int, fn) -> AddDerivation:
+        pieces = decompose_sum(core)
+        if not 0 <= head < len(pieces):
+            raise StaleRedex("path leaves the sum")
+        pieces[head] = fn(pieces[head])
+        return self.retype(_rebuild_sum(pieces), core.ty)
 
 
-def plus_i(d1: AddDerivation, d2: AddDerivation) -> AddDerivation:
-    if d1.ctx != d2.ctx:
-        _fail("sum premises typed in different contexts")
-    term = mk_sum((d1.term, d2.term))
-    ty = type_canonicalize(TSum((d1.ty, d2.ty)))
-    return AddDerivation("plusI", d1.ctx, term, ty, (d1, d2))
-
-
-def forall_i(d: AddDerivation, binder: str) -> AddDerivation:
-    if not is_unit(d.ty):
-        _fail(f"generalisation over a non-unit type {show_type(d.ty)}")
-    if binder in d.ctx.free_tvars():
-        _fail(f"{binder} occurs free in the context")
-    ty = type_canonicalize(TForall(binder, d.ty))
-    return AddDerivation("forallI", d.ctx, d.term, ty, (d,), binder=binder)
-
-
-def forall_e(d: AddDerivation, v: Type) -> AddDerivation:
-    v = type_canonicalize(v)
-    if not is_unit(v):
-        _fail(f"instantiation with a non-unit type {show_type(v)}")
-    if not isinstance(d.ty, TForall):
-        _fail(f"instantiating a non-quantified type {show_type(d.ty)}")
-    return AddDerivation("forallE", d.ctx, d.term, instantiate(d.ty, v), (d,), inst_ty=v)
-
-
-def _arr_e_types(u, ts, vs, xs):
-    u = type_canonicalize(u)
-    ts = tuple(type_canonicalize(t) for t in ts)
-    vs = tuple(tuple(type_canonicalize(v) for v in vec) for vec in vs)
-    if not is_unit(u):
-        raise RuleViolation((), f"arrow domain {show_type(u)} is not a unit type")
-    for vec in vs:
-        if len(vec) != len(xs):
-            raise RuleViolation((), "instantiation vector length mismatch")
-        if not all(is_unit(v) for v in vec):
-            raise RuleViolation((), "instantiation vectors must hold unit types")
-    fun_ty = sum_of_units(forall_close(xs, TArrow(u, t)) for t in ts)
-    arg_ty = sum_of_units(type_subst_vec(u, xs, vec) for vec in vs)
-    res_ty = sum_of_units(
-        type_subst_vec(t, xs, vec) for t in ts for vec in vs
-    )
-    return u, ts, vs, fun_ty, arg_ty, res_ty
-
-
-def arr_e(
-    d1: AddDerivation,
-    d2: AddDerivation,
-    u: Type,
-    ts,
-    vs,
-    xs=(),
-) -> AddDerivation:
-    xs = tuple(xs)
-    u, ts, vs, fun_ty, arg_ty, res_ty = _arr_e_types(u, ts, vs, xs)
-    if d1.ctx != d2.ctx:
-        _fail("application premises typed in different contexts")
-    if not type_equiv(d1.ty, fun_ty):
-        _fail(f"function premise has type {show_type(d1.ty)}, expected {show_type(fun_ty)}")
-    if not type_equiv(d2.ty, arg_ty):
-        _fail(f"argument premise has type {show_type(d2.ty)}, expected {show_type(arg_ty)}")
-    term = canonicalize(App(d1.term, d2.term))
-    return AddDerivation(
-        "arrE", d1.ctx, term, res_ty, (d1, d2),
-        arr_u=u, arr_ts=ts, arr_vs=vs, arr_xs=xs,
-    )
+ADD = AdditiveSystem(AddDerivation)
+ax = ADD.ax
+ax0 = ADD.ax0
+equiv = ADD.retype
+arr_i = ADD.arr_i
+plus_i = ADD.plus_i
+forall_i = ADD.forall_i
+forall_e = ADD.forall_e
+arr_e = ADD.arr_e
 
 
 # --- the checker ------------------------------------------------------------
 
 
-def _check_node(d: AddDerivation, path: tuple[int, ...]):
+def _check_node(d: Derivation, path: tuple[int, ...]):
     def bad(msg):
         raise RuleViolation(path, msg)
 
+    system = d.system
     ps = d.premises
+    if d.rule not in system.rules:
+        bad(f"unknown rule {d.rule!r}")
     if d.rule == "ax":
         u = d.ctx.get(d.term.name) if isinstance(d.term, Var) else None
         if u is None:
             bad("axiom subject is not a context variable")
-        if not type_equiv(d.ty, u):
+        if not system.eq(d.ty, u):
             bad("axiom type differs from the hypothesis")
     elif d.rule == "ax0":
-        if d.term is not Zero or not type_equiv(d.ty, TZero):
+        if d.term is not Zero or not system.eq(d.ty, TZero):
             bad("zero axiom must type zero with the zero type")
     elif d.rule == "equiv":
         (p,) = ps
         if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
             bad("equivalence changes the judgement subject")
-        if not type_equiv(p.ty, d.ty):
+        if not system.eq(p.ty, d.ty):
             bad("equivalence between inequivalent types")
     elif d.rule == "arrI":
         (p,) = ps
@@ -242,7 +337,7 @@ def _check_node(d: AddDerivation, path: tuple[int, ...]):
             bad("abstraction context mismatch")
         if canonicalize(d.term) != canonicalize(Abs(d.binder, p.term)):
             bad("abstraction subject mismatch")
-        if not type_equiv(d.ty, TArrow(u, p.ty)):
+        if not system.eq(d.ty, TArrow(u, p.ty)):
             bad("abstraction type is not the expected arrow")
     elif d.rule == "plusI":
         p1, p2 = ps
@@ -250,64 +345,57 @@ def _check_node(d: AddDerivation, path: tuple[int, ...]):
             bad("sum context mismatch")
         if canonicalize(d.term) != mk_sum((p1.term, p2.term)):
             bad("sum subject mismatch")
-        if not type_equiv(d.ty, TSum((p1.ty, p2.ty))):
+        if not system.eq(d.ty, TSum((p1.ty, p2.ty))):
             bad("sum type is not the sum of the premise types")
     elif d.rule == "forallI":
         (p,) = ps
         if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
             bad("generalisation changes the judgement subject")
-        if not is_unit(type_canonicalize(p.ty)):
+        if not is_unit(system.norm(p.ty)):
             bad("generalisation over a non-unit type")
         if d.binder in d.ctx.free_tvars():
             bad(f"{d.binder} occurs free in the context")
-        if not type_equiv(d.ty, TForall(d.binder, p.ty)):
+        if not system.eq(d.ty, TForall(d.binder, p.ty)):
             bad("generalised type mismatch")
     elif d.rule == "forallE":
         (p,) = ps
         if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
             bad("instantiation changes the judgement subject")
-        c = type_canonicalize(p.ty)
-        if not isinstance(c, TForall):
+        if not isinstance(system.norm(p.ty), TForall):
             bad("instantiating a non-quantified type")
-        if d.inst_ty is None or not is_unit(type_canonicalize(d.inst_ty)):
+        if d.inst_ty is None or not is_unit(system.norm(d.inst_ty)):
             bad("instantiation witness must be a unit type")
-        if not type_equiv(d.ty, instantiate(c, d.inst_ty)):
+        if not system.eq(d.ty, system.instantiate(p.ty, d.inst_ty)):
             bad("instantiated type mismatch")
     elif d.rule == "arrE":
         p1, p2 = ps
         if d.arr_ts is None or d.arr_vs is None or d.arr_u is None or d.arr_xs is None:
             bad("application node lacks its witnesses")
-        try:
-            _, _, _, fun_ty, arg_ty, res_ty = _arr_e_types(
-                d.arr_u, d.arr_ts, d.arr_vs, d.arr_xs
-            )
-        except RuleViolation as e:
-            bad(e.message)
         if p1.ctx != d.ctx or p2.ctx != d.ctx:
             bad("application context mismatch")
-        if not type_equiv(p1.ty, fun_ty):
-            bad(
-                f"function premise has type {show_type(p1.ty)}, "
-                f"expected {show_type(fun_ty)}"
-            )
-        if not type_equiv(p2.ty, arg_ty):
-            bad(
-                f"argument premise has type {show_type(p2.ty)}, "
-                f"expected {show_type(arg_ty)}"
-            )
+        try:
+            res = system.app_witness(p1.ty, p2.ty, d.arr_u, d.arr_ts, d.arr_vs, d.arr_xs)[3]
+        except RuleViolation as e:
+            bad(e.message)
+        except ValueError as e:
+            bad(str(e))
         if canonicalize(d.term) != canonicalize(App(p1.term, p2.term)):
             bad("application subject mismatch")
-        if not type_equiv(d.ty, res_ty):
+        if not system.eq(d.ty, res):
             bad("application result type mismatch")
-    else:
-        bad(f"unknown rule {d.rule!r}")
+
+
+def check_derivation(d: Derivation, path: tuple[int, ...] = ()):
+    """Validate every node of a derivation of either system; raises
+    RuleViolation at the offending node."""
+    for i, p in enumerate(d.premises):
+        check_derivation(p, path + (i,))
+    _check_node(d, path)
 
 
 def check_add(d: AddDerivation, path: tuple[int, ...] = ()):
     """Validate every node; raises RuleViolation at the offending node."""
-    for i, p in enumerate(d.premises):
-        check_add(p, path + (i,))
-    _check_node(d, path)
+    check_derivation(d, path)
 
 
 def is_valid_add(d: AddDerivation) -> bool:
@@ -470,7 +558,7 @@ class GenerationReport:
     right_ty: Type | None = None
 
 
-def strip_wrappers(d: AddDerivation):
+def strip_wrappers(d: Derivation):
     """Peel equiv/forallI/forallE nodes; returns (core, wrappers) with
     wrappers listed root-first."""
     wrappers = []
@@ -485,14 +573,15 @@ def strip_wrappers(d: AddDerivation):
     return d, wrappers
 
 
-def reapply_wrappers(d: AddDerivation, wrappers) -> AddDerivation:
+def reapply_wrappers(d: Derivation, wrappers) -> Derivation:
+    system = d.system
     for kind, w in reversed(wrappers):
         if kind == "equiv":
-            d = equiv(d, w)
+            d = system.retype(d, w)
         elif kind == "forallI":
-            d = forall_i(d, w)
+            d = system.forall_i(d, w)
         else:
-            d = forall_e(d, w)
+            d = system.forall_e(d, w)
     return d
 
 
@@ -546,8 +635,9 @@ def generation_analyze(d: AddDerivation) -> GenerationReport:
 # --- structural helpers for the transformations -----------------------------
 
 
-def _all_tvars(d: AddDerivation) -> set[str]:
+def _all_tvars(d: Derivation) -> set[str]:
     out: set[str] = set()
+    wit_values = d.system.wit_values
 
     def tyvars(t: Type | None):
         if t is None:
@@ -564,15 +654,15 @@ def _all_tvars(d: AddDerivation) -> set[str]:
                 for p in ps:
                     tyvars(p)
 
-    def walk(n: AddDerivation):
+    def walk(n: Derivation):
         tyvars(n.ty)
         for _, v in n.ctx.items():
             tyvars(v)
         tyvars(n.inst_ty)
         tyvars(n.arr_u)
-        for t in n.arr_ts or ():
+        for t in wit_values(n.arr_ts or ()):
             tyvars(t)
-        for vec in n.arr_vs or ():
+        for vec in wit_values(n.arr_vs or ()):
             for v in vec:
                 tyvars(v)
         if n.rule == "forallI":
@@ -585,99 +675,72 @@ def _all_tvars(d: AddDerivation) -> set[str]:
     return out
 
 
-def _all_term_vars(d: AddDerivation) -> set[str]:
-    out: set[str] = set()
+def _rebuild(n: Derivation, go) -> Derivation:
+    """n over the premises go(p), with its own side conditions."""
+    system = n.system
+    ps = [go(p) for p in n.premises]
+    if n.rule == "equiv":
+        return system.retype(ps[0], n.ty)
+    if n.rule == "arrI":
+        return system.arr_i(ps[0], n.binder)
+    if n.rule == "plusI":
+        return system.plus_i(ps[0], ps[1])
+    if n.rule == "forallI":
+        return system.forall_i(ps[0], n.binder)
+    if n.rule == "forallE":
+        return system.forall_e(ps[0], n.inst_ty)
+    if n.rule == "arrE":
+        return system.arr_e(ps[0], ps[1], n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs)
+    raise UnsupportedDerivationShape(n.rule)
 
-    def walk(n):
-        out.update(n.ctx.names())
-        out.update(free_vars(n.term))
-        if n.rule == "arrI":
-            out.add(n.binder)
-        for p in n.premises:
-            walk(p)
 
-    walk(d)
-    return out
-
-
-def rename_var(d: AddDerivation, old: str, new: str) -> AddDerivation:
+def rename_var(d: Derivation, old: str, new: str) -> Derivation:
     """Rename a free term variable throughout a derivation."""
     if old not in d.ctx and old not in free_vars(d.term):
         return d
+    system = d.system
 
-    def go(n: AddDerivation) -> AddDerivation:
+    def go(n: Derivation) -> Derivation:
         ctx = Context(
             ((new if k == old else k), v) for k, v in n.ctx.items()
         )
         if n.rule == "ax":
             nm = n.term.name
-            return equiv(ax(ctx, new if nm == old else nm), n.ty)
+            return system.retype(system.ax(ctx, new if nm == old else nm), n.ty)
         if n.rule == "ax0":
-            return ax0(ctx)
-        if n.rule == "equiv":
-            return equiv(go(n.premises[0]), n.ty)
-        if n.rule == "arrI":
-            if n.binder in (old, new):
-                raise UnsupportedDerivationShape(
-                    f"binder {n.binder} collides while renaming {old} to {new}"
-                )
-            return arr_i(go(n.premises[0]), n.binder)
-        if n.rule == "plusI":
-            return plus_i(go(n.premises[0]), go(n.premises[1]))
-        if n.rule == "forallI":
-            return forall_i(go(n.premises[0]), n.binder)
-        if n.rule == "forallE":
-            return forall_e(go(n.premises[0]), n.inst_ty)
-        if n.rule == "arrE":
-            return arr_e(
-                go(n.premises[0]), go(n.premises[1]),
-                n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs,
+            return system.ax0(ctx)
+        if n.rule == "arrI" and n.binder in (old, new):
+            raise UnsupportedDerivationShape(
+                f"binder {n.binder} collides while renaming {old} to {new}"
             )
-        raise UnsupportedDerivationShape(n.rule)
+        return _rebuild(n, go)
 
     return go(d)
 
 
-def weaken(d: AddDerivation, name: str, ty: Type) -> AddDerivation:
+def weaken(d: Derivation, name: str, ty: Type) -> Derivation:
     """Add an unused hypothesis to every context of a derivation."""
-    ty = type_canonicalize(ty)
+    system = d.system
+    ty = system.norm(ty)
     if name in d.ctx:
         raise UnsupportedDerivationShape(f"{name} already hypothesised")
     new_tv = ftv(ty)
 
-    def go(n: AddDerivation) -> AddDerivation:
+    def go(n: Derivation) -> Derivation:
         if n.rule == "ax":
-            return ax(n.ctx.extend(name, ty), n.term.name)
+            return system.ax(n.ctx.extend(name, ty), n.term.name)
         if n.rule == "ax0":
-            return ax0(n.ctx.extend(name, ty))
-        if n.rule == "equiv":
-            return equiv(go(n.premises[0]), n.ty)
-        if n.rule == "arrI":
-            p = n.premises[0]
-            b = n.binder
-            if b == name:
-                avoid = set(p.ctx.names()) | free_vars(p.term) | {name}
-                nb = fresh_name(b, avoid)
-                p = rename_var(p, b, nb)
-                b = nb
-            return arr_i(go(p), b)
-        if n.rule == "plusI":
-            return plus_i(go(n.premises[0]), go(n.premises[1]))
-        if n.rule == "forallI":
+            return system.ax0(n.ctx.extend(name, ty))
+        if n.rule == "arrI" and n.binder == name:
             p, b = n.premises[0], n.binder
-            if b in new_tv:
-                nb = fresh_tname(b, _all_tvars(p) | new_tv)
-                p = type_subst_derivation(p, b, TVar(nb))
-                b = nb
-            return forall_i(go(p), b)
-        if n.rule == "forallE":
-            return forall_e(go(n.premises[0]), n.inst_ty)
-        if n.rule == "arrE":
-            return arr_e(
-                go(n.premises[0]), go(n.premises[1]),
-                n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs,
-            )
-        raise UnsupportedDerivationShape(n.rule)
+            avoid = set(p.ctx.names()) | free_vars(p.term) | {name}
+            nb = fresh_name(b, avoid)
+            return system.arr_i(go(rename_var(p, b, nb)), nb)
+        if n.rule == "forallI" and n.binder in new_tv:
+            p, b = n.premises[0], n.binder
+            nb = fresh_name(b, _all_tvars(p) | new_tv)
+            return system.forall_i(go(type_subst_derivation(p, b, TVar(nb))), nb)
+        return _rebuild(n, go)
 
     return go(d)
 
@@ -685,118 +748,97 @@ def weaken(d: AddDerivation, name: str, ty: Type) -> AddDerivation:
 # --- the substitution lemmas -------------------------------------------------
 
 
-def type_subst_derivation(d: AddDerivation, x: str, u: Type) -> AddDerivation:
+def type_subst_derivation(d: Derivation, x: str, u: Type) -> Derivation:
     """Substitute a unit type for a type variable throughout a
     derivation: contexts, conclusion types and witnesses."""
-    u = type_canonicalize(u)
+    system = d.system
+    u = system.norm(u)
     if not is_unit(u):
-        raise RuleViolation((), "only unit types substitute for type variables")
+        system.fail("only unit types substitute for type variables")
     fv_u = ftv(u)
+    wit_map = system.wit_map
 
     def sub(t: Type | None):
-        return None if t is None else type_subst(t, x, u)
+        return None if t is None else system.subst(t, x, u)
 
-    def go(n: AddDerivation) -> AddDerivation:
+    def go(n: Derivation) -> Derivation:
         if n.rule == "ax":
-            return ax(n.ctx.map_types(lambda t: type_subst(t, x, u)), n.term.name)
+            return system.ax(n.ctx.map_types(sub), n.term.name)
         if n.rule == "ax0":
-            return ax0(n.ctx.map_types(lambda t: type_subst(t, x, u)))
+            return system.ax0(n.ctx.map_types(sub))
         if n.rule == "equiv":
-            return equiv(go(n.premises[0]), sub(n.ty))
-        if n.rule == "arrI":
-            return arr_i(go(n.premises[0]), n.binder)
-        if n.rule == "plusI":
-            return plus_i(go(n.premises[0]), go(n.premises[1]))
+            return system.retype(go(n.premises[0]), sub(n.ty))
         if n.rule == "forallI":
             p, b = n.premises[0], n.binder
             if b == x:
                 # x is shadowed below this node; nothing to substitute
                 return n
             if b in fv_u:
-                nb = fresh_tname(b, _all_tvars(p) | fv_u | {x})
+                nb = fresh_name(b, _all_tvars(p) | fv_u | {x})
                 p = type_subst_derivation(p, b, TVar(nb))
                 b = nb
-            return forall_i(go(p), b)
+            return system.forall_i(go(p), b)
         if n.rule == "forallE":
-            return forall_e(go(n.premises[0]), sub(n.inst_ty))
+            return system.forall_e(go(n.premises[0]), sub(n.inst_ty))
         if n.rule == "arrE":
             xs = n.arr_xs or ()
             arr_u, ts = n.arr_u, n.arr_ts
+            p1, p2 = go(n.premises[0]), go(n.premises[1])
+            vs = wit_map(lambda vec: tuple(sub(v) for v in vec), n.arr_vs)
             if x in xs:
                 # x is bound inside the witness schema; only instantiate
                 # the free occurrences (premises and vectors)
-                p1, p2 = go(n.premises[0]), go(n.premises[1])
-                vs = tuple(tuple(sub(v) for v in vec) for vec in n.arr_vs)
-                return arr_e(p1, p2, arr_u, ts, vs, xs)
+                return system.arr_e(p1, p2, arr_u, ts, vs, xs)
             clash = [y for y in xs if y in fv_u]
             if clash:
                 ren = {}
                 avoid = _all_tvars(n) | fv_u | {x}
                 for y in clash:
-                    ny = fresh_tname(y, avoid)
+                    ny = fresh_name(y, avoid)
                     avoid.add(ny)
                     ren[y] = ny
                 xs = tuple(ren.get(y, y) for y in xs)
                 for y, ny in ren.items():
-                    arr_u = type_subst(arr_u, y, TVar(ny))
-                    ts = tuple(type_subst(t, y, TVar(ny)) for t in ts)
-            p1, p2 = go(n.premises[0]), go(n.premises[1])
-            vs = tuple(tuple(sub(v) for v in vec) for vec in n.arr_vs)
-            return arr_e(p1, p2, sub(arr_u), tuple(sub(t) for t in ts), vs, xs)
-        raise UnsupportedDerivationShape(n.rule)
+                    arr_u = system.subst(arr_u, y, TVar(ny))
+                    ts = wit_map(lambda t: system.subst(t, y, TVar(ny)), ts)
+            return system.arr_e(p1, p2, sub(arr_u), wit_map(sub, ts), vs, xs)
+        return _rebuild(n, go)
 
     return go(d)
 
 
-def subst_derivation(d: AddDerivation, x: str, dv: AddDerivation) -> AddDerivation:
+def subst_derivation(d: Derivation, x: str, dv: Derivation) -> Derivation:
     """From derivations of G,x:U |- t:T and G |- v:U, a derivation of
     G |- t[v/x] : T."""
+    system = d.system
     u = d.ctx.get(x)
     if u is None:
-        raise RuleViolation((), f"{x} is not hypothesised")
+        system.fail(f"{x} is not hypothesised")
     if dv.ctx != d.ctx.remove(x):
-        raise RuleViolation((), "value premise context mismatch")
-    if not type_equiv(dv.ty, u):
-        raise RuleViolation((), "value premise type differs from the hypothesis")
+        system.fail("value premise context mismatch")
+    if not system.eq(dv.ty, u):
+        system.fail("value premise type differs from the hypothesis")
     if not is_value(canonicalize(dv.term)):
-        raise RuleViolation((), "only values substitute for term variables")
+        system.fail("only values substitute for term variables")
 
-    def go(n: AddDerivation, dv: AddDerivation) -> AddDerivation:
+    def go(n: Derivation, dv: Derivation) -> Derivation:
         if n.rule == "ax":
             if n.term.name == x:
-                return equiv(dv, n.ty)
-            return ax(n.ctx.remove(x), n.term.name)
+                return system.retype(dv, n.ty)
+            return system.ax(n.ctx.remove(x), n.term.name)
         if n.rule == "ax0":
-            return ax0(n.ctx.remove(x))
-        if n.rule == "equiv":
-            return equiv(go(n.premises[0], dv), n.ty)
+            return system.ax0(n.ctx.remove(x))
         if n.rule == "arrI":
             p, b = n.premises[0], n.binder
             if b == x:
                 raise UnsupportedDerivationShape("binder shadows the substituted variable")
-            dv2 = weaken(dv, b, p.ctx.get(b))
-            return arr_i(go(p, dv2), b)
-        if n.rule == "plusI":
-            return plus_i(go(n.premises[0], dv), go(n.premises[1], dv))
-        if n.rule == "forallI":
-            return forall_i(go(n.premises[0], dv), n.binder)
-        if n.rule == "forallE":
-            return forall_e(go(n.premises[0], dv), n.inst_ty)
-        if n.rule == "arrE":
-            return arr_e(
-                go(n.premises[0], dv), go(n.premises[1], dv),
-                n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs,
-            )
-        raise UnsupportedDerivationShape(n.rule)
+            return system.arr_i(go(p, weaken(dv, b, p.ctx.get(b))), b)
+        return _rebuild(n, lambda p: go(p, dv))
 
     return go(d, dv)
 
 
 # --- one-step reduction of derivations ---------------------------------------
-
-
-from .reduction import Redex, StaleRedex, step  # noqa: E402
-from .syntax import transfer_path  # noqa: E402
 
 
 def decompose_sum(d: AddDerivation) -> list[AddDerivation]:
@@ -881,84 +923,54 @@ def _match_units(piece_ty: Type, expected: list[Type]) -> list[int]:
     return sorted(used)
 
 
-def _focus_beta(core: AddDerivation) -> AddDerivation:
+def _focus_beta(core: Derivation) -> Derivation:
+    system = core.system
     p1, p2 = core.premises
-    if core.alpha != 1 or core.beta != 1:
+    vec = system.beta_vector(core)
+    if vec is None:
         raise UnsupportedDerivationShape("redex premises are not unit-typed")
     c1, w1 = strip_wrappers(p1)
     if c1.rule != "arrI":
         raise UnsupportedDerivationShape(f"abstraction derived by {c1.rule}")
-    subs = _beta_subst_plan(w1, core.arr_xs, core.arr_vs[0])
+    subs = _beta_subst_plan(w1, core.arr_xs, vec)
     body = c1.premises[0]
     for x, v in subs:
         body = type_subst_derivation(body, x, v)
     want_u = body.ctx.get(c1.binder)
     if want_u is None or body.ctx.remove(c1.binder) != core.ctx:
         raise UnsupportedDerivationShape("substituted body context mismatch")
-    if not type_equiv(p2.ty, want_u):
+    if not system.eq(p2.ty, want_u):
         raise UnsupportedDerivationShape("argument type differs from the instantiated domain")
-    out = subst_derivation(body, c1.binder, p2)
-    return equiv(out, core.ty)
+    return system.retype(subst_derivation(body, c1.binder, p2), core.ty)
 
 
-def _focus_dist(core: AddDerivation, part: int, side: int) -> AddDerivation:
-    prem = core.premises[side]
-    other = core.premises[1 - side]
-    pieces = decompose_sum(prem)
-    if not 0 <= part < len(pieces):
-        raise StaleRedex("split component out of range")
-    left, rest = pieces[part], pieces[:part] + pieces[part + 1:]
-    u, ts, vs, xs = core.arr_u, core.arr_ts, core.arr_vs, core.arr_xs
-    if side == 0:
-        expected = [
-            type_canonicalize(forall_close(xs, TArrow(u, t))) for t in ts
-        ]
-        kl = _match_units(left.ty, expected)
-        kr = [k for k in range(len(ts)) if k not in kl]
-        dl = arr_e(left, other, u, tuple(ts[k] for k in kl), vs, xs)
-        dr = arr_e(_rebuild_sum(rest), other, u, tuple(ts[k] for k in kr), vs, xs)
-    else:
-        expected = [type_canonicalize(type_subst_vec(u, xs, vec)) for vec in vs]
-        kl = _match_units(left.ty, expected)
-        kr = [k for k in range(len(vs)) if k not in kl]
-        dl = arr_e(other, left, u, ts, tuple(vs[k] for k in kl), xs)
-        dr = arr_e(other, _rebuild_sum(rest), u, ts, tuple(vs[k] for k in kr), xs)
-    return equiv(plus_i(dl, dr), core.ty)
-
-
-def _focus(core: AddDerivation, r: Redex) -> AddDerivation:
+def _focus(core: Derivation, r: Redex) -> Derivation:
+    system = core.system
+    if r.rule == "sum-zero":
+        return system.retype(system.drop_zero(core, r.part), core.ty)
+    if r.rule not in ("beta", "dist-right", "dist-left", "zero-fun", "zero-arg"):
+        raise StaleRedex(f"unknown rule {r.rule}")
+    if core.rule != "arrE":
+        raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
     if r.rule == "beta":
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
         return _focus_beta(core)
     if r.rule in ("dist-right", "dist-left"):
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
-        return _focus_dist(core, r.part, 0 if r.rule == "dist-right" else 1)
-    if r.rule in ("zero-fun", "zero-arg"):
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
-        if type_canonicalize(core.ty) is not TZero:
-            raise UnsupportedDerivationShape("vanishing application is not zero-typed")
-        return ax0(core.ctx)
-    if r.rule == "sum-zero":
-        pieces = decompose_sum(core)
-        if not 0 <= r.part < len(pieces) or pieces[r.part].term is not Zero:
-            raise StaleRedex("no zero component at the stated position")
-        rest = pieces[:r.part] + pieces[r.part + 1:]
-        return equiv(_rebuild_sum(rest), core.ty)
-    raise StaleRedex(f"unknown rule {r.rule}")
+        side = 0 if r.rule == "dist-right" else 1
+        return system.retype(system.focus_dist(core, r.part, side), core.ty)
+    if not system.eq(core.ty, TZero):
+        raise UnsupportedDerivationShape("vanishing application is not zero-typed")
+    return system.ax0(core.ctx)
 
 
-def _descend(core: AddDerivation, r: Redex) -> AddDerivation:
+def _descend(core: Derivation, r: Redex) -> Derivation:
+    system = core.system
     head, rest = r.path[0], r.path[1:]
     if core.rule == "arrE":
         if head not in (0, 1):
             raise StaleRedex("path leaves the application")
-        sub = step_derivation(core.premises[head], Redex(rest, r.rule, r.part))
-        ps = [core.premises[0], core.premises[1]]
-        ps[head] = sub
-        return arr_e(ps[0], ps[1], core.arr_u, core.arr_ts, core.arr_vs, core.arr_xs)
+        ps = list(core.premises)
+        ps[head] = reduce_derivation(ps[head], Redex(rest, r.rule, r.part))
+        return system.arr_e(ps[0], ps[1], core.arr_u, core.arr_ts, core.arr_vs, core.arr_xs)
     if core.rule == "arrI":
         if head != 0:
             raise StaleRedex("path leaves the abstraction")
@@ -975,29 +987,31 @@ def _descend(core: AddDerivation, r: Redex) -> AddDerivation:
             new_path, new_part = full[: len(full) - len(tail)], full[-1]
         else:
             new_path, new_part = full, None
-        sub = step_derivation(p, Redex(new_path, r.rule, new_part))
-        return arr_i(sub, core.binder)
+        sub = reduce_derivation(p, Redex(new_path, r.rule, new_part))
+        return system.arr_i(sub, core.binder)
     if core.rule == "plusI":
-        pieces = decompose_sum(core)
-        if not 0 <= head < len(pieces):
-            raise StaleRedex("path leaves the sum")
-        pieces[head] = step_derivation(pieces[head], Redex(rest, r.rule, r.part))
-        return equiv(_rebuild_sum(pieces), core.ty)
+        return system.descend_sum(
+            core, head, lambda piece: reduce_derivation(piece, Redex(rest, r.rule, r.part))
+        )
     raise UnsupportedDerivationShape(f"cannot follow the redex through {core.rule}")
 
 
-def step_derivation(d: AddDerivation, r: Redex) -> AddDerivation:
-    """Subject reduction, constructively: from a derivation of t and a
-    redex t -> u, a derivation of u with the same context and type."""
+def reduce_derivation(d: Derivation, r: Redex) -> Derivation:
+    """Subject reduction, constructively, in the system of d: from a
+    derivation of t and a redex t -> u, a derivation of u with the same
+    context and type."""
     new_term = step(d.term, r)
     core, wrappers = strip_wrappers(d)
-    if r.path == ():
-        new_core = _focus(core, r)
-    else:
-        new_core = _descend(core, r)
-    out = equiv(reapply_wrappers(new_core, wrappers), d.ty)
+    new_core = _focus(core, r) if r.path == () else _descend(core, r)
+    out = d.system.retype(reapply_wrappers(new_core, wrappers), d.ty)
     if canonicalize(out.term) != new_term:
         raise UnsupportedDerivationShape(
             f"derivation stepped to {show_term(out.term)}, term to {show_term(new_term)}"
         )
     return out
+
+
+def step_derivation(d: AddDerivation, r: Redex) -> AddDerivation:
+    """Subject reduction in the additive system; the result may insert
+    equiv nodes to keep the type."""
+    return reduce_derivation(d, r)

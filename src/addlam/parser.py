@@ -377,10 +377,6 @@ def parse_aterm(src: str) -> ATerm:
     return _run(src, "aterm")
 
 
-def parse_derivation(src: str) -> ATerm:
-    return parse_aterm(src)
-
-
 def parse_fterm(src: str) -> FTerm:
     return _run(src, "fterm")
 

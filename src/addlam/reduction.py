@@ -3,23 +3,19 @@ call-by-value beta, applied at any position modulo AC of sums."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     Abs,
     App,
     Sum,
     Term,
-    Var,
     Zero,
     canonicalize,
     is_value,
-    mk_sum,
     show_term,
     substitute,
 )
-
-RULES = ("dist-right", "dist-left", "zero-fun", "zero-arg", "sum-zero", "beta")
 
 
 class StaleRedex(Exception):
@@ -185,7 +181,10 @@ def normalize(t: Term, fuel: int = 10000) -> NormalizeResult:
 
 @dataclass(frozen=True)
 class SnResult:
-    status: str  # "terminates" | "budget-exhausted"
+    # "terminates"; "budget-exhausted" (also when a cycle is found);
+    # "recursion-limit": the term or a path of its reduction graph is
+    # too deep for the recursive search, so nothing was decided
+    status: str
     max_depth: int = 0
     states: int = 0
     cycle: bool = False
@@ -206,7 +205,6 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
     Reports the longest reduction path when the graph is finite and
     acyclic within the budget; a cycle counts as exhaustion (it is a
     witness of an infinite reduction)."""
-    t = canonicalize(t)
     memo: dict[Term, int] = {}
     onstack: set[Term] = set()
     seen = 0
@@ -229,9 +227,9 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
         return best
 
     try:
-        d = depth(t)
+        d = depth(canonicalize(t))
     except _Abort as a:
         return SnResult("budget-exhausted", 0, seen, a.cycle)
     except RecursionError:
-        return SnResult("budget-exhausted", 0, seen, False)
+        return SnResult("recursion-limit", 0, seen, False)
     return SnResult("terminates", d, seen, False)

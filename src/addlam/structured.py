@@ -1,6 +1,8 @@
 """Binary type trees and the structured variant of the type system,
 where sum types are rigid trees and the application rule composes them
-syntactically instead of reasoning up to equivalence."""
+syntactically instead of reasoning up to equivalence.  Checking and
+the derivation transformations are those of ``derivation.py``, run
+with the ``StructuredSystem`` below."""
 
 from __future__ import annotations
 
@@ -8,20 +10,24 @@ from dataclasses import dataclass
 
 from .derivation import (
     AddDerivation,
+    Derivation,
     RuleViolation,
+    System,
+    UnsupportedDerivationShape,
     arr_e,
     arr_i,
     ax,
     ax0,
-    equiv,
+    check_derivation,
     forall_close,
     forall_i,
     forall_e,
     plus_i,
+    reduce_derivation,
 )
-from .syntax import Abs, App, Term, Var, Zero, canonicalize, mk_sum, show_term
+from .reduction import Redex, StaleRedex
+from .syntax import Sum, canonicalize, summands
 from .typesys import (
-    Context,
     TArrow,
     TForall,
     TSum,
@@ -36,13 +42,15 @@ from .typesys import (
     show_type,
     to_raw,
     type_canonicalize,
-    type_equiv,
-    type_subst_vec,
 )
 
 
 class ConversionFailure(Exception):
     """The derivation has no direct structured counterpart."""
+
+
+class ExcludedRule(Exception):
+    """The redex uses the one rule the structured system cannot track."""
 
 
 # --- trees ------------------------------------------------------------------
@@ -135,83 +143,18 @@ def tree_compose(a: TypeTree, a2: TypeTree) -> TypeTree:
 # --- structured derivations ---------------------------------------------------
 
 
-SADD_RULES = ("ax", "ax0", "arrI", "arrE", "plusI", "forallI", "forallE")
-
-
 @dataclass(frozen=True)
-class SaddDerivation:
-    rule: str
-    ctx: Context  # rigid unit types
-    term: Term
-    ty: Type  # rigid: compared syntactically up to bound renaming
-    premises: tuple["SaddDerivation", ...] = ()
-    binder: str | None = None
-    inst_ty: Type | None = None
-    arr_u: Type | None = None
-    arr_ts: tuple[tuple[str, Type], ...] | None = None  # address -> T_w
-    arr_vs: tuple[tuple[str, tuple[Type, ...]], ...] | None = None  # address -> vector
-    arr_xs: tuple[str, ...] | None = None
-
-    def describe(self) -> str:
-        return f"{self.rule}: {self.ctx} |- {show_term(self.term)} : {show_type(self.ty)}"
-
-
-def _sfail(msg: str):
-    raise RuleViolation((), msg)
-
-
-def sax(ctx: Context, name: str) -> SaddDerivation:
-    u = ctx.get(name)
-    if u is None:
-        _sfail(f"variable {name} not in context")
-    if not is_unit(u):
-        _sfail(f"hypothesis {name} is not unit-typed")
-    return SaddDerivation("ax", ctx, Var(name), u)
-
-
-def sax0(ctx: Context) -> SaddDerivation:
-    return SaddDerivation("ax0", ctx, Zero, TZero)
-
-
-def sarr_i(d: SaddDerivation, binder: str) -> SaddDerivation:
-    u = d.ctx.get(binder)
-    if u is None:
-        _sfail(f"abstraction binder {binder} not in premise context")
-    term = canonicalize(Abs(binder, d.term))
-    return SaddDerivation(
-        "arrI", d.ctx.remove(binder), term, TArrow(u, d.ty), (d,), binder=binder
-    )
-
-
-def splus_i(d1: SaddDerivation, d2: SaddDerivation) -> SaddDerivation:
-    if d1.ctx != d2.ctx:
-        _sfail("sum premises typed in different contexts")
-    term = mk_sum((d1.term, d2.term))
-    return SaddDerivation("plusI", d1.ctx, term, TSum((d1.ty, d2.ty)), (d1, d2))
-
-
-def sforall_i(d: SaddDerivation, binder: str) -> SaddDerivation:
-    if not is_unit(d.ty):
-        _sfail(f"generalisation over a non-unit type {show_type(d.ty)}")
-    if binder in d.ctx.free_tvars():
-        _sfail(f"{binder} occurs free in the context")
-    return SaddDerivation("forallI", d.ctx, d.term, TForall(binder, d.ty), (d,), binder=binder)
-
-
-def sforall_e(d: SaddDerivation, v: Type) -> SaddDerivation:
-    if not is_unit(v):
-        _sfail(f"instantiation with a non-unit type {show_type(v)}")
-    if not isinstance(d.ty, TForall):
-        _sfail(f"instantiating a non-quantified type {show_type(d.ty)}")
-    ty = raw_subst(d.ty.body, d.ty.var, v)
-    return SaddDerivation("forallE", d.ctx, d.term, ty, (d,), inst_ty=v)
+class SaddDerivation(Derivation):
+    """A structured derivation: contexts hold rigid unit types, ``ty`` is
+    rigid (compared syntactically up to bound renaming), and the ``arrE``
+    witnesses are sorted (address, T_w) and (address, vector) pairs."""
 
 
 def _struct_result(d1_ty, d2_ty, u, ts, vs, xs):
-    """Trees of the premises and the grafted conclusion type."""
+    """The grafted conclusion type, after checking the premise trees
+    against the witness maps."""
     a, lab1 = tree_of_type(d1_ty)
     a2, lab2 = tree_of_type(d2_ty)
-    ts, vs = dict(ts), dict(vs)
     if set(lab1) != set(ts):
         raise RuleViolation((), "function labels do not cover the tree")
     if set(lab2) != set(vs):
@@ -235,110 +178,124 @@ def _struct_result(d1_ty, d2_ty, u, ts, vs, xs):
         for w in ts
         for v, vec in vs.items()
     }
-    res = label_tree(tree_compose(a, a2), lab)
-    return a, a2, res
+    return label_tree(tree_compose(a, a2), lab)
 
 
-def struct_arr_e(
-    d1: SaddDerivation,
-    d2: SaddDerivation,
-    u: Type,
-    ts: dict[str, Type],
-    vs: dict[str, tuple[Type, ...]],
-    xs=(),
-) -> SaddDerivation:
-    xs = tuple(xs)
-    if d1.ctx != d2.ctx:
-        _sfail("application premises typed in different contexts")
-    if not is_unit(u):
-        _sfail(f"arrow domain {show_type(u)} is not a unit type")
-    _, _, res = _struct_result(d1.ty, d2.ty, u, ts, vs, xs)
-    term = canonicalize(App(d1.term, d2.term))
-    return SaddDerivation(
-        "arrE", d1.ctx, term, res, (d1, d2),
-        arr_u=u,
-        arr_ts=tuple(sorted(ts.items())),
-        arr_vs=tuple(sorted(vs.items())),
-        arr_xs=xs,
-    )
+def _s_root_split(prem: SaddDerivation, target):
+    """Check that one side of the root sum node is exactly the split
+    summand."""
+    if prem.rule != "plusI":
+        raise UnsupportedDerivationShape(f"sum premise derived by {prem.rule}")
+    for p in prem.premises:
+        if not isinstance(canonicalize(p.term), Sum) and canonicalize(p.term) == target:
+            return
+    raise UnsupportedDerivationShape("split does not follow the rigid sum structure")
 
 
-def _scheck_node(d: SaddDerivation, path: tuple[int, ...]):
-    def bad(msg):
-        raise RuleViolation(path, msg)
+def _sub_labels(m: dict, side: str) -> dict:
+    return {w[1:]: t for w, t in m.items() if w.startswith(side)}
 
-    ps = d.premises
-    if d.rule == "ax":
-        u = d.ctx.get(d.term.name) if isinstance(d.term, Var) else None
-        if u is None:
-            bad("axiom subject is not a context variable")
-        if not raw_alpha_eq(d.ty, u):
-            bad("axiom type differs from the hypothesis")
-    elif d.rule == "ax0":
-        if d.term is not Zero or d.ty is not TZero:
-            bad("zero axiom must type zero with the zero type")
-    elif d.rule == "arrI":
-        (p,) = ps
-        u = p.ctx.get(d.binder or "")
-        if u is None or p.ctx.remove(d.binder) != d.ctx:
-            bad("abstraction context mismatch")
-        if canonicalize(d.term) != canonicalize(Abs(d.binder, p.term)):
-            bad("abstraction subject mismatch")
-        if not raw_alpha_eq(d.ty, TArrow(u, p.ty)):
-            bad("abstraction type is not the expected arrow")
-    elif d.rule == "plusI":
-        p1, p2 = ps
-        if p1.ctx != d.ctx or p2.ctx != d.ctx:
-            bad("sum context mismatch")
-        if canonicalize(d.term) != mk_sum((p1.term, p2.term)):
-            bad("sum subject mismatch")
-        if not raw_alpha_eq(d.ty, TSum((p1.ty, p2.ty))):
-            bad("sum type is not the sum of the premise types")
-    elif d.rule == "forallI":
-        (p,) = ps
-        if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
-            bad("generalisation changes the judgement subject")
-        if not is_unit(p.ty):
-            bad("generalisation over a non-unit type")
-        if d.binder in d.ctx.free_tvars():
-            bad(f"{d.binder} occurs free in the context")
-        if not raw_alpha_eq(d.ty, TForall(d.binder, p.ty)):
-            bad("generalised type mismatch")
-    elif d.rule == "forallE":
-        (p,) = ps
-        if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
-            bad("instantiation changes the judgement subject")
-        if not isinstance(p.ty, TForall):
-            bad("instantiating a non-quantified type")
-        if d.inst_ty is None or not is_unit(d.inst_ty):
-            bad("instantiation witness must be a unit type")
-        if not raw_alpha_eq(d.ty, raw_subst(p.ty.body, p.ty.var, d.inst_ty)):
-            bad("instantiated type mismatch")
-    elif d.rule == "arrE":
-        p1, p2 = ps
-        if p1.ctx != d.ctx or p2.ctx != d.ctx:
-            bad("application context mismatch")
-        if d.arr_ts is None or d.arr_vs is None or d.arr_u is None or d.arr_xs is None:
-            bad("application node lacks its witnesses")
-        try:
-            _, _, res = _struct_result(
-                p1.ty, p2.ty, d.arr_u, dict(d.arr_ts), dict(d.arr_vs), d.arr_xs
+
+def _s_replace_piece(n: SaddDerivation, target, rank: int, fn) -> SaddDerivation:
+    """Apply fn to the rank-th occurrence of the sum component equal to
+    target, preserving the rigid sum structure around it."""
+    if not isinstance(canonicalize(n.term), Sum):
+        return fn(n)
+    if n.rule != "plusI":
+        raise UnsupportedDerivationShape(f"sum derived by {n.rule}")
+    p0, p1 = n.premises
+    c0 = sum(1 for s in summands(canonicalize(p0.term)) if s == target) \
+        if isinstance(canonicalize(p0.term), Sum) else int(canonicalize(p0.term) == target)
+    if rank < c0:
+        return splus_i(_s_replace_piece(p0, target, rank, fn), p1)
+    return splus_i(p0, _s_replace_piece(p1, target, rank - c0, fn))
+
+
+class StructuredSystem(System):
+    """Rigid types up to bound renaming and no equivalence rule: a
+    transformation that would change a type is refused."""
+
+    rules = ("ax", "ax0", "arrI", "arrE", "plusI", "forallI", "forallE")
+    unit_hypotheses = True
+    eq = staticmethod(raw_alpha_eq)
+    subst = staticmethod(raw_subst)
+
+    @staticmethod
+    def norm(t: Type) -> Type:
+        return t
+
+    def fail(self, msg: str):
+        raise UnsupportedDerivationShape(msg)
+
+    def retype(self, d: SaddDerivation, ty: Type) -> SaddDerivation:
+        if not raw_alpha_eq(d.ty, ty):
+            raise UnsupportedDerivationShape(
+                f"the rigid type {show_type(ty)} would become {show_type(d.ty)}"
             )
-        except (RuleViolation, ValueError) as e:
-            bad(str(e))
-        if canonicalize(d.term) != canonicalize(App(p1.term, p2.term)):
-            bad("application subject mismatch")
-        if not raw_alpha_eq(d.ty, res):
-            bad("application result type mismatch")
-    else:
-        bad(f"unknown rule {d.rule!r}")
+        return d
+
+    def wit_values(self, m):
+        return [v for _, v in m]
+
+    def wit_map(self, fn, m):
+        return tuple((w, fn(v)) for w, v in m)
+
+    def app_witness(self, fun_ty, arg_ty, u, ts, vs, xs):
+        if not is_unit(u):
+            raise RuleViolation((), f"arrow domain {show_type(u)} is not a unit type")
+        ts, vs = dict(ts), dict(vs)
+        res = _struct_result(fun_ty, arg_ty, u, ts, vs, xs)
+        return u, tuple(sorted(ts.items())), tuple(sorted(vs.items())), res
+
+    def beta_vector(self, core: SaddDerivation):
+        ts, vs = dict(core.arr_ts), dict(core.arr_vs)
+        return vs[""] if set(ts) == {""} and set(vs) == {""} else None
+
+    def focus_dist(self, core: SaddDerivation, part: int, side: int) -> SaddDerivation:
+        prem, other = core.premises[side], core.premises[1 - side]
+        flat = summands(canonicalize(prem.term))
+        if not 0 <= part < len(flat):
+            raise StaleRedex("split component out of range")
+        _s_root_split(prem, flat[part])
+        if side == 1 and not is_unit(core.premises[0].ty):
+            raise UnsupportedDerivationShape(
+                "argument split under a sum-typed function changes the rigid type"
+            )
+        u, ts, vs, xs = core.arr_u, dict(core.arr_ts), dict(core.arr_vs), core.arr_xs
+
+        def half(k: int) -> SaddDerivation:
+            p = prem.premises[k]
+            if side == 0:
+                return self.arr_e(p, other, u, _sub_labels(ts, "lr"[k]), vs, xs)
+            return self.arr_e(other, p, u, ts, _sub_labels(vs, "lr"[k]), xs)
+
+        return self.plus_i(half(0), half(1))
+
+    def drop_zero(self, core: SaddDerivation, part: int):
+        raise ExcludedRule("the rule dropping a zero summand has no rigid counterpart")
+
+    def descend_sum(self, core: SaddDerivation, head: int, fn) -> SaddDerivation:
+        flat = summands(canonicalize(core.term))
+        if not 0 <= head < len(flat):
+            raise StaleRedex("path leaves the sum")
+        target = flat[head]
+        rank = sum(1 for s in flat[:head] if s == target)
+        return _s_replace_piece(core, target, rank, fn)
+
+
+SADD = StructuredSystem(SaddDerivation)
+sax = SADD.ax
+sax0 = SADD.ax0
+sarr_i = SADD.arr_i
+splus_i = SADD.plus_i
+sforall_i = SADD.forall_i
+sforall_e = SADD.forall_e
+struct_arr_e = SADD.arr_e
 
 
 def check_sadd(d: SaddDerivation, path: tuple[int, ...] = ()):
     """Validate every node of a structured derivation."""
-    for i, p in enumerate(d.premises):
-        check_sadd(p, path + (i,))
-    _scheck_node(d, path)
+    check_derivation(d, path)
 
 
 def is_valid_sadd(d: SaddDerivation) -> bool:
@@ -347,6 +304,13 @@ def is_valid_sadd(d: SaddDerivation) -> bool:
         return True
     except RuleViolation:
         return False
+
+
+def step_sadd_derivation(d: SaddDerivation, r: Redex) -> SaddDerivation:
+    """One-step subject reduction in the structured system, keeping the
+    rigid type unchanged; raises ExcludedRule for the zero-summand rule
+    and UnsupportedDerivationShape where no same-type derivation exists."""
+    return reduce_derivation(d, r)
 
 
 # --- conversions ---------------------------------------------------------------
@@ -463,415 +427,3 @@ def sadd_to_add(d: SaddDerivation) -> AddDerivation:
             d.arr_xs,
         )
     raise ConversionFailure(f"unknown rule {d.rule!r}")
-
-
-# --- one-step reduction of structured derivations ------------------------------
-
-from .derivation import UnsupportedDerivationShape  # noqa: E402
-from .reduction import Redex, StaleRedex, step  # noqa: E402
-from .syntax import Sum, free_vars, fresh_name, is_value, summands, transfer_path  # noqa: E402
-from .typesys import fresh_tname  # noqa: E402
-
-
-class ExcludedRule(Exception):
-    """The redex uses the one rule the structured system cannot track."""
-
-
-def _s_all_tvars(d: SaddDerivation) -> set[str]:
-    out: set[str] = set()
-
-    def tyvars(t):
-        if t is None:
-            return
-        match t:
-            case TVar(x):
-                out.add(x)
-            case TArrow(a, b) | TSum((a, b)):
-                tyvars(a), tyvars(b)
-            case TForall(x, b):
-                out.add(x)
-                tyvars(b)
-
-    def walk(n):
-        tyvars(n.ty)
-        for _, v in n.ctx.items():
-            tyvars(v)
-        tyvars(n.inst_ty)
-        tyvars(n.arr_u)
-        for _, t in n.arr_ts or ():
-            tyvars(t)
-        for _, vec in n.arr_vs or ():
-            for v in vec:
-                tyvars(v)
-        out.update(n.arr_xs or ())
-        for p in n.premises:
-            walk(p)
-
-    walk(d)
-    return out
-
-
-def s_rename_var(d: SaddDerivation, old: str, new: str) -> SaddDerivation:
-    """Rename a free term variable throughout a structured derivation."""
-    if old not in d.ctx and old not in free_vars(d.term):
-        return d
-
-    def go(n: SaddDerivation) -> SaddDerivation:
-        ctx = Context(((new if k == old else k), v) for k, v in n.ctx.items())
-        if n.rule == "ax":
-            nm = n.term.name
-            return sax(ctx, new if nm == old else nm)
-        if n.rule == "ax0":
-            return sax0(ctx)
-        if n.rule == "arrI":
-            if n.binder in (old, new):
-                raise UnsupportedDerivationShape(
-                    f"binder {n.binder} collides while renaming {old} to {new}"
-                )
-            return sarr_i(go(n.premises[0]), n.binder)
-        if n.rule == "plusI":
-            return splus_i(go(n.premises[0]), go(n.premises[1]))
-        if n.rule == "forallI":
-            return sforall_i(go(n.premises[0]), n.binder)
-        if n.rule == "forallE":
-            return sforall_e(go(n.premises[0]), n.inst_ty)
-        if n.rule == "arrE":
-            return struct_arr_e(
-                go(n.premises[0]), go(n.premises[1]),
-                n.arr_u, dict(n.arr_ts), dict(n.arr_vs), n.arr_xs,
-            )
-        raise UnsupportedDerivationShape(n.rule)
-
-    return go(d)
-
-
-def s_weaken(d: SaddDerivation, name: str, ty: Type) -> SaddDerivation:
-    """Add an unused hypothesis throughout a structured derivation."""
-    if name in d.ctx:
-        raise UnsupportedDerivationShape(f"{name} already hypothesised")
-    new_tv = ftv(ty)
-
-    def go(n: SaddDerivation) -> SaddDerivation:
-        if n.rule == "ax":
-            return sax(n.ctx.extend(name, ty), n.term.name)
-        if n.rule == "ax0":
-            return sax0(n.ctx.extend(name, ty))
-        if n.rule == "arrI":
-            p, b = n.premises[0], n.binder
-            if b == name:
-                avoid = set(p.ctx.names()) | free_vars(p.term) | {name}
-                nb = fresh_name(b, avoid)
-                p = s_rename_var(p, b, nb)
-                b = nb
-            return sarr_i(go(p), b)
-        if n.rule == "plusI":
-            return splus_i(go(n.premises[0]), go(n.premises[1]))
-        if n.rule == "forallI":
-            p, b = n.premises[0], n.binder
-            if b in new_tv:
-                nb = fresh_tname(b, _s_all_tvars(p) | new_tv)
-                p = s_type_subst_derivation(p, b, TVar(nb))
-                b = nb
-            return sforall_i(go(p), b)
-        if n.rule == "forallE":
-            return sforall_e(go(n.premises[0]), n.inst_ty)
-        if n.rule == "arrE":
-            return struct_arr_e(
-                go(n.premises[0]), go(n.premises[1]),
-                n.arr_u, dict(n.arr_ts), dict(n.arr_vs), n.arr_xs,
-            )
-        raise UnsupportedDerivationShape(n.rule)
-
-    return go(d)
-
-
-def s_type_subst_derivation(d: SaddDerivation, x: str, u: Type) -> SaddDerivation:
-    """Substitute a rigid unit type for a type variable throughout a
-    structured derivation."""
-    if not is_unit(u):
-        raise UnsupportedDerivationShape("only unit types substitute for type variables")
-    fv_u = ftv(u)
-
-    def sub(t):
-        return None if t is None else raw_subst(t, x, u)
-
-    def go(n: SaddDerivation) -> SaddDerivation:
-        if n.rule == "ax":
-            return sax(n.ctx.map_types(lambda t: raw_subst(t, x, u)), n.term.name)
-        if n.rule == "ax0":
-            return sax0(n.ctx.map_types(lambda t: raw_subst(t, x, u)))
-        if n.rule == "arrI":
-            return sarr_i(go(n.premises[0]), n.binder)
-        if n.rule == "plusI":
-            return splus_i(go(n.premises[0]), go(n.premises[1]))
-        if n.rule == "forallI":
-            p, b = n.premises[0], n.binder
-            if b == x:
-                return n
-            if b in fv_u:
-                nb = fresh_tname(b, _s_all_tvars(p) | fv_u | {x})
-                p = s_type_subst_derivation(p, b, TVar(nb))
-                b = nb
-            return sforall_i(go(p), b)
-        if n.rule == "forallE":
-            return sforall_e(go(n.premises[0]), sub(n.inst_ty))
-        if n.rule == "arrE":
-            xs = n.arr_xs or ()
-            arr_u, ts = n.arr_u, dict(n.arr_ts)
-            vs = {v: tuple(sub(t) for t in vec) for v, vec in n.arr_vs}
-            if x in xs:
-                return struct_arr_e(go(n.premises[0]), go(n.premises[1]), arr_u, ts, vs, xs)
-            clash = [y for y in xs if y in fv_u]
-            if clash:
-                ren = {}
-                avoid = _s_all_tvars(n) | fv_u | {x}
-                for y in clash:
-                    ny = fresh_tname(y, avoid)
-                    avoid.add(ny)
-                    ren[y] = ny
-                xs = tuple(ren.get(y, y) for y in xs)
-                for y, ny in ren.items():
-                    arr_u = raw_subst(arr_u, y, TVar(ny))
-                    ts = {w: raw_subst(t, y, TVar(ny)) for w, t in ts.items()}
-            return struct_arr_e(
-                go(n.premises[0]), go(n.premises[1]),
-                sub(arr_u), {w: sub(t) for w, t in ts.items()}, vs, xs,
-            )
-        raise UnsupportedDerivationShape(n.rule)
-
-    return go(d)
-
-
-def s_subst_derivation(d: SaddDerivation, x: str, dv: SaddDerivation) -> SaddDerivation:
-    """Structured substitution lemma: replace a hypothesis by a value
-    derivation; every conclusion type is left untouched."""
-    u = d.ctx.get(x)
-    if u is None or dv.ctx != d.ctx.remove(x):
-        raise UnsupportedDerivationShape("substitution premises do not line up")
-    if not raw_alpha_eq(dv.ty, u) or not is_value(canonicalize(dv.term)):
-        raise UnsupportedDerivationShape("substituted derivation is not a matching value")
-
-    def go(n: SaddDerivation, dv: SaddDerivation) -> SaddDerivation:
-        if n.rule == "ax":
-            return dv if n.term.name == x else sax(n.ctx.remove(x), n.term.name)
-        if n.rule == "ax0":
-            return sax0(n.ctx.remove(x))
-        if n.rule == "arrI":
-            p, b = n.premises[0], n.binder
-            if b == x:
-                raise UnsupportedDerivationShape("binder shadows the substituted variable")
-            return sarr_i(go(p, s_weaken(dv, b, p.ctx.get(b))), b)
-        if n.rule == "plusI":
-            return splus_i(go(n.premises[0], dv), go(n.premises[1], dv))
-        if n.rule == "forallI":
-            return sforall_i(go(n.premises[0], dv), n.binder)
-        if n.rule == "forallE":
-            return sforall_e(go(n.premises[0], dv), n.inst_ty)
-        if n.rule == "arrE":
-            return struct_arr_e(
-                go(n.premises[0], dv), go(n.premises[1], dv),
-                n.arr_u, dict(n.arr_ts), dict(n.arr_vs), n.arr_xs,
-            )
-        raise UnsupportedDerivationShape(n.rule)
-
-    return go(d, dv)
-
-
-def _s_strip(d: SaddDerivation):
-    wrappers = []
-    while d.rule in ("forallI", "forallE"):
-        wrappers.append((d.rule, d.binder if d.rule == "forallI" else d.inst_ty))
-        d = d.premises[0]
-    return d, wrappers
-
-
-def _s_reapply(d: SaddDerivation, wrappers) -> SaddDerivation:
-    for kind, w in reversed(wrappers):
-        d = sforall_i(d, w) if kind == "forallI" else sforall_e(d, w)
-    return d
-
-
-def _s_beta_plan(wrappers, xs, vec):
-    binders: list[str] = []
-    subs: list[tuple[str, Type]] = []
-
-    def pop(v):
-        if not binders:
-            raise UnsupportedDerivationShape("instantiation without a matching generalisation")
-        x0 = binders.pop(0)
-        fv = ftv(v)
-        if any(b in fv for b in binders):
-            raise UnsupportedDerivationShape("instantiation would capture a pending generalisation")
-        subs.append((x0, v))
-
-    for kind, w in reversed(wrappers):
-        if kind == "forallI":
-            if w in binders:
-                raise UnsupportedDerivationShape("repeated generalisation binder")
-            binders.insert(0, w)
-        else:
-            pop(w)
-    if len(binders) != len(xs) or len(vec) != len(xs):
-        raise UnsupportedDerivationShape("generalisation arity differs from the witness")
-    for v in vec:
-        pop(v)
-    return subs
-
-
-def _s_focus_beta(core: SaddDerivation) -> SaddDerivation:
-    p1, p2 = core.premises
-    ts, vs = dict(core.arr_ts), dict(core.arr_vs)
-    if set(ts) != {""} or set(vs) != {""}:
-        raise UnsupportedDerivationShape("redex premises are not single-leaf typed")
-    c1, w1 = _s_strip(p1)
-    if c1.rule != "arrI":
-        raise UnsupportedDerivationShape(f"abstraction derived by {c1.rule}")
-    subs = _s_beta_plan(w1, core.arr_xs, vs[""])
-    body = c1.premises[0]
-    for x, v in subs:
-        body = s_type_subst_derivation(body, x, v)
-    want_u = body.ctx.get(c1.binder)
-    if want_u is None or body.ctx.remove(c1.binder) != core.ctx:
-        raise UnsupportedDerivationShape("substituted body context mismatch")
-    if not raw_alpha_eq(p2.ty, want_u):
-        raise UnsupportedDerivationShape("argument type differs from the instantiated domain")
-    out = s_subst_derivation(body, c1.binder, p2)
-    if not raw_alpha_eq(out.ty, core.ty):
-        raise UnsupportedDerivationShape("redex contractum changes the rigid type")
-    return out
-
-
-def _s_root_split(prem: SaddDerivation, target):
-    """Which side of the root sum node is exactly the split summand."""
-    if prem.rule != "plusI":
-        raise UnsupportedDerivationShape(f"sum premise derived by {prem.rule}")
-    for k in (0, 1):
-        p = prem.premises[k]
-        if not isinstance(canonicalize(p.term), Sum) and canonicalize(p.term) == target:
-            return k
-    raise UnsupportedDerivationShape("split does not follow the rigid sum structure")
-
-
-def _sub_labels(m: dict, side: str) -> dict:
-    return {w[1:]: t for w, t in m.items() if w.startswith(side)}
-
-
-def _s_focus_dist(core: SaddDerivation, part: int, side: int) -> SaddDerivation:
-    prem, other = core.premises[side], core.premises[1 - side]
-    flat = summands(canonicalize(prem.term))
-    if not 0 <= part < len(flat):
-        raise StaleRedex("split component out of range")
-    k = _s_root_split(prem, flat[part])
-    piece, rest = prem.premises[k], prem.premises[1 - k]
-    u, ts, vs, xs = core.arr_u, dict(core.arr_ts), dict(core.arr_vs), core.arr_xs
-    if side == 0:
-        args = [
-            struct_arr_e(piece, other, u, _sub_labels(ts, "lr"[k]), vs, xs),
-            struct_arr_e(rest, other, u, _sub_labels(ts, "lr"[1 - k]), vs, xs),
-        ]
-    else:
-        if not is_unit(core.premises[0].ty):
-            raise UnsupportedDerivationShape(
-                "argument split under a sum-typed function changes the rigid type"
-            )
-        args = [
-            struct_arr_e(other, piece, u, ts, _sub_labels(vs, "lr"[k]), xs),
-            struct_arr_e(other, rest, u, ts, _sub_labels(vs, "lr"[1 - k]), xs),
-        ]
-    out = splus_i(args[1], args[0]) if k == 1 else splus_i(args[0], args[1])
-    if not raw_alpha_eq(out.ty, core.ty):
-        raise UnsupportedDerivationShape("distribution changes the rigid type")
-    return out
-
-
-def _s_replace_piece(n: SaddDerivation, target, rank: int, fn) -> SaddDerivation:
-    """Apply fn to the rank-th occurrence of the sum component equal to
-    target, preserving the rigid sum structure around it."""
-    if not isinstance(canonicalize(n.term), Sum):
-        return fn(n)
-    if n.rule != "plusI":
-        raise UnsupportedDerivationShape(f"sum derived by {n.rule}")
-    p0, p1 = n.premises
-    c0 = sum(1 for s in summands(canonicalize(p0.term)) if s == target) \
-        if isinstance(canonicalize(p0.term), Sum) else int(canonicalize(p0.term) == target)
-    if rank < c0:
-        return splus_i(_s_replace_piece(p0, target, rank, fn), p1)
-    return splus_i(p0, _s_replace_piece(p1, target, rank - c0, fn))
-
-
-def _s_focus(core: SaddDerivation, r: Redex) -> SaddDerivation:
-    if r.rule == "beta":
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
-        return _s_focus_beta(core)
-    if r.rule in ("dist-right", "dist-left"):
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
-        return _s_focus_dist(core, r.part, 0 if r.rule == "dist-right" else 1)
-    if r.rule in ("zero-fun", "zero-arg"):
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(f"redex derived by {core.rule}")
-        if core.ty is not TZero:
-            raise UnsupportedDerivationShape("vanishing application is not rigidly zero-typed")
-        return sax0(core.ctx)
-    if r.rule == "sum-zero":
-        raise ExcludedRule("the rule dropping a zero summand has no rigid counterpart")
-    raise StaleRedex(f"unknown rule {r.rule}")
-
-
-def _s_descend(core: SaddDerivation, r: Redex) -> SaddDerivation:
-    head, rest = r.path[0], r.path[1:]
-    if core.rule == "arrE":
-        if head not in (0, 1):
-            raise StaleRedex("path leaves the application")
-        sub = step_sadd_derivation(core.premises[head], Redex(rest, r.rule, r.part))
-        ps = [core.premises[0], core.premises[1]]
-        ps[head] = sub
-        return struct_arr_e(
-            ps[0], ps[1], core.arr_u, dict(core.arr_ts), dict(core.arr_vs), core.arr_xs
-        )
-    if core.rule == "arrI":
-        if head != 0:
-            raise StaleRedex("path leaves the abstraction")
-        p = core.premises[0]
-        tail = {
-            "dist-right": (0, r.part),
-            "dist-left": (1, r.part),
-            "sum-zero": (r.part,),
-        }.get(r.rule, ())
-        full = transfer_path(
-            core.term.body, p.term, rest + tail, {core.term.var: core.binder}
-        )
-        if tail:
-            new_path, new_part = full[: len(full) - len(tail)], full[-1]
-        else:
-            new_path, new_part = full, None
-        sub = step_sadd_derivation(p, Redex(new_path, r.rule, new_part))
-        return sarr_i(sub, core.binder)
-    if core.rule == "plusI":
-        flat = summands(canonicalize(core.term))
-        if not 0 <= head < len(flat):
-            raise StaleRedex("path leaves the sum")
-        target = flat[head]
-        rank = sum(1 for s in flat[:head] if s == target)
-        return _s_replace_piece(
-            core, target, rank,
-            lambda piece: step_sadd_derivation(piece, Redex(rest, r.rule, r.part)),
-        )
-    raise UnsupportedDerivationShape(f"cannot follow the redex through {core.rule}")
-
-
-def step_sadd_derivation(d: SaddDerivation, r: Redex) -> SaddDerivation:
-    """One-step subject reduction in the structured system, keeping the
-    rigid type unchanged; raises ExcludedRule for the zero-summand rule
-    and UnsupportedDerivationShape where no same-type derivation exists."""
-    new_term = step(d.term, r)
-    core, wrappers = _s_strip(d)
-    new_core = _s_focus(core, r) if r.path == () else _s_descend(core, r)
-    out = _s_reapply(new_core, wrappers)
-    if canonicalize(out.term) != new_term or not raw_alpha_eq(out.ty, d.ty):
-        raise UnsupportedDerivationShape(
-            f"stepped to {show_term(out.term)} : {show_type(out.ty)}, "
-            f"expected {show_term(new_term)} : {show_type(d.ty)}"
-        )
-    return out

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from .corpus import OMEGA, Corpus, random_term, random_type
-from .derivation import UnsupportedDerivationShape, check_add, is_valid_add, step_derivation
+from .derivation import UnsupportedDerivationShape, check_add, step_derivation
 from .reduction import check_sn, enumerate_redexes
 from .structured import ExcludedRule, check_sadd, tree_of_type
 from .syntax import Abs, App, Sum, Term, Var, canonicalize, free_vars, fresh_name, show_term, substitute

@@ -196,37 +196,6 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
 
 
-def is_pseudo_value(t: Term) -> bool:
-    """An abstraction or a sum of abstractions."""
-    if isinstance(t, Abs):
-        return True
-    if isinstance(t, Sum):
-        return all(is_pseudo_value(p) for p in t.parts)
-    return False
-
-
-@dataclass(frozen=True)
-class TermClass:
-    tag: str  # "value" | "pseudo-value" | "neutral"
-    is_value: bool
-    is_pseudo_value: bool
-
-    @property
-    def is_neutral(self) -> bool:
-        return not self.is_pseudo_value
-
-
-def classify(t: Term) -> TermClass:
-    v, pv = is_value(t), is_pseudo_value(t)
-    if v:
-        tag = "value"
-    elif pv:
-        tag = "pseudo-value"
-    else:
-        tag = "neutral"
-    return TermClass(tag, v, pv)
-
-
 # --- printing ------------------------------------------------------------
 
 _NICE = "xyzwuvst"

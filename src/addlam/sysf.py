@@ -623,14 +623,6 @@ def f_check(d: FDerivation, path: tuple[int, ...] = ()):
     _f_check_node(d, path)
 
 
-def is_valid_f(d: FDerivation) -> bool:
-    try:
-        f_check(d)
-        return True
-    except FRuleViolation:
-        return False
-
-
 # --- trees as pairs ----------------------------------------------------------
 
 

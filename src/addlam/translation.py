@@ -6,16 +6,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivation import AddDerivation, UnsupportedDerivationShape
 from .reduction import Redex
 from .structured import (
     ExcludedRule,
     LEAF,
-    Leaf,
+    Node,
     SaddDerivation,
     TypeTree,
     ZLEAF,
-    add_to_sadd,
     step_sadd_derivation,
     tree_compose,
     tree_of_type,
@@ -59,12 +57,9 @@ from .sysf import (
     f_prod_i,
     f_proj_l,
     f_reaches,
-    f_type_alpha_eq,
     f_unit_i,
     ftree_derivation,
-    proj_path,
     proj_path_derivation,
-    show_fterm,
 )
 
 
@@ -138,11 +133,6 @@ def trans_term(sd: SaddDerivation) -> TranslationResult:
     return TranslationResult(fd.term, fd.ty, fd)
 
 
-def trans_add(d: AddDerivation) -> TranslationResult:
-    """Translate via the structured system (may raise ConversionFailure)."""
-    return trans_term(add_to_sadd(d))
-
-
 # --- reverse translation --------------------------------------------------------
 
 
@@ -169,8 +159,6 @@ def rev_type(a: FType) -> Type | None:
 
 def _f_as_tree(t: FTerm) -> tuple[TypeTree, dict[str, FTerm]]:
     """Maximal pair-tree decomposition of an F term."""
-    from .structured import Node
-
     if t is Star:
         return ZLEAF, {}
     if isinstance(t, FPair):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .syntax import fresh_name
+
 
 class Type:
     __slots__ = ()
@@ -163,15 +165,6 @@ def ftv(t: Type) -> frozenset[str]:
     raise TypeError(f"not a type: {t!r}")
 
 
-def fresh_tname(base: str, avoid) -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
-
-
 def _rsubst(t: Type, x: str, u: Type, fv_u: frozenset[str]) -> Type:
     match t:
         case TVar(y):
@@ -182,7 +175,7 @@ def _rsubst(t: Type, x: str, u: Type, fv_u: frozenset[str]) -> Type:
             if y == x:
                 return t
             if y in fv_u:
-                ny = fresh_tname(y, fv_u | ftv(b))
+                ny = fresh_name(y, fv_u | ftv(b))
                 b = _rsubst(b, y, TVar(ny), frozenset((ny,)))
                 y = ny
             return TForall(y, _rsubst(b, x, u, fv_u))
@@ -408,7 +401,7 @@ def show_type(t: Type) -> str:
             return x
         if x not in fresh:
             base = _TNICE[d % len(_TNICE)]
-            nm = fresh_tname(base, used)
+            nm = fresh_name(base, used)
             used.add(nm)
             fresh[x] = nm
         return fresh[x]

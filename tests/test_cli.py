@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from addlam.cli import main
 
 
@@ -66,3 +68,28 @@ def test_suite_respects_seed_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "suite", "ac", "--cases", "10", "--format", "json")
     assert code == 0
     assert json.loads(out)["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--fuel", "5", "--ctx", "a: X", r"(\x: X. x) a"),
+    ("parse", "--seed", "2", "x"),
+    ("translate", "--budget", "10", r"(\x: X. x) a"),
+    ("suite", "ac", "--fuel", "5"),
+])
+def test_flags_nothing_reads_are_rejected(argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+
+
+def test_fuel_budget_and_seed_where_they_are_read(capsys):
+    code, out, _ = run(capsys, "reduce", "--fuel", "3", r"(\x. x) y")
+    assert code == 0 and out.strip().splitlines()[-1] == "y"
+    code, _, _ = run(capsys, "suite", "ac", "--cases", "5", "--budget", "10", "--seed", "2")
+    assert code == 0
+
+
+def test_deep_input_ends_in_a_documented_error(capsys):
+    code, out, err = run(capsys, "parse", "(" * 400 + "x" + ")" * 400)
+    assert code == 3
+    assert out == "" and err.strip() == "error: input nested too deeply"

@@ -102,3 +102,17 @@ def test_every_typable_corpus_term_normalises():
     corpus = generate_corpus(2, count=60)
     for d in corpus.derivations:
         assert check_sn(d.term, budget=50000).terminates, show_term(d.term)
+
+
+def test_deep_nesting_reports_the_recursion_limit():
+    # one beta redex under hundreds of lambdas: too deep for the
+    # recursive search, which must say so rather than report exhaustion
+    redex = App(Abs("x", Var("x")), Var("y"))
+    for depth in (500, 1000):
+        t = redex
+        for i in range(depth):
+            t = Abs(f"v{i}", t)
+        res = check_sn(t, 100)
+        assert res.status == "recursion-limit"
+        assert not res.terminates and not res.cycle
+    assert check_sn(Abs("v", redex), 100).status == "terminates"

@@ -8,12 +8,13 @@ from addlam.corpus import (
     example_struct_elim,
     generate_corpus,
 )
-from addlam.derivation import RuleViolation, UnsupportedDerivationShape
+from addlam.derivation import RuleViolation, UnsupportedDerivationShape, subst_derivation, weaken
 from addlam.reduction import enumerate_redexes, step
 from addlam.structured import (
     ExcludedRule,
     LEAF,
     Node,
+    SaddDerivation,
     ZLEAF,
     add_to_sadd,
     check_sadd,
@@ -29,7 +30,7 @@ from addlam.structured import (
     tree_compose,
     tree_of_type,
 )
-from addlam.syntax import canonicalize, show_term
+from addlam.syntax import Sum, Var, Zero, canonicalize, show_term
 from addlam.typesys import TArrow, TSum, TVar, TZero, raw_alpha_eq, type_equiv
 
 X, Y = TVar("X"), TVar("Y")
@@ -127,3 +128,33 @@ def test_misaligned_distribution_is_reported_not_mistyped():
     for r in rs:
         with pytest.raises(UnsupportedDerivationShape):
             step_sadd_derivation(sd, r)
+
+
+def test_shared_weakening_keeps_the_rigid_type():
+    sd = example_struct_elim()
+    for name, ty in (("q", TArrow(X, X)), ("x", TVar("Z"))):
+        # ("x", Z) collides with an inner binder x and with the
+        # generalised Z, so both get renamed on the way down
+        w = weaken(sd, name, ty)
+        assert isinstance(w, SaddDerivation)
+        check_sadd(w)
+        assert raw_alpha_eq(w.ty, sd.ty)
+        assert w.ctx == sd.ctx.extend(name, ty)
+        assert canonicalize(w.term) == canonicalize(sd.term)
+
+
+def test_shared_substitution_keeps_the_rigid_type():
+    ctx = BASE_CTX
+    value = sax(ctx.remove("a"), "b")
+    f = sarr_i(sax(ctx.extend("x", X), "a"), "x")  # \x. a : X -> X
+    for sd in (splus_i(sax(ctx, "a"), sax0(ctx)), f, splus_i(f, sax(ctx, "a"))):
+        out = subst_derivation(sd, "a", value)
+        assert isinstance(out, SaddDerivation)
+        check_sadd(out)
+        assert raw_alpha_eq(out.ty, sd.ty)
+        assert out.ctx == ctx.remove("a")
+        assert "a" not in show_term(out.term)
+    sd = splus_i(sax(ctx, "a"), sax0(ctx))
+    assert canonicalize(subst_derivation(sd, "a", value).term) == canonicalize(Sum((Var("b"), Zero)))
+    with pytest.raises(UnsupportedDerivationShape):  # c: Y cannot replace a: X
+        subst_derivation(sd, "a", sax(ctx.remove("a"), "c"))
