@@ -12,9 +12,12 @@ from .syntax import (
     Term,
     Zero,
     canonicalize,
+    instantiate,
     is_value,
+    mark_canonical,
+    merge_sum,
     show_term,
-    substitute,
+    summands,
 )
 
 
@@ -29,36 +32,27 @@ class Redex:
     part: int | None = None  # summand split off by a dist/sum-zero rule
 
 
+def _kind(u: Term) -> str:
+    # messages name the node, not the subterm: an open subterm of a
+    # canonical term would print with its free binders captured
+    return f"a {type(u).__name__.lstrip('_')} node"
+
+
+def _child(u: Term, i: int) -> Term:
+    match u:
+        case App(f, a) if i in (0, 1):
+            return a if i else f
+        case Abs(_, b) if i == 0:
+            return b
+        case Sum(ps) if 0 <= i < len(ps):
+            return ps[i]
+    raise StaleRedex(f"no child {i} in {_kind(u)}")
+
+
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     for i in path:
-        match t:
-            case App(f, a):
-                t = (f, a)[i]
-            case Abs(_, b) if i == 0:
-                t = b
-            case Sum(ps):
-                t = ps[i]
-            case _:
-                raise StaleRedex(f"no child {i} at {show_term(t)}")
+        t = _child(t, i)
     return t
-
-
-def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match t:
-        case App(f, a):
-            if i == 0:
-                return App(_replace_at(f, rest, new), a)
-            return App(f, _replace_at(a, rest, new))
-        case Abs(x, b) if i == 0:
-            return Abs(x, _replace_at(b, rest, new))
-        case Sum(ps):
-            parts = list(ps)
-            parts[i] = _replace_at(parts[i], rest, new)
-            return Sum(tuple(parts))
-    raise StaleRedex(f"no child {i} at {show_term(t)}")
 
 
 def enumerate_redexes(t: Term) -> frozenset[Redex]:
@@ -105,33 +99,52 @@ def _split(parts: tuple[Term, ...], i: int) -> tuple[Term, Term]:
     return parts[i], rest[0] if len(rest) == 1 else Sum(rest)
 
 
-def _contract(u: Term, r: Redex) -> Term:
+def _contract(u: Term, r: Redex, depth: int) -> Term:
+    """Canonical contractum of the redex u, which sits at binder depth
+    ``depth`` of a canonical term."""
     match r.rule, u:
         case "beta", App(Abs(x, b), v) if is_value(v):
-            return substitute(b, x, v)
+            return instantiate(b, x, v, depth)
         case "dist-right", App(Sum(ps), a):
             one, rest = _split(ps, r.part)
-            return Sum((App(one, a), App(rest, a)))
+            return merge_sum((App(one, a), App(rest, a)))
         case "dist-left", App(f, Sum(ps)):
             one, rest = _split(ps, r.part)
-            return Sum((App(f, one), App(f, rest)))
+            return merge_sum((App(f, one), App(f, rest)))
         case "zero-fun", App(f, _) if f is Zero:
             return Zero
         case "zero-arg", App(_, a) if a is Zero:
             return Zero
         case "sum-zero", Sum(ps):
-            if ps[r.part] is not Zero:
+            if not 0 <= r.part < len(ps) or ps[r.part] is not Zero:
                 raise StaleRedex("sum-zero split is not a zero summand")
             _, rest = _split(ps, r.part)
             return rest
-    raise StaleRedex(f"rule {r.rule} does not match {show_term(u)}")
+    raise StaleRedex(f"rule {r.rule} does not match the {_kind(u)} at {r.path}")
 
 
 def step(t: Term, r: Redex) -> Term:
-    """Canonical contractum of one redex."""
+    """Canonical contractum of one redex.  Only the path from the redex
+    to the root is rebuilt: a sum on it is re-flattened and re-sorted by
+    its parts' cached keys, and every other subterm is shared with t."""
     t = canonicalize(t)
-    u = subterm_at(t, r.path)
-    return canonicalize(_replace_at(t, r.path, _contract(u, r)))
+    spine = []
+    u, depth = t, 0
+    for i in r.path:
+        spine.append(u)
+        if isinstance(u, Abs):
+            depth += 1
+        u = _child(u, i)
+    new = _contract(u, r, depth)
+    for node, i in zip(reversed(spine), reversed(r.path)):
+        match node:
+            case App(f, a):
+                new = App(f, new) if i else App(new, a)
+            case Abs(x, _):
+                new = Abs(x, new)
+            case Sum(ps):
+                new = merge_sum(ps[:i] + ps[i + 1 :] + summands(new))
+    return mark_canonical(new)
 
 
 def reducts(t: Term) -> frozenset[Term]:

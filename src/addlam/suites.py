@@ -88,6 +88,22 @@ class Report:
         return "\n".join(lines)
 
 
+def _rebuild(t: Term) -> Term:
+    """An equal copy of t built from fresh nodes, which ``canonicalize``
+    has not marked, so canonicalising it runs the full walk."""
+    match t:
+        case Var(x):
+            return Var(x)
+        case Abs(x, b):
+            return Abs(x, _rebuild(b))
+        case App(f, a):
+            return App(_rebuild(f), _rebuild(a))
+        case Sum(ps):
+            return Sum(tuple(_rebuild(p) for p in ps))
+        case _:
+            return t
+
+
 def _shuffle_sums(t: Term, rng: random.Random) -> Term:
     match t:
         case Abs(x, b):
@@ -120,7 +136,7 @@ def _suite_ac(corpus: Corpus, report: Report, cases: int, **_):
     for i in range(cases):
         t = random_term(rng)
         c = canonicalize(t)
-        report.check(f"ac-{i}", "idempotence", canonicalize(c) == c, show_term(t))
+        report.check(f"ac-{i}", "idempotence", canonicalize(_rebuild(c)) == c, show_term(t))
         report.check(
             f"ac-{i}", "permutation",
             canonicalize(_shuffle_sums(t, rng)) == c, show_term(t),

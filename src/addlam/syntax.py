@@ -4,61 +4,136 @@ A term is a variable, an abstraction, an application, an n-ary sum, or
 the impossible computation ``zero``.  Sums are flattened multisets held
 in a deterministic, alpha-invariant order, so alpha-AC-equivalent terms
 have one representation and can be compared with ``==``.
+
+Nothing changes a node once it is built, apart from its caches: each
+node computes its hash once, from the cached hashes of its children, and
+caches its sort key on first use.
+``canonicalize`` marks the nodes it returns, so canonicalising a term it
+has already produced costs O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class Term:
-    __slots__ = ()
+    __slots__ = ("_hash", "_key", "_canonical")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return show_term(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash((0, name))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is Var and self.name == other.name)
+
+    __hash__ = Term.__hash__
 
     def __repr__(self):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Abs(Term):
-    var: str
-    body: Term
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Term):
+        self.var = var
+        self.body = body
+        self._hash = hash((1, var, body._hash))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is Abs
+            and self._hash == other._hash
+            and self.var == other.var
+            and self.body == other.body
+        )
+
+    __hash__ = Term.__hash__
 
     def __repr__(self):
         return f"Abs({self.var!r}, {self.body!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg")
+    __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        self.fun = fun
+        self.arg = arg
+        self._hash = hash((2, fun._hash, arg._hash))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is App
+            and self._hash == other._hash
+            and self.fun == other.fun
+            and self.arg == other.arg
+        )
+
+    __hash__ = Term.__hash__
 
     def __repr__(self):
         return f"App({self.fun!r}, {self.arg!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Sum(Term):
-    parts: tuple[Term, ...]  # length >= 2, no nested Sum once canonical
+    __slots__ = ("parts",)
+    __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[Term, ...]):
+        self.parts = parts  # length >= 2, no nested Sum once canonical
+        self._hash = hash((3, *[p._hash for p in parts]))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is Sum and self._hash == other._hash and self.parts == other.parts
+        )
+
+    __hash__ = Term.__hash__
 
     def __repr__(self):
         return f"Sum({list(self.parts)!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class _Zero(Term):
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash((4,))
+        self._key = (4,)
+        self._canonical = True
+
+    def __eq__(self, other):
+        return other.__class__ is _Zero
+
+    __hash__ = Term.__hash__
+
     def __repr__(self):
         return "Zero"
 
 
 Zero = _Zero()
+
 
 # Canonical binder names are positional (lambda-nesting depth), which the
 # surface grammar cannot produce, so they never collide with user names.
@@ -69,54 +144,114 @@ def _binder(depth: int) -> str:
 
 
 def sort_key(t: Term):
-    """Structural key; total order Var < Abs < App < Sum < Zero."""
-    match t:
-        case Var(x):
-            return (0, x)
-        case Abs(_, b):
-            return (1, sort_key(b))
-        case App(f, a):
-            return (2, sort_key(f), sort_key(a))
-        case Sum(ps):
-            return (3, len(ps), tuple(sort_key(p) for p in ps))
-        case _Zero():
-            return (4,)
-    raise TypeError(f"not a term: {t!r}")
+    """Structural key; total order Var < Abs < App < Sum < Zero.  Cached
+    on the node, so only nodes built since the last sort compute theirs."""
+    k = t._key
+    if k is None:
+        match t:
+            case Var(x):
+                k = (0, x)
+            case Abs(_, b):
+                k = (1, sort_key(b))
+            case App(f, a):
+                k = (2, sort_key(f), sort_key(a))
+            case Sum(ps):
+                k = (3, len(ps), tuple(map(sort_key, ps)))
+        t._key = k
+    return k
+
+
+def merge_sum(parts) -> Term:
+    """Canonical sum of terms that are canonical at one binder depth:
+    flattens nested sums and sorts by the cached keys, without
+    re-canonicalising the parts, so it is safe on open subterms.  A unary
+    sum collapses."""
+    flat: list[Term] = []
+    for p in parts:
+        if p.__class__ is Sum:
+            flat.extend(p.parts)
+        else:
+            flat.append(p)
+    if len(flat) == 1:
+        return flat[0]
+    flat.sort(key=sort_key)
+    return Sum(tuple(flat))
 
 
 def _canon(t: Term, env: dict[str, str], depth: int) -> Term:
+    if t._canonical and not depth:
+        return t
     match t:
         case Var(x):
-            return Var(env.get(x, x))
+            out = Var(env.get(x, x))
         case Abs(x, b):
             nx = _binder(depth)
-            return Abs(nx, _canon(b, {**env, x: nx}, depth + 1))
+            out = Abs(nx, _canon(b, {**env, x: nx}, depth + 1))
         case App(f, a):
-            return App(_canon(f, env, depth), _canon(a, env, depth))
+            out = App(_canon(f, env, depth), _canon(a, env, depth))
         case Sum(ps):
-            flat: list[Term] = []
-            for p in ps:
-                cp = _canon(p, env, depth)
-                if isinstance(cp, Sum):
-                    flat.extend(cp.parts)
-                else:
-                    flat.append(cp)
-            flat.sort(key=sort_key)
-            if len(flat) == 1:
-                return flat[0]
-            return Sum(tuple(flat))
+            out = merge_sum([_canon(p, env, depth) for p in ps])
         case _Zero():
             return Zero
-    raise TypeError(f"not a term: {t!r}")
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    if not depth:
+        out._canonical = True  # no binder above it, so canonical on its own
+    return out
 
 
 def canonicalize(t: Term) -> Term:
-    """Unique representative modulo alpha and AC of +.  Idempotent.
+    """Unique representative modulo alpha and AC of +.  Idempotent, and
+    O(1) on a term it returned before.
 
     Zero summands are kept: ``t + 0 -> t`` is a reduction step, not a
     term equivalence.
     """
     return _canon(t, {}, 0)
+
+
+def mark_canonical(t: Term) -> Term:
+    """Record that t, built from canonical parts at binder depth 0, is
+    canonical, so ``canonicalize`` returns it as it is."""
+    t._canonical = True
+    return t
+
+
+def _relevel(t: Term, old: int, new: int) -> Term:
+    """t, canonical at binder depth old, moved to binder depth new."""
+    return t if old == new else _move(t, {}, new)
+
+
+def instantiate(body: Term, x: str, v: Term, depth: int) -> Term:
+    """The canonical contractum of the beta redex (\\x. body) v sitting at
+    binder depth ``depth`` of a canonical term: body's binders move up one
+    level and each x becomes v, re-levelled to where it lands.  Neither
+    part is canonicalised on its own, so variables bound above the redex
+    are never captured."""
+    return _move(body, {}, depth, x, v, depth)
+
+
+def _move(t: Term, ren: dict[str, Term], depth: int, x=None, v=None, vdepth=0) -> Term:
+    """Copy of the canonical subterm t landing at binder depth ``depth``:
+    its binders take their new positional names, the sums they reach are
+    re-sorted, and each variable x becomes v, moved from depth vdepth.
+    ren maps the old names of the binders met so far to their new
+    variables; a name stands for one level, so the map is never undone.
+    Variables bound above t keep their names."""
+    match t:
+        case Var(y):
+            if y == x:
+                return _relevel(v, vdepth, depth)
+            return ren.get(y, t)
+        case Abs(y, b):
+            nx = _binder(depth)
+            ren[y] = Var(nx)
+            return Abs(nx, _move(b, ren, depth + 1, x, v, vdepth))
+        case App(f, a):
+            return App(_move(f, ren, depth, x, v, vdepth), _move(a, ren, depth, x, v, vdepth))
+        case Sum(ps):
+            return merge_sum([_move(p, ren, depth, x, v, vdepth) for p in ps])
+    return t
 
 
 def mk_sum(parts) -> Term:

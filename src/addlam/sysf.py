@@ -307,13 +307,11 @@ def _immediate_freducts(t: FTerm) -> list[FTerm]:
     return out
 
 
-def f_reducts(t: FTerm) -> frozenset[FTerm]:
-    """All one-step reducts at all positions: full beta, projections and
-    both eta rules."""
-    out = set(f_canonicalize(u) for u in _immediate_freducts(t))
+def _raw_freducts(t: FTerm) -> list[FTerm]:
+    out = list(_immediate_freducts(t))
 
     def inside(build, sub):
-        out.update(f_canonicalize(build(u)) for u in f_reducts(sub))
+        out.extend(build(u) for u in _raw_freducts(sub))
 
     match t:
         case FAbs(x, b):
@@ -328,7 +326,15 @@ def f_reducts(t: FTerm) -> frozenset[FTerm]:
             inside(FProjL, b)
         case FProjR(b):
             inside(FProjR, b)
-    return frozenset(out)
+    return out
+
+
+def f_reducts(t: FTerm) -> frozenset[FTerm]:
+    """All one-step reducts at all positions: full beta, projections and
+    both eta rules.  Reducts are rebuilt raw and each whole reduct is
+    canonicalised once: canonicalising a reduct of an open subterm on its
+    own would capture the binders above it."""
+    return frozenset(f_canonicalize(u) for u in _raw_freducts(t))
 
 
 def f_normalize(t: FTerm, fuel: int = 10000) -> FTerm:

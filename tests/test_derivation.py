@@ -28,7 +28,7 @@ from addlam.derivation import (
     subst_derivation,
     weaken,
 )
-from addlam.reduction import enumerate_redexes
+from addlam.reduction import Redex, StaleRedex, enumerate_redexes
 from addlam.syntax import Var, show_term
 from addlam.typesys import Context, TArrow, TForall, TSum, TVar, TZero, type_equiv
 
@@ -123,6 +123,24 @@ def test_elaboration_requires_a_witness_for_sums():
         AppWitness(X, (X,), ((), ())),
     )
     check_add(elaborate(good, ctx))
+
+
+def test_stepping_a_redex_under_a_binder_keeps_the_outer_variable():
+    # \a.(\x.\y.a) b at b: Y; the contractum \a.\y.a keeps type X -> Y -> X
+    a = AAbs("a", X, AApp(AAbs("x", Y, AAbs("y", Y, AVar("a"))), AVar("b")))
+    d = elaborate(a, Context((("b", Y),)))
+    assert type_equiv(d.ty, TArrow(X, TArrow(Y, X)))
+    (r,) = enumerate_redexes(d.term)
+    d2 = step_derivation(d, r)
+    check_add(d2)
+    assert type_equiv(d2.ty, TArrow(X, TArrow(Y, X)))
+    assert d2.term == elaborate(AAbs("a", X, AAbs("y", Y, AVar("a"))), Context(())).term
+
+
+def test_stepping_a_path_outside_the_derivation_is_stale():
+    d = plus_i(ax(BASE_CTX, "a"), ax0(BASE_CTX))
+    with pytest.raises(StaleRedex):
+        step_derivation(d, Redex((5,), "beta"))
 
 
 def test_generation_analysis_recovers_elimination_witnesses():

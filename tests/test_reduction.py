@@ -1,8 +1,16 @@
 """Small-step reduction, normalisation, and the bounded graph search."""
 
+import importlib
+import pkgutil
 import random
 
+import pytest
+
+import addlam
+from addlam import syntax
 from addlam.corpus import OMEGA, generate_corpus, random_term
+from addlam.derivation import AAbs, AApp, AVar, elaborate, step_derivation
+from addlam.parser import parse_term
 from addlam.reduction import (
     Redex,
     StaleRedex,
@@ -12,7 +20,8 @@ from addlam.reduction import (
     reducts,
     step,
 )
-from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, show_term
+from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, free_vars, show_term
+from addlam.typesys import Context, TVar
 
 DELTA = Abs("x", App(Var("x"), Var("x")))
 
@@ -50,13 +59,59 @@ def test_sum_with_zero_drops_the_zero():
 
 
 def test_stale_redex_is_rejected():
-    t = App(Abs("x", Var("x")), Var("y"))
-    try:
-        step(t, Redex((0, 0, 5), "beta"))
-    except StaleRedex:
-        pass
-    else:
-        raise AssertionError("expected a stale redex error")
+    # a path index past the children, or negative, is stale, not an IndexError
+    ident = canonicalize(App(Abs("x", Var("x")), Var("y")))
+    s = canonicalize(Sum((Var("a"), Zero)))
+    app = canonicalize(App(Var("f"), ident))
+    cases = [(ident, Redex((0, 0, 5), "beta")), (s, Redex((), "sum-zero", 7))]
+    cases += [(s, Redex(p, "beta")) for p in ((5,), (-1,), (0, 0))]
+    cases += [(app, Redex(p, "beta")) for p in ((2,), (-1,))]
+    for t, r in cases:
+        with pytest.raises(StaleRedex):
+            step(t, r)
+
+
+def test_beta_under_a_binder_does_not_capture():
+    # the body \y.a is open under \a; contracting it must keep a bound
+    # by the outer binder, not by y
+    t = parse_term(r"\a.(\x.\y.a) b")
+    want = canonicalize(parse_term(r"\a.\y.a"))
+    (r,) = enumerate_redexes(t)
+    assert step(t, r) == want
+    assert normalize(t).term == want
+
+
+def _positional(t):
+    return {x for x in free_vars(t) if x[:1] == "_" and x[1:].isdigit()}
+
+
+def test_no_open_subterm_is_canonicalised(monkeypatch):
+    # a free positional name means the argument is an open subterm of a
+    # canonical term; canonicalising it alone would capture its binders
+    real = syntax.canonicalize
+
+    def closed_only(t):
+        assert not _positional(t), f"canonicalised an open subterm {t!r}"
+        return real(t)
+
+    for mod in pkgutil.iter_modules(addlam.__path__):
+        m = importlib.import_module(f"addlam.{mod.name}")
+        if getattr(m, "canonicalize", None) is real:
+            monkeypatch.setattr(m, "canonicalize", closed_only)
+    terms = [parse_term(r"\a.(\x.\y.a) b"), parse_term(r"\a.\b.(\x.\y.x b a) (\z.a)")]
+    rng = random.Random(5)
+    for _ in range(60):
+        terms.append(Abs("x", Abs("y", App(random_term(rng, 3), Abs("z", Var("x"))))))
+    for t in terms:
+        for r in enumerate_redexes(t):
+            step(t, r)
+        normalize(t, fuel=200)
+        check_sn(t, budget=300)
+    X, Y = TVar("X"), TVar("Y")
+    a = AAbs("a", X, AApp(AAbs("x", Y, AAbs("y", Y, AVar("a"))), AVar("b")))
+    d = elaborate(a, Context((("b", Y),)))
+    (r,) = enumerate_redexes(d.term)
+    step_derivation(d, r)
 
 
 def test_duplicating_function_over_a_sum_of_variables():
@@ -105,14 +160,21 @@ def test_every_typable_corpus_term_normalises():
 
 
 def test_deep_nesting_reports_the_recursion_limit():
-    # one beta redex under hundreds of lambdas: too deep for the
-    # recursive search, which must say so rather than report exhaustion
+    # one beta redex under hundreds of lambdas: step rebuilds only the
+    # spine and hashes are cached, so 500 lambdas are decided; at 1000 the
+    # term is too deep for the recursive canonicaliser, and the search
+    # must say so rather than report exhaustion
     redex = App(Abs("x", Var("x")), Var("y"))
-    for depth in (500, 1000):
+
+    def nested(depth):
         t = redex
         for i in range(depth):
             t = Abs(f"v{i}", t)
-        res = check_sn(t, 100)
-        assert res.status == "recursion-limit"
-        assert not res.terminates and not res.cycle
+        return t
+
+    res = check_sn(nested(500), 100)
+    assert res.status == "terminates" and res.max_depth == 1
+    res = check_sn(nested(1000), 100)
+    assert res.status == "recursion-limit"
+    assert not res.terminates and not res.cycle
     assert check_sn(Abs("v", redex), 100).status == "terminates"

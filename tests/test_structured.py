@@ -8,8 +8,16 @@ from addlam.corpus import (
     example_struct_elim,
     generate_corpus,
 )
-from addlam.derivation import RuleViolation, UnsupportedDerivationShape, subst_derivation, weaken
-from addlam.reduction import enumerate_redexes, step
+from addlam.derivation import (
+    RuleViolation,
+    UnsupportedDerivationShape,
+    ax,
+    ax0,
+    plus_i,
+    subst_derivation,
+    weaken,
+)
+from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
 from addlam.structured import (
     ExcludedRule,
     LEAF,
@@ -158,3 +166,10 @@ def test_shared_substitution_keeps_the_rigid_type():
     assert canonicalize(subst_derivation(sd, "a", value).term) == canonicalize(Sum((Var("b"), Zero)))
     with pytest.raises(UnsupportedDerivationShape):  # c: Y cannot replace a: X
         subst_derivation(sd, "a", sax(ctx.remove("a"), "c"))
+
+
+def test_stepping_a_path_outside_the_derivation_is_stale():
+    for d in (splus_i(sax(BASE_CTX, "a"), sax0(BASE_CTX)),
+              add_to_sadd(plus_i(ax(BASE_CTX, "a"), ax0(BASE_CTX)))):
+        with pytest.raises(StaleRedex):
+            step_sadd_derivation(d, Redex((5,), "beta"))

@@ -3,7 +3,7 @@
 import random
 
 from addlam.corpus import random_term
-from addlam.suites import _rename_binders, _shuffle_sums
+from addlam.suites import _rebuild, _rename_binders, _shuffle_sums
 from addlam.syntax import (
     Abs,
     App,
@@ -30,11 +30,16 @@ def test_canonical_flattens_and_sorts_sums():
 
 
 def test_canonical_is_idempotent():
+    # canonicalize returns its own output at once, so the full walk is
+    # checked on a fresh copy of that output
     rng = random.Random(7)
     for _ in range(200):
         t = random_term(rng)
         c = canonicalize(t)
-        assert canonicalize(c) == c
+        assert canonicalize(c) is c
+        copy = _rebuild(c)
+        assert copy is Zero or not copy._canonical
+        assert canonicalize(copy) == c
 
 
 def test_sum_order_is_irrelevant():

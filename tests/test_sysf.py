@@ -51,6 +51,15 @@ def test_beta_and_projections():
     assert f_canonicalize(FVar("b")) in f_reducts(FProjR(p))
 
 
+def test_reducts_under_a_binder_do_not_capture():
+    # \a.(\x.\y.a) b reduces to \a.\y.a; a reduct of the open body,
+    # canonicalised on its own, would turn a into the inner binder
+    t = f_canonicalize(FAbs("a", FApp(FAbs("x", FAbs("y", FVar("a"))), FVar("b"))))
+    want = f_canonicalize(FAbs("a", FAbs("y", FVar("a"))))
+    assert f_reducts(t) == {want}
+    assert f_normalize(t) == want
+
+
 def test_eta_contraction_needs_a_fresh_variable():
     t = FAbs("x", FApp(FVar("f"), FVar("x")))
     assert f_canonicalize(FVar("f")) in f_reducts(t)
