@@ -92,8 +92,8 @@ def enumerate_redexes(t: Term) -> frozenset[Redex]:
     return frozenset(out)
 
 
-def _split(parts: tuple[Term, ...], i: int) -> tuple[Term, Term]:
-    if not 0 <= i < len(parts):
+def _split(parts: tuple[Term, ...], i: int | None) -> tuple[Term, Term]:
+    if not isinstance(i, int) or not 0 <= i < len(parts):
         raise StaleRedex(f"no summand {i} in a {len(parts)}-ary sum")
     rest = parts[:i] + parts[i + 1 :]
     return parts[i], rest[0] if len(rest) == 1 else Sum(rest)
@@ -116,9 +116,9 @@ def _contract(u: Term, r: Redex, depth: int) -> Term:
         case "zero-arg", App(_, a) if a is Zero:
             return Zero
         case "sum-zero", Sum(ps):
-            if not 0 <= r.part < len(ps) or ps[r.part] is not Zero:
+            zero, rest = _split(ps, r.part)
+            if zero is not Zero:
                 raise StaleRedex("sum-zero split is not a zero summand")
-            _, rest = _split(ps, r.part)
             return rest
     raise StaleRedex(f"rule {r.rule} does not match the {_kind(u)} at {r.path}")
 

@@ -136,11 +136,21 @@ Zero = _Zero()
 
 
 # Canonical binder names are positional (lambda-nesting depth), which the
-# surface grammar cannot produce, so they never collide with user names.
+# surface grammar cannot produce.  The type and F-term canonicalisers use
+# the same names and the same guard against free variables that mimic them.
 
 
 def _binder(depth: int) -> str:
     return f"_{depth}"
+
+
+def free_name(x: str) -> str:
+    """x, the name of a variable that no enclosing binder maps.  A free
+    name of the positional form ``_<digits>`` would be captured by the
+    binder of that depth, so it is refused with ValueError."""
+    if x[:1] == "_" and x[1:].isdigit() and x[1:].isascii():
+        raise ValueError(f"free variable {x!r} has the form of a positional binder name")
+    return x
 
 
 def sort_key(t: Term):
@@ -183,7 +193,8 @@ def _canon(t: Term, env: dict[str, str], depth: int) -> Term:
         return t
     match t:
         case Var(x):
-            out = Var(env.get(x, x))
+            nx = env.get(x)
+            out = Var(free_name(x) if nx is None else nx)
         case Abs(x, b):
             nx = _binder(depth)
             out = Abs(nx, _canon(b, {**env, x: nx}, depth + 1))

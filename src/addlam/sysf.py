@@ -8,6 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .structured import Leaf, Node, TypeTree, ZeroLeaf
+from .syntax import free_name
 
 
 # --- types -------------------------------------------------------------------
@@ -121,46 +122,172 @@ def f_type_alpha_eq(a: FType, b: FType) -> bool:
 
 
 class FTerm:
+    """Nothing changes a node once it is built, apart from its caches: its
+    hash is computed once from its children's cached hashes, its repr is
+    cached on first use, and ``f_canonicalize`` marks the nodes it
+    returns.  The repr keeps the dataclass form ``FAbs(var='x',
+    body=FVar(name='x'))``, because ``f_reaches`` orders reducts by it."""
+
+    __slots__ = ("_hash", "_repr", "_canonical")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        r = self._repr
+        if r is None:
+            r = self._repr = self._show()
+        return r
+
+
+class FVar(FTerm):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash((0, name))
+        self._repr = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is FVar and self.name == other.name)
+
+    __hash__ = FTerm.__hash__
+
+    def _show(self):
+        return f"FVar(name={self.name!r})"
+
+
+class FAbs(FTerm):
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: FTerm):
+        self.var = var
+        self.body = body
+        self._hash = hash((1, var, body._hash))
+        self._repr = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is FAbs
+            and self._hash == other._hash
+            and self.var == other.var
+            and self.body == other.body
+        )
+
+    __hash__ = FTerm.__hash__
+
+    def _show(self):
+        return f"FAbs(var={self.var!r}, body={self.body!r})"
+
+
+class FApp(FTerm):
+    __slots__ = ("fun", "arg")
+    __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: FTerm, arg: FTerm):
+        self.fun = fun
+        self.arg = arg
+        self._hash = hash((2, fun._hash, arg._hash))
+        self._repr = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is FApp
+            and self._hash == other._hash
+            and self.fun == other.fun
+            and self.arg == other.arg
+        )
+
+    __hash__ = FTerm.__hash__
+
+    def _show(self):
+        return f"FApp(fun={self.fun!r}, arg={self.arg!r})"
+
+
+class _Star(FTerm):
     __slots__ = ()
 
+    def __init__(self):
+        self._hash = hash((3,))
+        self._repr = "Star"
+        self._canonical = True
 
-@dataclass(frozen=True)
-class FVar(FTerm):
-    name: str
+    def __eq__(self, other):
+        return other.__class__ is _Star
 
-
-@dataclass(frozen=True)
-class FAbs(FTerm):
-    var: str
-    body: FTerm
-
-
-@dataclass(frozen=True)
-class FApp(FTerm):
-    fun: FTerm
-    arg: FTerm
+    __hash__ = FTerm.__hash__
 
 
-@dataclass(frozen=True)
-class _Star(FTerm):
-    def __repr__(self):
-        return "Star"
-
-
-@dataclass(frozen=True)
 class FPair(FTerm):
-    fst: FTerm
-    snd: FTerm
+    __slots__ = ("fst", "snd")
+    __match_args__ = ("fst", "snd")
+
+    def __init__(self, fst: FTerm, snd: FTerm):
+        self.fst = fst
+        self.snd = snd
+        self._hash = hash((4, fst._hash, snd._hash))
+        self._repr = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is FPair
+            and self._hash == other._hash
+            and self.fst == other.fst
+            and self.snd == other.snd
+        )
+
+    __hash__ = FTerm.__hash__
+
+    def _show(self):
+        return f"FPair(fst={self.fst!r}, snd={self.snd!r})"
 
 
-@dataclass(frozen=True)
 class FProjL(FTerm):
-    body: FTerm
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __init__(self, body: FTerm):
+        self.body = body
+        self._hash = hash((5, body._hash))
+        self._repr = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is FProjL and self._hash == other._hash and self.body == other.body
+        )
+
+    __hash__ = FTerm.__hash__
+
+    def _show(self):
+        return f"FProjL(body={self.body!r})"
 
 
-@dataclass(frozen=True)
 class FProjR(FTerm):
-    body: FTerm
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __init__(self, body: FTerm):
+        self.body = body
+        self._hash = hash((6, body._hash))
+        self._repr = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is FProjR and self._hash == other._hash and self.body == other.body
+        )
+
+    __hash__ = FTerm.__hash__
+
+    def _show(self):
+        return f"FProjR(body={self.body!r})"
 
 
 Star = _Star()
@@ -181,30 +308,38 @@ def f_free_vars(t: FTerm) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _fcanon(t: FTerm, env: dict[str, str], d: int) -> FTerm:
+    if t._canonical and not d:
+        return t
+    match t:
+        case FVar(x):
+            nx = env.get(x)
+            out = FVar(free_name(x) if nx is None else nx)
+        case FAbs(x, b):
+            nm = f"_{d}"
+            out = FAbs(nm, _fcanon(b, {**env, x: nm}, d + 1))
+        case FApp(f, a):
+            out = FApp(_fcanon(f, env, d), _fcanon(a, env, d))
+        case FPair(f, a):
+            out = FPair(_fcanon(f, env, d), _fcanon(a, env, d))
+        case FProjL(b):
+            out = FProjL(_fcanon(b, env, d))
+        case FProjR(b):
+            out = FProjR(_fcanon(b, env, d))
+        case _Star():
+            return Star
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    if not d:
+        out._canonical = True  # no binder above it, so canonical on its own
+    return out
+
+
 def f_canonicalize(t: FTerm) -> FTerm:
     """Positional renaming of binders; canonical forms are equal iff the
-    terms are alpha-equivalent."""
-
-    def go(t: FTerm, env: dict[str, str], d: int) -> FTerm:
-        match t:
-            case FVar(x):
-                return FVar(env.get(x, x))
-            case FAbs(x, b):
-                nm = f"_{d}"
-                return FAbs(nm, go(b, {**env, x: nm}, d + 1))
-            case FApp(f, a):
-                return FApp(go(f, env, d), go(a, env, d))
-            case FPair(f, a):
-                return FPair(go(f, env, d), go(a, env, d))
-            case FProjL(b):
-                return FProjL(go(b, env, d))
-            case FProjR(b):
-                return FProjR(go(b, env, d))
-            case _Star():
-                return t
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, {}, 0)
+    terms are alpha-equivalent.  Idempotent, and O(1) on a term it
+    returned before."""
+    return t if t._canonical else _fcanon(t, {}, 0)
 
 
 def f_alpha_eq(a: FTerm, b: FTerm) -> bool:
@@ -302,7 +437,11 @@ def _immediate_freducts(t: FTerm) -> list[FTerm]:
     match t:
         case FAbs(x, FApp(f, FVar(y))) if y == x and x not in f_free_vars(f):
             out.append(f)
-        case FPair(FProjL(p), FProjR(q)) if f_alpha_eq(p, q):
+        case FPair(FProjL(p), FProjR(q)) if p == q:
+            # t is a subterm of a canonical term, so p and q sit at one
+            # binder depth and are alpha-equivalent iff they are equal;
+            # canonicalising them on their own would capture the binders
+            # above them
             out.append(p)
     return out
 
@@ -331,10 +470,11 @@ def _raw_freducts(t: FTerm) -> list[FTerm]:
 
 def f_reducts(t: FTerm) -> frozenset[FTerm]:
     """All one-step reducts at all positions: full beta, projections and
-    both eta rules.  Reducts are rebuilt raw and each whole reduct is
-    canonicalised once: canonicalising a reduct of an open subterm on its
-    own would capture the binders above it."""
-    return frozenset(f_canonicalize(u) for u in _raw_freducts(t))
+    both eta rules.  t is canonicalised first (O(1) when it already is).
+    Reducts are rebuilt raw and each whole reduct is canonicalised once:
+    canonicalising a reduct of an open subterm on its own would capture
+    the binders above it."""
+    return frozenset(f_canonicalize(u) for u in _raw_freducts(_fcanon(t, {}, 0)))
 
 
 def f_normalize(t: FTerm, fuel: int = 10000) -> FTerm:

@@ -15,52 +15,127 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import fresh_name
+from .syntax import free_name, fresh_name
 
 
 class Type:
-    __slots__ = ()
+    """Nothing changes a node once it is built, apart from its caches: its
+    hash is computed once from its children's cached hashes, its sort key
+    is cached on first use, and ``type_canonicalize`` marks the nodes it
+    returns."""
+
+    __slots__ = ("_hash", "_key", "_canonical")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return show_type(self)
 
 
-@dataclass(frozen=True, repr=False)
 class TVar(Type):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._hash = hash((0, name))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is TVar and self.name == other.name)
+
+    __hash__ = Type.__hash__
 
     def __repr__(self):
         return f"TVar({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class TArrow(Type):
-    dom: Type  # always a unit type
-    cod: Type
+    __slots__ = ("dom", "cod")
+    __match_args__ = ("dom", "cod")
+
+    def __init__(self, dom: Type, cod: Type):
+        self.dom = dom  # always a unit type
+        self.cod = cod
+        self._hash = hash((1, dom._hash, cod._hash))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is TArrow
+            and self._hash == other._hash
+            and self.dom == other.dom
+            and self.cod == other.cod
+        )
+
+    __hash__ = Type.__hash__
 
     def __repr__(self):
         return f"TArrow({self.dom!r}, {self.cod!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class TForall(Type):
-    var: str
-    body: Type  # always a unit type
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Type):
+        self.var = var
+        self.body = body  # always a unit type
+        self._hash = hash((2, var, body._hash))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is TForall
+            and self._hash == other._hash
+            and self.var == other.var
+            and self.body == other.body
+        )
+
+    __hash__ = Type.__hash__
 
     def __repr__(self):
         return f"TForall({self.var!r}, {self.body!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class TSum(Type):
-    parts: tuple[Type, ...]
+    __slots__ = ("parts",)
+    __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[Type, ...]):
+        self.parts = parts
+        self._hash = hash((3, *[p._hash for p in parts]))
+        self._key = None
+        self._canonical = False
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is TSum and self._hash == other._hash and self.parts == other.parts
+        )
+
+    __hash__ = Type.__hash__
 
     def __repr__(self):
         return f"TSum({list(self.parts)!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class _TZero(Type):
+    __slots__ = ()
+
+    def __init__(self):
+        self._hash = hash((4,))
+        self._key = (4,)
+        self._canonical = True
+
+    def __eq__(self, other):
+        return other.__class__ is _TZero
+
+    __hash__ = Type.__hash__
+
     def __repr__(self):
         return "TZero"
 
@@ -77,53 +152,65 @@ def _tbinder(depth: int) -> str:
 
 
 def type_sort_key(t: Type):
-    match t:
-        case TVar(x):
-            return (0, x)
-        case TArrow(d, c):
-            return (1, type_sort_key(d), type_sort_key(c))
-        case TForall(_, b):
-            return (2, type_sort_key(b))
-        case TSum(ps):
-            return (3, len(ps), tuple(type_sort_key(p) for p in ps))
-        case _TZero():
-            return (4,)
-    raise TypeError(f"not a type: {t!r}")
+    """Structural key; total order TVar < TArrow < TForall < TSum < zero.
+    Cached on the node, so only nodes built since the last sort compute
+    theirs."""
+    k = t._key
+    if k is None:
+        match t:
+            case TVar(x):
+                k = (0, x)
+            case TArrow(d, c):
+                k = (1, type_sort_key(d), type_sort_key(c))
+            case TForall(_, b):
+                k = (2, type_sort_key(b))
+            case TSum(ps):
+                k = (3, len(ps), tuple(map(type_sort_key, ps)))
+        t._key = k
+    return k
 
 
 def _tcanon(t: Type, env: dict[str, str], depth: int) -> Type:
+    if t._canonical and not depth:
+        return t
     match t:
         case TVar(x):
-            return TVar(env.get(x, x))
+            nx = env.get(x)
+            out = TVar(free_name(x) if nx is None else nx)
         case TArrow(d, c):
-            return TArrow(_tcanon(d, env, depth), _tcanon(c, env, depth))
+            out = TArrow(_tcanon(d, env, depth), _tcanon(c, env, depth))
         case TForall(x, b):
             nx = _tbinder(depth)
-            return TForall(nx, _tcanon(b, {**env, x: nx}, depth + 1))
+            out = TForall(nx, _tcanon(b, {**env, x: nx}, depth + 1))
         case TSum(ps):
             flat: list[Type] = []
             for p in ps:
                 cp = _tcanon(p, env, depth)
-                if isinstance(cp, TSum):
+                if cp.__class__ is TSum:
                     flat.extend(cp.parts)
-                elif isinstance(cp, _TZero):
-                    pass  # zero is neutral for + under the equivalence
-                else:
+                elif cp is not TZero:  # zero is neutral for + under the equivalence
                     flat.append(cp)
             if not flat:
                 return TZero
-            flat.sort(key=type_sort_key)
             if len(flat) == 1:
-                return flat[0]
-            return TSum(tuple(flat))
+                out = flat[0]
+            else:
+                flat.sort(key=type_sort_key)
+                out = TSum(tuple(flat))
         case _TZero():
             return TZero
-    raise TypeError(f"not a type: {t!r}")
+        case _:
+            raise TypeError(f"not a type: {t!r}")
+    if not depth:
+        out._canonical = True  # no binder above it, so canonical on its own
+    return out
 
 
 def type_canonicalize(t: Type) -> Type:
-    """Unique representative of the equivalence class of t."""
-    return _tcanon(t, {}, 0)
+    """Unique representative of the equivalence class of t.  Idempotent,
+    and O(1) on a type it returned before; a type built from such types
+    walks nothing below them."""
+    return t if t._canonical else _tcanon(t, {}, 0)
 
 
 def type_equiv(a: Type, b: Type) -> bool:

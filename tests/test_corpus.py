@@ -7,7 +7,6 @@ from addlam.corpus import (
 )
 from addlam.derivation import check_add, is_valid_add
 from addlam.structured import is_valid_sadd
-from addlam.syntax import canonicalize, show_term
 from addlam.typesys import TSum, TVar, TArrow, type_equiv
 
 

@@ -1,7 +1,5 @@
 """Derivation checking, elaboration, and stepping of typed terms."""
 
-import random
-
 import pytest
 
 from addlam.corpus import BASE_CTX, generate_corpus
@@ -30,7 +28,7 @@ from addlam.derivation import (
 )
 from addlam.reduction import Redex, StaleRedex, enumerate_redexes
 from addlam.syntax import Var, show_term
-from addlam.typesys import Context, TArrow, TForall, TSum, TVar, TZero, type_equiv
+from addlam.typesys import Context, TArrow, TSum, TVar, TZero, type_equiv
 
 X, Y = TVar("X"), TVar("Y")
 
@@ -141,6 +139,8 @@ def test_stepping_a_path_outside_the_derivation_is_stale():
     d = plus_i(ax(BASE_CTX, "a"), ax0(BASE_CTX))
     with pytest.raises(StaleRedex):
         step_derivation(d, Redex((5,), "beta"))
+    with pytest.raises(StaleRedex):
+        step_derivation(d, Redex((), "sum-zero"))
 
 
 def test_generation_analysis_recovers_elimination_witnesses():

@@ -18,7 +18,7 @@ from addlam.parser import (
 from addlam.structured import LEAF, Node, ZLEAF
 from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, show_term
 from addlam.sysf import FPair, FProjL, FVar, Star, show_fterm, show_ftype
-from addlam.typesys import TArrow, TForall, TSum, TVar, TZero, show_type, type_canonicalize
+from addlam.typesys import TArrow, TForall, TSum, TVar, show_type, type_canonicalize
 
 
 def test_application_binds_tighter_than_sum():

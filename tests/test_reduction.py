@@ -66,6 +66,11 @@ def test_stale_redex_is_rejected():
     cases = [(ident, Redex((0, 0, 5), "beta")), (s, Redex((), "sum-zero", 7))]
     cases += [(s, Redex(p, "beta")) for p in ((5,), (-1,), (0, 0))]
     cases += [(app, Redex(p, "beta")) for p in ((2,), (-1,))]
+    # a split rule built without its part is stale, not a TypeError
+    fsum = canonicalize(App(Sum((Var("f"), Var("g"))), Var("a")))
+    asum = canonicalize(App(Var("a"), Sum((Var("f"), Var("g")))))
+    cases += [(fsum, Redex((), "dist-right")), (asum, Redex((), "dist-left"))]
+    cases += [(s, Redex((), "sum-zero"))]
     for t, r in cases:
         with pytest.raises(StaleRedex):
             step(t, r)

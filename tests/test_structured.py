@@ -34,7 +34,6 @@ from addlam.structured import (
     sax0,
     splus_i,
     step_sadd_derivation,
-    struct_arr_e,
     tree_compose,
     tree_of_type,
 )

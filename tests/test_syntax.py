@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from addlam.corpus import random_term
 from addlam.suites import _rebuild, _rename_binders, _shuffle_sums
 from addlam.syntax import (
@@ -85,6 +87,14 @@ def test_values_are_variables_and_abstractions():
 
 def test_summands_of_a_non_sum_is_a_singleton():
     assert summands(Var("x")) == (Var("x"),)
+
+
+def test_a_free_positional_name_is_refused():
+    # _0 is the name the binder at depth 0 takes, so \x._0 would turn into
+    # the identity
+    with pytest.raises(ValueError, match="'_0'"):
+        canonicalize(Abs("x", Var("_0")))
+    assert canonicalize(Abs("x", Var("_a"))) == Abs("_0", Var("_a"))
 
 
 def test_transfer_path_tracks_subterms_across_renaming():

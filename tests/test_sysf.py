@@ -75,6 +75,24 @@ def test_surjective_pairing():
     assert f_canonicalize(FVar("p")) not in f_reducts(q)
 
 
+def test_surjective_pairing_under_binders_does_not_capture():
+    # the two projected terms differ (\z.x and \z.z), so the pair is not
+    # an eta redex; compared after canonicalising each alone, x became z
+    t = f_canonicalize(
+        FAbs("x", FAbs("y", FPair(FProjL(FAbs("z", FVar("x"))), FProjR(FAbs("z", FVar("z"))))))
+    )
+    assert f_reducts(t) == frozenset()
+    u = f_canonicalize(FAbs("x", FPair(FProjL(FVar("x")), FProjR(FVar("x")))))
+    assert f_reducts(u) == {f_canonicalize(FAbs("x", FVar("x")))}
+
+
+def test_a_free_positional_name_is_refused():
+    # _0 is the name the binder at depth 0 takes, so \x._0 would turn into
+    # the identity
+    with pytest.raises(ValueError, match="'_0'"):
+        f_canonicalize(FAbs("x", FVar("_0")))
+
+
 def test_normalisation_of_a_pair_program():
     t = FProjR(FPair(FVar("a"), FApp(FAbs("x", FVar("x")), FVar("b"))))
     res = f_normalize(t)

@@ -9,9 +9,9 @@ from addlam.corpus import (
     generate_corpus,
 )
 from addlam.reduction import enumerate_redexes
-from addlam.structured import ExcludedRule, sarr_i, sax, sax0, splus_i
+from addlam.structured import ExcludedRule, sax, sax0, splus_i
 from addlam.suites import _has_empty_elim
-from addlam.syntax import App, Sum, Var, Zero, canonicalize
+from addlam.syntax import App, Sum, Var, Zero
 from addlam.sysf import (
     FApp,
     FArrow,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from addlam.corpus import random_type
+from addlam.suites import _rebuild
 from addlam.typesys import (
     Context,
     SsubWitness,
@@ -46,7 +47,18 @@ def test_canonical_type_is_idempotent_on_random_types():
     for _ in range(300):
         t = random_type(rng)
         c = type_canonicalize(t)
-        assert type_canonicalize(c) == c
+        # type_canonicalize returns its own output at once, so the full
+        # walk is checked on a fresh copy of that output
+        assert type_canonicalize(c) is c
+        copy = _rebuild(c)
+        assert copy is TZero or not copy._canonical
+        assert type_canonicalize(copy) == c
+
+
+def test_a_free_positional_name_is_refused():
+    # the free _0 would be captured by the binder X once X is renamed _0
+    with pytest.raises(ValueError, match="'_0'"):
+        type_canonicalize(TForall("X", TArrow(TVar("_0"), X)))
 
 
 def test_units_are_not_sums():
