@@ -1,0 +1,259 @@
+"""One core for the four binder languages: source terms, additive types,
+and the terms and types of System F.
+
+A language declares its node classes on a base class of its own that
+derives from ``Node``.  Each node class lists its fields in ``__slots__``
+and says what it is with one class keyword:
+
+* ``var=True``: a variable, whose one field ``name`` is a string;
+* ``binds=V``: a binder of a variable of class ``V``, with the fields
+  ``var`` (the bound name) and ``body`` (its scope);
+* ``merge=f``: an AC sum, whose one field ``parts`` is a tuple of nodes;
+  ``f`` merges parts that are canonical at one binder depth into the
+  canonical sum, which is the language's own rule;
+* none: a constructor whose fields are all nodes.  A class without fields
+  is a constant; its one instance prints as the class name without the
+  leading underscore.
+
+From that declaration the base writes ``__init__``, ``__eq__``, ``__repr__``
+and ``__match_args__`` once, when the class is created.  Nothing changes a
+node once it is built, apart from its caches: its hash is computed once
+from its children's cached hashes, and its sort key and repr are cached on
+first use.  The hash and the sort key start with the class's position
+among its language's classes, so a language fixes their order by the
+order of its declarations.
+
+Canonical binder names are positional (``_d`` for the binder at depth d),
+which no parser produces.  ``canonical`` marks what it returns (every node
+it builds outside all binders) and returns a marked node at once.
+"""
+
+from __future__ import annotations
+
+_VAR, _BINDER, _SUM, _NODE, _CONST = range(5)
+
+
+def _define(cls, src: str):
+    """Compile methods from source and attach them to cls."""
+    scope = {}
+    exec(src, {"cls": cls}, scope)
+    for name, fn in scope.items():
+        setattr(cls, name, fn)
+
+
+class Node:
+    __slots__ = ("_hash", "_key", "_repr", "_canonical")
+
+    def __init_subclass__(cls, var=False, binds=None, merge=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if Node in cls.__bases__:
+            cls._classes = 0  # a language's base: its node classes count from 0
+            return
+        fields = cls.__dict__.get("__slots__", ())
+        tag = cls._classes
+        cls.__base__._classes = tag + 1
+        cls._tag = tag
+        cls._var = binds
+        cls._merge = staticmethod(merge) if merge else None
+        cls.__match_args__ = fields
+        if var:
+            role, shape = _VAR, ("name",)
+        elif binds is not None:
+            role, shape = _BINDER, ("var", "body")
+        elif merge is not None:
+            role, shape = _SUM, ("parts",)
+        else:
+            role, shape = (_NODE if fields else _CONST), fields
+        if fields != shape:
+            raise TypeError(f"{cls.__name__} must have the fields {shape}, not {fields}")
+        cls._role = role
+        strings = ("name", "var") if role in (_VAR, _BINDER) else ()
+        hashed = [f if f in strings else f"*[p._hash for p in {f}]" if role == _SUM
+                  else f"{f}._hash" for f in fields]
+        same = "".join(f" and self.{f} == other.{f}" for f in fields)
+        shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+        shown = f"{cls.__name__}({shown})" if fields else cls.__name__.lstrip("_")
+        kids = {_VAR: "()", _BINDER: "(self.body,)", _SUM: "self.parts"}.get(
+            role, "(" + "".join(f"self.{f}, " for f in fields) + ")")
+        _define(cls, f"def __init__(self, {', '.join(fields)}):\n"
+                     + "".join(f"    self.{f} = {f}\n" for f in fields)
+                     + f"    self._hash = hash(({tag}, {', '.join(hashed)}))\n"
+                     f"    self._key = None\n"
+                     f"    self._canonical = False\n"
+                     f"def __eq__(self, other):\n"
+                     f"    return self is other or (other.__class__ is cls\n"
+                     f"        and self._hash == other._hash{same})\n"
+                     f"def __repr__(self):\n"
+                     f"    try:\n"
+                     f"        return self._repr\n"
+                     f"    except AttributeError:\n"
+                     f"        r = self._repr = f\"{shown}\"\n"
+                     f"        return r\n"
+                     f"def _kids(self):\n"
+                     f"    return {kids}\n")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+# --- names -------------------------------------------------------------------
+
+
+def free_name(x: str) -> str:
+    """x, the name of a variable that no enclosing binder maps.  A free
+    name of the positional form ``_<digits>`` would be captured by the
+    binder of that depth, so it is refused with ValueError."""
+    if x[:1] == "_" and x[1:].isdigit() and x[1:].isascii():
+        raise ValueError(f"free variable {x!r} has the form of a positional binder name")
+    return x
+
+
+def fresh_name(base: str, avoid) -> str:
+    """base, or base followed by the least number that avoid lacks."""
+    if base not in avoid:
+        return base
+    i = 1
+    while f"{base}{i}" in avoid:
+        i += 1
+    return f"{base}{i}"
+
+
+def free_vars(t: Node) -> frozenset[str]:
+    role = t._role
+    if role == _VAR:
+        return frozenset((t.name,))
+    if role == _BINDER:
+        return free_vars(t.body) - {t.var}
+    out = frozenset()
+    for c in t._kids():
+        out |= free_vars(c)
+    return out
+
+
+# --- order and canonical forms -----------------------------------------------
+
+
+def sort_key(t: Node):
+    """Structural key, ordered first by node class, then by the children's
+    keys; binder names are left out.  Cached on the node, so only nodes
+    built since the last sort compute theirs."""
+    k = t._key
+    if k is None:
+        role = t._role
+        if role == _VAR:
+            k = (t._tag, t.name)
+        elif role == _BINDER:
+            k = (t._tag, sort_key(t.body))
+        elif role == _SUM:
+            k = (t._tag, len(t.parts), tuple(map(sort_key, t.parts)))
+        else:
+            k = (t._tag, *map(sort_key, t._kids()))
+        t._key = k
+    return k
+
+
+def _canon(t: Node, env: dict[str, str], depth: int) -> Node:
+    if t._canonical and not depth:
+        return t
+    role = t._role
+    cls = t.__class__
+    if role == _VAR:
+        nx = env.get(t.name)
+        out = cls(free_name(t.name) if nx is None else nx)
+    elif role == _BINDER:
+        nx = f"_{depth}"
+        out = cls(nx, _canon(t.body, {**env, t.var: nx}, depth + 1))
+    elif role == _SUM:
+        out = cls._merge([_canon(p, env, depth) for p in t.parts])
+    elif role == _NODE:
+        out = cls(*[_canon(c, env, depth) for c in t._kids()])
+    else:
+        return t
+    if not depth:
+        out._canonical = True  # no binder above it, so canonical on its own
+    return out
+
+
+def canonical(t: Node) -> Node:
+    """The unique representative of t up to the renaming of bound
+    variables and the language's sum rule.  Idempotent, and O(1) on a node
+    it returned before; a node built from such nodes walks nothing below
+    them outside a binder."""
+    return t if t._canonical else _canon(t, {}, 0)
+
+
+def mark_canonical(t: Node) -> Node:
+    """Record that t, built from canonical parts at binder depth 0, is
+    canonical, so ``canonical`` returns it as it is."""
+    t._canonical = True
+    return t
+
+
+def alpha_eq(a: Node, b: Node) -> bool:
+    """Equality up to the renaming of bound variables.  Sums are compared
+    part by part in order, so this is structural on raw sums."""
+
+    def go(a, b, ea, eb, d):
+        if a.__class__ is not b.__class__:
+            return False
+        role = a._role
+        if role == _VAR:
+            return ea.get(a.name, a.name) == eb.get(b.name, b.name)
+        if role == _BINDER:
+            m = f"#{d}"
+            return go(a.body, b.body, {**ea, a.var: m}, {**eb, b.var: m}, d + 1)
+        ka, kb = a._kids(), b._kids()
+        return len(ka) == len(kb) and all(go(p, q, ea, eb, d) for p, q in zip(ka, kb))
+
+    return go(a, b, {}, {}, 0)
+
+
+# --- rebuilding ----------------------------------------------------------------
+
+
+def rebuild(t: Node) -> Node:
+    """An equal copy of t built from fresh nodes, which ``canonical`` has
+    not marked, so canonicalising it runs the full walk."""
+    role = t._role
+    cls = t.__class__
+    if role == _VAR:
+        return cls(t.name)
+    if role == _BINDER:
+        return cls(t.var, rebuild(t.body))
+    if role == _SUM:
+        return cls(tuple(map(rebuild, t.parts)))
+    if role == _NODE:
+        return cls(*map(rebuild, t._kids()))
+    return t
+
+
+def subst(t: Node, x: str, v: Node) -> Node:
+    """Capture-avoiding substitution of v for the free variable x.  Sums
+    keep their parts in order; a binder is renamed, to the first fresh
+    variant of its name, only when it would capture a free variable of v
+    in a scope where x occurs."""
+    return _subst(t, x, v, free_vars(v))
+
+
+def _subst(t: Node, x: str, v: Node, fv: frozenset[str]) -> Node:
+    role = t._role
+    cls = t.__class__
+    if role == _VAR:
+        return v if t.name == x else t
+    if role == _BINDER:
+        y, b = t.var, t.body
+        if y == x:
+            return t
+        if y in fv:
+            fb = free_vars(b)
+            if x not in fb:
+                return t
+            ny = fresh_name(y, fv | fb)
+            b = _subst(b, y, cls._var(ny), frozenset((ny,)))
+            y = ny
+        return cls(y, _subst(b, x, v, fv))
+    if role == _SUM:
+        return cls(tuple(_subst(p, x, v, fv) for p in t.parts))
+    if role == _NODE:
+        return cls(*[_subst(c, x, v, fv) for c in t._kids()])
+    return t

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .binders import free_vars, fresh_name, sort_key
 from .reduction import Redex, StaleRedex, step
 from .syntax import (
     Abs,
@@ -23,12 +24,9 @@ from .syntax import (
     Var,
     Zero,
     canonicalize,
-    free_vars,
-    fresh_name,
     is_value,
     mk_sum,
     show_term,
-    sort_key,
     summands,
     transfer_path,
 )
@@ -41,7 +39,6 @@ from .typesys import (
     TVar,
     TZero,
     Type,
-    ftv,
     instantiate,
     is_unit,
     show_type,
@@ -724,7 +721,7 @@ def weaken(d: Derivation, name: str, ty: Type) -> Derivation:
     ty = system.norm(ty)
     if name in d.ctx:
         raise UnsupportedDerivationShape(f"{name} already hypothesised")
-    new_tv = ftv(ty)
+    new_tv = free_vars(ty)
 
     def go(n: Derivation) -> Derivation:
         if n.rule == "ax":
@@ -755,7 +752,7 @@ def type_subst_derivation(d: Derivation, x: str, u: Type) -> Derivation:
     u = system.norm(u)
     if not is_unit(u):
         system.fail("only unit types substitute for type variables")
-    fv_u = ftv(u)
+    fv_u = free_vars(u)
     wit_map = system.wit_map
 
     def sub(t: Type | None):
@@ -888,7 +885,7 @@ def _beta_subst_plan(wrappers, xs, vec) -> list[tuple[str, Type]]:
         if not binders:
             raise UnsupportedDerivationShape("instantiation without a matching generalisation")
         x0 = binders.pop(0)
-        fv = ftv(v)
+        fv = free_vars(v)
         if any(b in fv for b in binders):
             raise UnsupportedDerivationShape("instantiation would capture a pending generalisation")
         subs.append((x0, v))

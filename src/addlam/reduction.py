@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .binders import mark_canonical
 from .syntax import (
     Abs,
     App,
@@ -14,7 +15,6 @@ from .syntax import (
     canonicalize,
     instantiate,
     is_value,
-    mark_canonical,
     merge_sum,
     show_term,
     summands,
@@ -30,6 +30,12 @@ class Redex:
     path: tuple[int, ...]
     rule: str
     part: int | None = None  # summand split off by a dist/sum-zero rule
+
+    def __hash__(self) -> int:
+        # hash(None) is the object's address on CPython before 3.12, so a
+        # redex without a part would hash, and a set of redexes iterate,
+        # differently in every process
+        return hash((self.path, self.rule, -1 if self.part is None else self.part))
 
 
 def _kind(u: Term) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .binders import free_vars
 from .derivation import (
     AddDerivation,
     Derivation,
@@ -34,7 +35,6 @@ from .typesys import (
     TVar,
     TZero,
     Type,
-    ftv,
     is_unit,
     raw_alpha_eq,
     raw_subst,
@@ -326,7 +326,7 @@ def _peel_closure(lab: Type, xs, u: Type) -> Type:
         if cur.var == x:
             cur = cur.body
         else:
-            if x in ftv(cur.body):
+            if x in free_vars(cur.body):
                 return None
             cur = raw_subst(cur.body, cur.var, TVar(x))
     if not isinstance(cur, TArrow) or not raw_alpha_eq(cur.dom, u):

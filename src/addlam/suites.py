@@ -8,11 +8,12 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .binders import free_vars, fresh_name, rebuild
 from .corpus import OMEGA, Corpus, random_term, random_type
 from .derivation import UnsupportedDerivationShape, check_add, step_derivation
 from .reduction import check_sn, enumerate_redexes
 from .structured import ExcludedRule, check_sadd, tree_of_type
-from .syntax import Abs, App, Sum, Term, Var, canonicalize, free_vars, fresh_name, show_term, substitute
+from .syntax import Abs, App, Sum, Term, Var, canonicalize, show_term, substitute
 from .sysf import (
     FApp,
     f_canonicalize,
@@ -88,31 +89,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _rebuild(t):
-    """An equal copy of the term or type t built from fresh nodes, which
-    ``canonicalize``/``type_canonicalize`` has not marked, so
-    canonicalising it runs the full walk."""
-    match t:
-        case Var(x):
-            return Var(x)
-        case Abs(x, b):
-            return Abs(x, _rebuild(b))
-        case App(f, a):
-            return App(_rebuild(f), _rebuild(a))
-        case Sum(ps):
-            return Sum(tuple(_rebuild(p) for p in ps))
-        case TVar(x):
-            return TVar(x)
-        case TArrow(d, c):
-            return TArrow(_rebuild(d), _rebuild(c))
-        case TForall(x, b):
-            return TForall(x, _rebuild(b))
-        case TSum(ps):
-            return TSum(tuple(_rebuild(p) for p in ps))
-        case _:
-            return t
-
-
 def _shuffle_sums(t: Term, rng: random.Random) -> Term:
     match t:
         case Abs(x, b):
@@ -145,7 +121,7 @@ def _suite_ac(corpus: Corpus, report: Report, cases: int, **_):
     for i in range(cases):
         t = random_term(rng)
         c = canonicalize(t)
-        report.check(f"ac-{i}", "idempotence", canonicalize(_rebuild(c)) == c, show_term(t))
+        report.check(f"ac-{i}", "idempotence", canonicalize(rebuild(c)) == c, show_term(t))
         report.check(
             f"ac-{i}", "permutation",
             canonicalize(_shuffle_sums(t, rng)) == c, show_term(t),
@@ -180,7 +156,7 @@ def _suite_equiv(corpus: Corpus, report: Report, cases: int, **_):
     for i in range(cases):
         t = random_type(rng)
         c = type_canonicalize(t)
-        report.check(f"equiv-{i}", "idempotence", type_canonicalize(_rebuild(c)) == c, show_type(t))
+        report.check(f"equiv-{i}", "idempotence", type_canonicalize(rebuild(c)) == c, show_type(t))
         report.check(
             f"equiv-{i}", "permutation",
             type_canonicalize(_shuffle_type_sums(t, rng)) == c, show_type(t),

@@ -7,372 +7,95 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .structured import Leaf, Node, TypeTree, ZeroLeaf
-from .syntax import free_name
+from .binders import Node, alpha_eq, canonical, free_vars, subst
+from .structured import Leaf, Node as TreeNode, TypeTree, ZeroLeaf
 
 
 # --- types -------------------------------------------------------------------
 
 
-class FType:
+class FType(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FTVar(FType):
-    name: str
+class FTVar(FType, var=True):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class FArrow(FType):
-    dom: FType
-    cod: FType
+    __slots__ = ("dom", "cod")
 
 
-@dataclass(frozen=True)
-class FForall(FType):
-    var: str
-    body: FType
+class FForall(FType, binds=FTVar):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class _FUnit(FType):
-    def __repr__(self):
-        return "FUnit"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FProd(FType):
-    left: FType
-    right: FType
+    __slots__ = ("left", "right")
 
 
 FUnit = _FUnit()
 
 
-def f_type_ftv(t: FType) -> frozenset[str]:
-    match t:
-        case FTVar(x):
-            return frozenset((x,))
-        case FArrow(a, b) | FProd(a, b):
-            return f_type_ftv(a) | f_type_ftv(b)
-        case FForall(x, b):
-            return f_type_ftv(b) - {x}
-        case _FUnit():
-            return frozenset()
-    raise TypeError(f"not a type: {t!r}")
-
-
-def f_type_subst(t: FType, x: str, u: FType) -> FType:
-    fv = f_type_ftv(u)
-
-    def go(t: FType) -> FType:
-        match t:
-            case FTVar(y):
-                return u if y == x else t
-            case FArrow(a, b):
-                return FArrow(go(a), go(b))
-            case FProd(a, b):
-                return FProd(go(a), go(b))
-            case _FUnit():
-                return t
-            case FForall(y, b):
-                if y == x:
-                    return t
-                if y in fv and x in f_type_ftv(b):
-                    z = _f_fresh(y, fv | f_type_ftv(b))
-                    b = f_type_subst(b, y, FTVar(z))
-                    return FForall(z, go(b))
-                return FForall(y, go(b))
-        raise TypeError(f"not a type: {t!r}")
-
-    return go(t)
-
-
-def _f_fresh(base: str, avoid) -> str:
-    stem = base.rstrip("0123456789") or base
-    if stem not in avoid:
-        return stem
-    i = 1
-    while f"{stem}{i}" in avoid:
-        i += 1
-    return f"{stem}{i}"
-
-
-def f_type_alpha_eq(a: FType, b: FType) -> bool:
-    def go(a, b, ea, eb, d):
-        match a, b:
-            case FTVar(x), FTVar(y):
-                return ea.get(x, x) == eb.get(y, y)
-            case FArrow(d1, c1), FArrow(d2, c2):
-                return go(d1, d2, ea, eb, d) and go(c1, c2, ea, eb, d)
-            case FProd(l1, r1), FProd(l2, r2):
-                return go(l1, l2, ea, eb, d) and go(r1, r2, ea, eb, d)
-            case FForall(x, b1), FForall(y, b2):
-                m = f"#{d}"
-                return go(b1, b2, {**ea, x: m}, {**eb, y: m}, d + 1)
-            case _FUnit(), _FUnit():
-                return True
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
 # --- terms -------------------------------------------------------------------
 
 
-class FTerm:
-    """Nothing changes a node once it is built, apart from its caches: its
-    hash is computed once from its children's cached hashes, its repr is
-    cached on first use, and ``f_canonicalize`` marks the nodes it
-    returns.  The repr keeps the dataclass form ``FAbs(var='x',
-    body=FVar(name='x'))``, because ``f_reaches`` orders reducts by it."""
+class FTerm(Node):
+    """The repr keeps the dataclass form ``FAbs(var='x', body=FVar(name='x'))``,
+    because ``f_reaches`` orders reducts by it."""
 
-    __slots__ = ("_hash", "_repr", "_canonical")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        r = self._repr
-        if r is None:
-            r = self._repr = self._show()
-        return r
+    __slots__ = ()
 
 
-class FVar(FTerm):
+class FVar(FTerm, var=True):
     __slots__ = ("name",)
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash((0, name))
-        self._repr = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (other.__class__ is FVar and self.name == other.name)
-
-    __hash__ = FTerm.__hash__
-
-    def _show(self):
-        return f"FVar(name={self.name!r})"
 
 
-class FAbs(FTerm):
+class FAbs(FTerm, binds=FVar):
     __slots__ = ("var", "body")
-    __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: FTerm):
-        self.var = var
-        self.body = body
-        self._hash = hash((1, var, body._hash))
-        self._repr = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is FAbs
-            and self._hash == other._hash
-            and self.var == other.var
-            and self.body == other.body
-        )
-
-    __hash__ = FTerm.__hash__
-
-    def _show(self):
-        return f"FAbs(var={self.var!r}, body={self.body!r})"
 
 
 class FApp(FTerm):
     __slots__ = ("fun", "arg")
-    __match_args__ = ("fun", "arg")
-
-    def __init__(self, fun: FTerm, arg: FTerm):
-        self.fun = fun
-        self.arg = arg
-        self._hash = hash((2, fun._hash, arg._hash))
-        self._repr = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is FApp
-            and self._hash == other._hash
-            and self.fun == other.fun
-            and self.arg == other.arg
-        )
-
-    __hash__ = FTerm.__hash__
-
-    def _show(self):
-        return f"FApp(fun={self.fun!r}, arg={self.arg!r})"
 
 
 class _Star(FTerm):
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = hash((3,))
-        self._repr = "Star"
-        self._canonical = True
-
-    def __eq__(self, other):
-        return other.__class__ is _Star
-
-    __hash__ = FTerm.__hash__
-
 
 class FPair(FTerm):
     __slots__ = ("fst", "snd")
-    __match_args__ = ("fst", "snd")
-
-    def __init__(self, fst: FTerm, snd: FTerm):
-        self.fst = fst
-        self.snd = snd
-        self._hash = hash((4, fst._hash, snd._hash))
-        self._repr = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is FPair
-            and self._hash == other._hash
-            and self.fst == other.fst
-            and self.snd == other.snd
-        )
-
-    __hash__ = FTerm.__hash__
-
-    def _show(self):
-        return f"FPair(fst={self.fst!r}, snd={self.snd!r})"
 
 
 class FProjL(FTerm):
     __slots__ = ("body",)
-    __match_args__ = ("body",)
-
-    def __init__(self, body: FTerm):
-        self.body = body
-        self._hash = hash((5, body._hash))
-        self._repr = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is FProjL and self._hash == other._hash and self.body == other.body
-        )
-
-    __hash__ = FTerm.__hash__
-
-    def _show(self):
-        return f"FProjL(body={self.body!r})"
 
 
 class FProjR(FTerm):
     __slots__ = ("body",)
-    __match_args__ = ("body",)
-
-    def __init__(self, body: FTerm):
-        self.body = body
-        self._hash = hash((6, body._hash))
-        self._repr = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is FProjR and self._hash == other._hash and self.body == other.body
-        )
-
-    __hash__ = FTerm.__hash__
-
-    def _show(self):
-        return f"FProjR(body={self.body!r})"
 
 
 Star = _Star()
-
-
-def f_free_vars(t: FTerm) -> frozenset[str]:
-    match t:
-        case FVar(x):
-            return frozenset((x,))
-        case FAbs(x, b):
-            return f_free_vars(b) - {x}
-        case FApp(f, a) | FPair(f, a):
-            return f_free_vars(f) | f_free_vars(a)
-        case FProjL(b) | FProjR(b):
-            return f_free_vars(b)
-        case _Star():
-            return frozenset()
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _fcanon(t: FTerm, env: dict[str, str], d: int) -> FTerm:
-    if t._canonical and not d:
-        return t
-    match t:
-        case FVar(x):
-            nx = env.get(x)
-            out = FVar(free_name(x) if nx is None else nx)
-        case FAbs(x, b):
-            nm = f"_{d}"
-            out = FAbs(nm, _fcanon(b, {**env, x: nm}, d + 1))
-        case FApp(f, a):
-            out = FApp(_fcanon(f, env, d), _fcanon(a, env, d))
-        case FPair(f, a):
-            out = FPair(_fcanon(f, env, d), _fcanon(a, env, d))
-        case FProjL(b):
-            out = FProjL(_fcanon(b, env, d))
-        case FProjR(b):
-            out = FProjR(_fcanon(b, env, d))
-        case _Star():
-            return Star
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    if not d:
-        out._canonical = True  # no binder above it, so canonical on its own
-    return out
 
 
 def f_canonicalize(t: FTerm) -> FTerm:
     """Positional renaming of binders; canonical forms are equal iff the
     terms are alpha-equivalent.  Idempotent, and O(1) on a term it
     returned before."""
-    return t if t._canonical else _fcanon(t, {}, 0)
+    return canonical(t)
 
 
 def f_alpha_eq(a: FTerm, b: FTerm) -> bool:
     return f_canonicalize(a) == f_canonicalize(b)
 
 
-def f_substitute(t: FTerm, x: str, v: FTerm) -> FTerm:
-    fv = f_free_vars(v)
-
-    def go(t: FTerm) -> FTerm:
-        match t:
-            case FVar(y):
-                return v if y == x else t
-            case FAbs(y, b):
-                if y == x:
-                    return t
-                if y in fv and x in f_free_vars(b):
-                    z = _f_fresh(y, fv | f_free_vars(b))
-                    return FAbs(z, go(f_substitute(b, y, FVar(z))))
-                return FAbs(y, go(b))
-            case FApp(f, a):
-                return FApp(go(f), go(a))
-            case FPair(f, a):
-                return FPair(go(f), go(a))
-            case FProjL(b):
-                return FProjL(go(b))
-            case FProjR(b):
-                return FProjR(go(b))
-            case _Star():
-                return t
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+# F-types have no sums, so this walk agrees with comparing canonical forms;
+# it allocates nothing, which matters for the raw types derivations hold
+f_type_alpha_eq = alpha_eq
 
 
 def show_fterm(t: FTerm) -> str:
@@ -429,13 +152,13 @@ def _immediate_freducts(t: FTerm) -> list[FTerm]:
     out = []
     match t:
         case FApp(FAbs(x, b), a):
-            out.append(f_substitute(b, x, a))
+            out.append(subst(b, x, a))
         case FProjL(FPair(f, _)):
             out.append(f)
         case FProjR(FPair(_, s)):
             out.append(s)
     match t:
-        case FAbs(x, FApp(f, FVar(y))) if y == x and x not in f_free_vars(f):
+        case FAbs(x, FApp(f, FVar(y))) if y == x and x not in free_vars(f):
             out.append(f)
         case FPair(FProjL(p), FProjR(q)) if p == q:
             # t is a subterm of a canonical term, so p and q sit at one
@@ -474,7 +197,7 @@ def f_reducts(t: FTerm) -> frozenset[FTerm]:
     Reducts are rebuilt raw and each whole reduct is canonicalised once:
     canonicalising a reduct of an open subterm on its own would capture
     the binders above it."""
-    return frozenset(f_canonicalize(u) for u in _raw_freducts(_fcanon(t, {}, 0)))
+    return frozenset(f_canonicalize(u) for u in _raw_freducts(canonical(t)))
 
 
 def f_normalize(t: FTerm, fuel: int = 10000) -> FTerm:
@@ -484,7 +207,7 @@ def f_normalize(t: FTerm, fuel: int = 10000) -> FTerm:
     def head(t: FTerm) -> FTerm | None:
         match t:
             case FApp(FAbs(x, b), a):
-                return f_substitute(b, x, a)
+                return subst(b, x, a)
             case FProjL(FPair(f, _)):
                 return f
             case FProjR(FPair(_, s)):
@@ -579,7 +302,7 @@ class FContext:
     def free_tvars(self):
         out = frozenset()
         for _, v in self.entries:
-            out |= f_type_ftv(v)
+            out |= free_vars(v)
         return out
 
     def __eq__(self, other):
@@ -690,7 +413,7 @@ def f_forall_e(d: FDerivation, ty: FType) -> FDerivation:
     if not isinstance(d.ty, FForall):
         _ffail(f"instantiating a non-quantified type {show_ftype(d.ty)}")
     return FDerivation(
-        "ForallE", d.ctx, d.term, f_type_subst(d.ty.body, d.ty.var, ty), (d,),
+        "ForallE", d.ctx, d.term, subst(d.ty.body, d.ty.var, ty), (d,),
         inst_ty=ty,
     )
 
@@ -756,7 +479,7 @@ def _f_check_node(d: FDerivation, path):
             bad("instantiation changes the subject")
         if not isinstance(p.ty, FForall) or d.inst_ty is None:
             bad("instantiation premise is not quantified")
-        if not f_type_alpha_eq(d.ty, f_type_subst(p.ty.body, p.ty.var, d.inst_ty)):
+        if not f_type_alpha_eq(d.ty, subst(p.ty.body, p.ty.var, d.inst_ty)):
             bad("instantiated type mismatch")
     else:
         bad(f"unknown rule {d.rule!r}")
@@ -780,7 +503,7 @@ def ftree_label(a: TypeTree, phi: dict[str, FType], prefix: str = "") -> FType:
             return phi[prefix]
         case ZeroLeaf():
             return FUnit
-        case Node(l, r):
+        case TreeNode(l, r):
             return FProd(
                 ftree_label(l, phi, prefix + "l"), ftree_label(r, phi, prefix + "r")
             )
@@ -795,7 +518,7 @@ def ftree_term(a: TypeTree, tau: dict[str, FTerm], prefix: str = "") -> FTerm:
             return tau[prefix]
         case ZeroLeaf():
             return Star
-        case Node(l, r):
+        case TreeNode(l, r):
             return FPair(
                 ftree_term(l, tau, prefix + "l"), ftree_term(r, tau, prefix + "r")
             )
@@ -809,7 +532,7 @@ def ftree_derivation(a: TypeTree, taud: dict[str, FDerivation], ctx: FContext) -
             return taud[""]
         case ZeroLeaf():
             return f_unit_i(ctx)
-        case Node(l, r):
+        case TreeNode(l, r):
             dl = ftree_derivation(l, {w[1:]: d for w, d in taud.items() if w.startswith("l")}, ctx)
             dr = ftree_derivation(r, {w[1:]: d for w, d in taud.items() if w.startswith("r")}, ctx)
             return f_prod_i(dl, dr)

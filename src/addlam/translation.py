@@ -196,7 +196,9 @@ def _match_app_tree(t: FTerm) -> tuple[FTerm, FTerm] | None:
             return None
         if t0 is None:
             t0, u0 = pl, pr
-        elif f_canonicalize(pl) != f_canonicalize(t0) or f_canonicalize(pr) != f_canonicalize(u0):
+        elif pl != t0 or pr != u0:
+            # t is a subterm of a canonical term, so the parts sit at one
+            # binder depth and are alpha-equivalent iff they are equal
             return None
     return t0, u0
 
@@ -204,22 +206,27 @@ def _match_app_tree(t: FTerm) -> tuple[FTerm, FTerm] | None:
 def rev_term(t: FTerm) -> Term | None:
     """Partial inverse on terms. A pair is read back as an application
     when it is a consistent tree of projected applications, and as a
-    sum otherwise."""
+    sum otherwise.  t is canonicalised once, first: canonicalising an
+    open subterm on its own would capture the binders above it."""
+    return _rev(f_canonicalize(t))
+
+
+def _rev(t: FTerm) -> Term | None:
     match t:
         case FVar(x):
             return Var(x)
         case _ if t is Star:
             return Zero
         case FAbs(x, b):
-            rb = rev_term(b)
+            rb = _rev(b)
             return None if rb is None else Abs(x, rb)
         case FPair(_, _) | FApp(_, _):
             hit = _match_app_tree(t)
             if hit is not None:
-                rf, ra = rev_term(hit[0]), rev_term(hit[1])
+                rf, ra = _rev(hit[0]), _rev(hit[1])
                 return None if rf is None or ra is None else App(rf, ra)
             if isinstance(t, FPair):
-                rl, rr = rev_term(t.fst), rev_term(t.snd)
+                rl, rr = _rev(t.fst), _rev(t.snd)
                 return None if rl is None or rr is None else Sum((rl, rr))
             return None
     return None

@@ -9,135 +9,60 @@ zero type.  Two layers coexist:
   equivalence class;
 * raw types: binary, order-preserving sums, used by the structured
   system where no equivalence is available.
+
+The nodes, canonical forms, substitution and the alpha test on raw types
+come from ``binders``; this module adds the type rules: sums drop the zero
+type, and only unit types substitute for type variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import free_name, fresh_name
+from .binders import Node, alpha_eq, canonical, fresh_name, free_vars, sort_key, subst
 
 
-class Type:
-    """Nothing changes a node once it is built, apart from its caches: its
-    hash is computed once from its children's cached hashes, its sort key
-    is cached on first use, and ``type_canonicalize`` marks the nodes it
-    returns."""
-
-    __slots__ = ("_hash", "_key", "_canonical")
-
-    def __hash__(self) -> int:
-        return self._hash
+class Type(Node):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return show_type(self)
 
 
-class TVar(Type):
+class TVar(Type, var=True):
     __slots__ = ("name",)
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash((0, name))
-        self._key = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (other.__class__ is TVar and self.name == other.name)
-
-    __hash__ = Type.__hash__
-
-    def __repr__(self):
-        return f"TVar({self.name!r})"
 
 
 class TArrow(Type):
-    __slots__ = ("dom", "cod")
-    __match_args__ = ("dom", "cod")
-
-    def __init__(self, dom: Type, cod: Type):
-        self.dom = dom  # always a unit type
-        self.cod = cod
-        self._hash = hash((1, dom._hash, cod._hash))
-        self._key = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is TArrow
-            and self._hash == other._hash
-            and self.dom == other.dom
-            and self.cod == other.cod
-        )
-
-    __hash__ = Type.__hash__
-
-    def __repr__(self):
-        return f"TArrow({self.dom!r}, {self.cod!r})"
+    __slots__ = ("dom", "cod")  # dom is always a unit type
 
 
-class TForall(Type):
-    __slots__ = ("var", "body")
-    __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: Type):
-        self.var = var
-        self.body = body  # always a unit type
-        self._hash = hash((2, var, body._hash))
-        self._key = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is TForall
-            and self._hash == other._hash
-            and self.var == other.var
-            and self.body == other.body
-        )
-
-    __hash__ = Type.__hash__
-
-    def __repr__(self):
-        return f"TForall({self.var!r}, {self.body!r})"
+class TForall(Type, binds=TVar):
+    __slots__ = ("var", "body")  # body is always a unit type
 
 
-class TSum(Type):
+def _merge_types(parts) -> Type:
+    """Canonical sum of types that are canonical at one binder depth:
+    flattened, sorted and zero-free, since zero is neutral for + under the
+    equivalence."""
+    flat: list[Type] = []
+    for p in parts:
+        if p.__class__ is TSum:
+            flat.extend(p.parts)
+        elif p is not TZero:
+            flat.append(p)
+    if len(flat) < 2:
+        return flat[0] if flat else TZero
+    flat.sort(key=sort_key)
+    return TSum(tuple(flat))
+
+
+class TSum(Type, merge=_merge_types):
     __slots__ = ("parts",)
-    __match_args__ = ("parts",)
-
-    def __init__(self, parts: tuple[Type, ...]):
-        self.parts = parts
-        self._hash = hash((3, *[p._hash for p in parts]))
-        self._key = None
-        self._canonical = False
-
-    def __eq__(self, other):
-        return self is other or (
-            other.__class__ is TSum and self._hash == other._hash and self.parts == other.parts
-        )
-
-    __hash__ = Type.__hash__
-
-    def __repr__(self):
-        return f"TSum({list(self.parts)!r})"
 
 
 class _TZero(Type):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash((4,))
-        self._key = (4,)
-        self._canonical = True
-
-    def __eq__(self, other):
-        return other.__class__ is _TZero
-
-    __hash__ = Type.__hash__
-
-    def __repr__(self):
-        return "TZero"
 
 
 TZero = _TZero()
@@ -147,70 +72,11 @@ def is_unit(t: Type) -> bool:
     return isinstance(t, (TVar, TArrow, TForall))
 
 
-def _tbinder(depth: int) -> str:
-    return f"_{depth}"
-
-
-def type_sort_key(t: Type):
-    """Structural key; total order TVar < TArrow < TForall < TSum < zero.
-    Cached on the node, so only nodes built since the last sort compute
-    theirs."""
-    k = t._key
-    if k is None:
-        match t:
-            case TVar(x):
-                k = (0, x)
-            case TArrow(d, c):
-                k = (1, type_sort_key(d), type_sort_key(c))
-            case TForall(_, b):
-                k = (2, type_sort_key(b))
-            case TSum(ps):
-                k = (3, len(ps), tuple(map(type_sort_key, ps)))
-        t._key = k
-    return k
-
-
-def _tcanon(t: Type, env: dict[str, str], depth: int) -> Type:
-    if t._canonical and not depth:
-        return t
-    match t:
-        case TVar(x):
-            nx = env.get(x)
-            out = TVar(free_name(x) if nx is None else nx)
-        case TArrow(d, c):
-            out = TArrow(_tcanon(d, env, depth), _tcanon(c, env, depth))
-        case TForall(x, b):
-            nx = _tbinder(depth)
-            out = TForall(nx, _tcanon(b, {**env, x: nx}, depth + 1))
-        case TSum(ps):
-            flat: list[Type] = []
-            for p in ps:
-                cp = _tcanon(p, env, depth)
-                if cp.__class__ is TSum:
-                    flat.extend(cp.parts)
-                elif cp is not TZero:  # zero is neutral for + under the equivalence
-                    flat.append(cp)
-            if not flat:
-                return TZero
-            if len(flat) == 1:
-                out = flat[0]
-            else:
-                flat.sort(key=type_sort_key)
-                out = TSum(tuple(flat))
-        case _TZero():
-            return TZero
-        case _:
-            raise TypeError(f"not a type: {t!r}")
-    if not depth:
-        out._canonical = True  # no binder above it, so canonical on its own
-    return out
-
-
 def type_canonicalize(t: Type) -> Type:
     """Unique representative of the equivalence class of t.  Idempotent,
     and O(1) on a type it returned before; a type built from such types
     walks nothing below them."""
-    return t if t._canonical else _tcanon(t, {}, 0)
+    return canonical(t)
 
 
 def type_equiv(a: Type, b: Type) -> bool:
@@ -234,50 +100,11 @@ def sum_of_units(parts) -> Type:
     return type_canonicalize(TSum(parts)) if len(parts) > 1 else type_canonicalize(parts[0])
 
 
-def ftv(t: Type) -> frozenset[str]:
-    match t:
-        case TVar(x):
-            return frozenset((x,))
-        case TArrow(d, c):
-            return ftv(d) | ftv(c)
-        case TForall(x, b):
-            return ftv(b) - {x}
-        case TSum(ps):
-            out = frozenset()
-            for p in ps:
-                out |= ftv(p)
-            return out
-        case _TZero():
-            return frozenset()
-    raise TypeError(f"not a type: {t!r}")
-
-
-def _rsubst(t: Type, x: str, u: Type, fv_u: frozenset[str]) -> Type:
-    match t:
-        case TVar(y):
-            return u if y == x else t
-        case TArrow(d, c):
-            return TArrow(_rsubst(d, x, u, fv_u), _rsubst(c, x, u, fv_u))
-        case TForall(y, b):
-            if y == x:
-                return t
-            if y in fv_u:
-                ny = fresh_name(y, fv_u | ftv(b))
-                b = _rsubst(b, y, TVar(ny), frozenset((ny,)))
-                y = ny
-            return TForall(y, _rsubst(b, x, u, fv_u))
-        case TSum(ps):
-            return TSum(tuple(_rsubst(p, x, u, fv_u) for p in ps))
-        case _TZero():
-            return t
-    raise TypeError(f"not a type: {t!r}")
-
-
 def raw_subst(t: Type, x: str, u: Type) -> Type:
     """Capture-avoiding substitution preserving sum structure."""
     if not is_unit(u):
         raise ValueError(f"only unit types substitute for type variables: {u}")
-    return _rsubst(t, x, u, ftv(u))
+    return subst(t, x, u)
 
 
 def raw_subst_vec(t: Type, xs, us) -> Type:
@@ -304,27 +131,8 @@ def type_subst_vec(t: Type, xs, us) -> Type:
     return type_canonicalize(raw_subst_vec(t, xs, us))
 
 
-def raw_alpha_eq(a: Type, b: Type) -> bool:
-    """Structural equality up to renaming of bound type variables."""
-
-    def go(a, b, ea, eb, d):
-        match a, b:
-            case TVar(x), TVar(y):
-                return ea.get(x, x) == eb.get(y, y)
-            case TArrow(d1, c1), TArrow(d2, c2):
-                return go(d1, d2, ea, eb, d) and go(c1, c2, ea, eb, d)
-            case TForall(x, b1), TForall(y, b2):
-                m = f"#{d}"
-                return go(b1, b2, {**ea, x: m}, {**eb, y: m}, d + 1)
-            case TSum(p1), TSum(p2):
-                return len(p1) == len(p2) and all(
-                    go(u, v, ea, eb, d) for u, v in zip(p1, p2)
-                )
-            case _TZero(), _TZero():
-                return True
-        return False
-
-    return go(a, b, {}, {}, 0)
+# structural equality up to renaming of bound type variables
+raw_alpha_eq = alpha_eq
 
 
 def peel_forall(t: Type) -> tuple[str, Type]:
@@ -454,7 +262,7 @@ class Context:
     def free_tvars(self) -> frozenset[str]:
         out = frozenset()
         for _, v in self._items:
-            out |= ftv(v)
+            out |= free_vars(v)
         return out
 
     def map_types(self, fn) -> "Context":
@@ -480,7 +288,7 @@ _TNICE = "XYZWVU"
 
 
 def show_type(t: Type) -> str:
-    used = set(ftv(t))
+    used = set(free_vars(t))
     fresh: dict[str, str] = {}
 
     def disp(x: str, d: int) -> str:

@@ -1,12 +1,16 @@
-"""The marking type and F-term canonicalisers against whole-walk
-references, and the F-term repr that ``f_reaches`` orders reducts by."""
+"""The marking canonicalisers of terms, types and F-terms against
+whole-walk references, the alpha tests of raw types and F-types against
+the pairwise walks they replaced, and the F-term repr that ``f_reaches``
+orders reducts by."""
 
 import random
 from dataclasses import make_dataclass
 
 import pytest
 
-from addlam.corpus import generate_corpus, random_type
+from addlam.binders import canonical, free_vars
+from addlam.corpus import generate_corpus, random_term, random_type
+from addlam.syntax import Abs, App, Sum, Term, Var, Zero, _Zero, canonicalize
 from addlam.sysf import (
     FAbs,
     FApp,
@@ -17,11 +21,65 @@ from addlam.sysf import (
     FVar,
     Star,
     _Star,
+    FArrow,
+    FForall,
+    FProd,
+    FTVar,
+    _FUnit,
     f_canonicalize,
-    f_free_vars,
+    f_type_alpha_eq,
 )
-from addlam.translation import trans_term
-from addlam.typesys import TArrow, TForall, TSum, TVar, TZero, Type, _TZero, is_unit, type_canonicalize
+from addlam.translation import trans_term, trans_type
+from addlam.typesys import (
+    TArrow,
+    TForall,
+    TSum,
+    TVar,
+    TZero,
+    Type,
+    _TZero,
+    is_unit,
+    raw_alpha_eq,
+    to_raw,
+    type_canonicalize,
+)
+
+
+def ref_sort_key(t: Term):
+    match t:
+        case Var(x):
+            return (0, x)
+        case Abs(_, b):
+            return (1, ref_sort_key(b))
+        case App(f, a):
+            return (2, ref_sort_key(f), ref_sort_key(a))
+        case Sum(ps):
+            return (3, len(ps), tuple(ref_sort_key(p) for p in ps))
+        case _Zero():
+            return (4,)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_canon(t: Term, env: dict[str, str], depth: int) -> Term:
+    """Walks the whole term every time, with an uncached sort key."""
+    match t:
+        case Var(x):
+            return Var(env.get(x, x))
+        case Abs(x, b):
+            nx = f"_{depth}"
+            return Abs(nx, ref_canon(b, {**env, x: nx}, depth + 1))
+        case App(f, a):
+            return App(ref_canon(f, env, depth), ref_canon(a, env, depth))
+        case Sum(ps):
+            flat: list[Term] = []
+            for p in ps:
+                cp = ref_canon(p, env, depth)
+                flat.extend(cp.parts if isinstance(cp, Sum) else (cp,))
+            flat.sort(key=ref_sort_key)
+            return Sum(tuple(flat))
+        case _Zero():
+            return Zero
+    raise TypeError(f"not a term: {t!r}")
 
 
 def ref_type_sort_key(t: Type):
@@ -87,6 +145,46 @@ def ref_fcanon(t: FTerm, env: dict[str, str], d: int) -> FTerm:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _agree_term(t: Term):
+    c = canonicalize(t)
+    assert c == ref_canon(t, {}, 0), repr(t)
+    assert canonicalize(c) is c
+
+
+def test_random_terms_agree_with_the_whole_walk():
+    rng = random.Random(10)
+    for _ in range(500):
+        _agree_term(random_term(rng))
+
+
+def test_corpus_terms_agree_with_the_whole_walk():
+    corpus = generate_corpus(seed=1, count=500)
+    for d in corpus.derivations:
+        _agree_term(d.term)
+
+
+def test_terms_built_from_canonical_parts_agree_with_the_whole_walk():
+    # as for types below: a canonical part is kept as it is outside all
+    # binders, and walked again under a lambda
+    rng = random.Random(13)
+    for _ in range(300):
+        a, b = canonicalize(random_term(rng)), canonicalize(random_term(rng))
+        app = App(a, b)
+        c = canonicalize(app)
+        assert c.fun is a and c.arg is b
+        if not isinstance(a, Sum):
+            assert any(p is a for p in canonicalize(Sum((b, a))).parts)
+        for t in (
+            app,
+            Sum((a, b)),
+            Sum((a, Zero, Sum((b, a)))),
+            App(Abs("x", a), Sum((b, Var("x")))),
+            Abs("x", App(a, b)),
+            Abs("y", Abs("x", Sum((App(a, Var("y")), b)))),
+        ):
+            _agree_term(t)
+
+
 def _agree_type(t: Type):
     c = type_canonicalize(t)
     assert c == ref_tcanon(t, {}, 0), repr(t)
@@ -138,7 +236,7 @@ def test_corpus_fterms_agree_with_the_whole_walk(corpus_fterms):
         cf, co = f_canonicalize(ft), f_canonicalize(other)
         wrapped = [ft, FPair(cf, co), FPair(ft, cf), FAbs("q", cf), FAbs("q", FPair(cf, ft))]
         # binding a free variable of a canonical part renames it
-        wrapped += [FAbs(x, FApp(cf, FVar(x))) for x in sorted(f_free_vars(ft))]
+        wrapped += [FAbs(x, FApp(cf, FVar(x))) for x in sorted(free_vars(ft))]
         for t in wrapped:
             _agree_fterm(t)
 
@@ -169,3 +267,86 @@ def test_fterm_repr_keeps_the_dataclass_format(corpus_fterms):
     for ft in corpus_fterms:
         for u in (ft, f_canonicalize(ft)):
             assert repr(u) == repr(_as_dataclass(u))
+
+
+def ref_raw_alpha_eq(a: Type, b: Type) -> bool:
+    """The pairwise walk ``raw_alpha_eq`` was before the shared core."""
+
+    def go(a, b, ea, eb, d):
+        match a, b:
+            case TVar(x), TVar(y):
+                return ea.get(x, x) == eb.get(y, y)
+            case TArrow(d1, c1), TArrow(d2, c2):
+                return go(d1, d2, ea, eb, d) and go(c1, c2, ea, eb, d)
+            case TForall(x, b1), TForall(y, b2):
+                m = f"#{d}"
+                return go(b1, b2, {**ea, x: m}, {**eb, y: m}, d + 1)
+            case TSum(p1), TSum(p2):
+                return len(p1) == len(p2) and all(go(u, v, ea, eb, d) for u, v in zip(p1, p2))
+            case _TZero(), _TZero():
+                return True
+        return False
+
+    return go(a, b, {}, {}, 0)
+
+
+def ref_f_type_alpha_eq(a, b) -> bool:
+    """The pairwise walk ``f_type_alpha_eq`` was before F-types joined the
+    shared core."""
+
+    def go(a, b, ea, eb, d):
+        match a, b:
+            case FTVar(x), FTVar(y):
+                return ea.get(x, x) == eb.get(y, y)
+            case FArrow(d1, c1), FArrow(d2, c2):
+                return go(d1, d2, ea, eb, d) and go(c1, c2, ea, eb, d)
+            case FProd(l1, r1), FProd(l2, r2):
+                return go(l1, l2, ea, eb, d) and go(r1, r2, ea, eb, d)
+            case FForall(x, b1), FForall(y, b2):
+                m = f"#{d}"
+                return go(b1, b2, {**ea, x: m}, {**eb, y: m}, d + 1)
+            case _FUnit(), _FUnit():
+                return True
+        return False
+
+    return go(a, b, {}, {}, 0)
+
+
+def _renamed(t: Type, env=None) -> Type:
+    """t with every binder renamed to a name no input uses."""
+    env = env or {}
+    match t:
+        case TVar(x):
+            return TVar(env.get(x, x))
+        case TArrow(d, c):
+            return TArrow(_renamed(d, env), _renamed(c, env))
+        case TForall(x, b):
+            nx = f"R{len(env)}"
+            return TForall(nx, _renamed(b, {**env, x: nx}))
+        case TSum(ps):
+            return TSum(tuple(_renamed(p, env) for p in ps))
+    return t
+
+
+def _agree_alpha(a: Type, b: Type):
+    """a and b are raw types with binary sums."""
+    assert raw_alpha_eq(a, b) == ref_raw_alpha_eq(a, b), (a, b)
+    fa, fb = trans_type(a), trans_type(b)
+    want = ref_f_type_alpha_eq(fa, fb)
+    assert f_type_alpha_eq(fa, fb) == want, (fa, fb)
+    assert (canonical(fa) == canonical(fb)) == want, (fa, fb)
+    return want
+
+
+def test_alpha_tests_agree_with_the_pairwise_walks():
+    corpus = generate_corpus(seed=1, count=500)
+    types = [sd.ty for sd in corpus.structured]
+    rng = random.Random(14)
+    types += [to_raw(random_type(rng)) for _ in range(300)]
+    equal = 0
+    for a, b in zip(types, types[1:] + types[:1]):
+        assert _agree_alpha(a, _renamed(a))
+        assert _agree_alpha(_renamed(a), a)
+        equal += _agree_alpha(a, b)
+        _agree_alpha(a, _renamed(b))
+    assert 0 < equal < len(types)

@@ -1,8 +1,11 @@
 """Small-step reduction, normalisation, and the bounded graph search."""
 
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,37 @@ def test_deep_nesting_reports_the_recursion_limit():
     assert res.status == "recursion-limit"
     assert not res.terminates and not res.cycle
     assert check_sn(Abs("v", redex), 100).status == "terminates"
+
+
+_COUNT_STEPS = """
+from addlam import reduction
+from addlam.syntax import Abs, App, Sum, Var
+
+calls = 0
+real = reduction.step
+
+
+def counting(t, r):
+    global calls
+    calls += 1
+    return real(t, r)
+
+
+reduction.step = counting
+ik = Sum((Abs("x", Var("x")), Abs("y", Abs("z", Var("y")))))
+reduction.check_sn(App(ik, App(ik, Sum((Var("a"), Var("b"))))), 500)
+print(calls)
+"""
+
+
+def test_exploration_order_is_the_same_in_every_process():
+    # the search stops at its budget, so the number of steps it takes
+    # depends on the order in which it walks its sets of redexes
+    src = os.path.dirname(os.path.dirname(addlam.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    counts = {
+        subprocess.run([sys.executable, "-c", _COUNT_STEPS], env=env, check=True,
+                       capture_output=True, text=True, timeout=120).stdout
+        for _ in range(3)
+    }
+    assert len(counts) == 1, counts

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from addlam.corpus import random_term
-from addlam.suites import _rebuild, _rename_binders, _shuffle_sums
+from addlam.binders import rebuild
+from addlam.suites import _rename_binders, _shuffle_sums
 from addlam.syntax import (
     Abs,
     App,
@@ -39,7 +40,7 @@ def test_canonical_is_idempotent():
         t = random_term(rng)
         c = canonicalize(t)
         assert canonicalize(c) is c
-        copy = _rebuild(c)
+        copy = rebuild(c)
         assert copy is Zero or not copy._canonical
         assert canonicalize(copy) == c
 

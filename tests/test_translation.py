@@ -11,8 +11,9 @@ from addlam.corpus import (
 from addlam.reduction import enumerate_redexes
 from addlam.structured import ExcludedRule, sax, sax0, splus_i
 from addlam.suites import _has_empty_elim
-from addlam.syntax import App, Sum, Var, Zero
+from addlam.syntax import App, Sum, Var, Zero, canonicalize
 from addlam.sysf import (
+    FAbs,
     FApp,
     FArrow,
     FForall,
@@ -24,6 +25,7 @@ from addlam.sysf import (
     FUnit,
     FVar,
     Star,
+    f_canonicalize,
     f_check,
     f_reaches,
     f_type_alpha_eq,
@@ -91,6 +93,31 @@ def test_reverse_translation_recognises_application_trees():
     # inconsistent functions fall back to a sum and then fail on the leaves
     bad = FPair(FApp(FProjL(f), u), FApp(FProjR(FVar("g")), u))
     assert rev_term(bad) is None
+
+
+def test_reverse_translation_of_a_canonical_term_does_not_capture():
+    # under the binder x, the two leaves project from \z.x and \z.z, which
+    # differ; canonicalised on their own as open subterms, \z.x would
+    # capture x and match \z.z
+    raw = FAbs("x", FPair(
+        FApp(FProjL(FAbs("z", FVar("x"))), FVar("w")),
+        FApp(FProjR(FAbs("z", FVar("z"))), FVar("w")),
+    ))
+    assert rev_term(raw) is None
+    assert rev_term(f_canonicalize(raw)) is None
+
+
+def test_reverse_translation_reads_the_canonical_form_as_the_raw_one():
+    corpus = generate_corpus(1)
+    read_back = 0
+    for sd in corpus.structured:
+        ft = trans_term(sd).fterm
+        raw, canon = rev_term(ft), rev_term(f_canonicalize(ft))
+        assert (raw is None) == (canon is None)
+        if raw is not None:
+            assert canonicalize(raw) == canonicalize(canon)
+            read_back += canonicalize(raw) == canonicalize(sd.term)
+    assert read_back == 75
 
 
 def test_reverse_type_requires_unit_domains():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from addlam.corpus import random_type
-from addlam.suites import _rebuild
+from addlam.binders import rebuild
 from addlam.typesys import (
     Context,
     SsubWitness,
@@ -50,7 +50,7 @@ def test_canonical_type_is_idempotent_on_random_types():
         # type_canonicalize returns its own output at once, so the full
         # walk is checked on a fresh copy of that output
         assert type_canonicalize(c) is c
-        copy = _rebuild(c)
+        copy = rebuild(c)
         assert copy is TZero or not copy._canonical
         assert type_canonicalize(copy) == c
 
