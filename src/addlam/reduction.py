@@ -64,7 +64,12 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
 def enumerate_redexes(t: Term) -> frozenset[Redex]:
     """All rule occurrences in the canonical term, with distributivity
     splits of the form {one summand} vs {rest}."""
-    t = canonicalize(t)
+    return frozenset(_redexes(canonicalize(t)))
+
+
+def _redexes(u: Term) -> list[Redex]:
+    """The rule occurrences in u, a subterm of a canonical term, in the
+    order of one left-to-right walk; paths start at u."""
     out: list[Redex] = []
 
     def walk(u: Term, path: tuple[int, ...]):
@@ -94,8 +99,8 @@ def enumerate_redexes(t: Term) -> frozenset[Redex]:
                 for i, p in enumerate(ps):
                     walk(p, path + (i,))
 
-    walk(t, ())
-    return frozenset(out)
+    walk(u, ())
+    return out
 
 
 def _split(parts: tuple[Term, ...], i: int | None) -> tuple[Term, Term]:
@@ -133,9 +138,15 @@ def step(t: Term, r: Redex) -> Term:
     """Canonical contractum of one redex.  Only the path from the redex
     to the root is rebuilt: a sum on it is re-flattened and re-sorted by
     its parts' cached keys, and every other subterm is shared with t."""
-    t = canonicalize(t)
+    return mark_canonical(_step(canonicalize(t), r, 0))
+
+
+def _step(t: Term, r: Redex, depth: int) -> Term:
+    """The contractum of r in t, where t is canonical at binder depth
+    ``depth`` (a subterm of a canonical term, or one on its own at depth
+    0); the result is canonical at the same depth and is not marked."""
     spine = []
-    u, depth = t, 0
+    u = t
     for i in r.path:
         spine.append(u)
         if isinstance(u, Abs):
@@ -150,12 +161,7 @@ def step(t: Term, r: Redex) -> Term:
                 new = Abs(x, new)
             case Sum(ps):
                 new = merge_sum(ps[:i] + ps[i + 1 :] + summands(new))
-    return mark_canonical(new)
-
-
-def reducts(t: Term) -> frozenset[Term]:
-    """One-step reduct set up to AC."""
-    return frozenset(step(t, r) for r in enumerate_redexes(t))
+    return new
 
 
 @dataclass(frozen=True)
@@ -200,9 +206,14 @@ def normalize(t: Term, fuel: int = 10000) -> NormalizeResult:
 
 @dataclass(frozen=True)
 class SnResult:
-    # "terminates"; "budget-exhausted" (also when a cycle is found);
+    # "terminates": max_depth is the longest reduction path;
+    # "budget-exhausted": more than the budget of atoms was explored;
+    # "cycle": an atom is met again among the summands of its own
+    # reducts, a witness of an infinite reduction (cycle is then True);
     # "recursion-limit": the term or a path of its reduction graph is
-    # too deep for the recursive search, so nothing was decided
+    # too deep for the recursive search, so nothing was decided.
+    # states counts the distinct atoms (summands that are not sums, each
+    # at its binder depth, λs peeled off) that were explored
     status: str
     max_depth: int = 0
     states: int = 0
@@ -218,37 +229,97 @@ class _Abort(Exception):
         self.cycle = cycle
 
 
-def check_sn(t: Term, budget: int = 100000) -> SnResult:
-    """Exhaustive search of the reduction graph.
+# The score of an atom p is the pair (z, n): the most steps of a reduction
+# of p to normal form that leaves only zero summands, and of one that
+# leaves some other summand.  Each counts one step per zero summand it
+# leaves, the sum-zero step that removes it later; _NONE marks a kind of
+# normal form p has no path to.  Keeping both kinds makes the rules exact
+# without assuming that a term has one normal form.
+_NONE = float("-inf")
 
-    Reports the longest reduction path when the graph is finite and
-    acyclic within the budget; a cycle counts as exhaustion (it is a
-    witness of an infinite reduction)."""
-    memo: dict[Term, int] = {}
-    onstack: set[Term] = set()
+
+def _combine(scores) -> tuple[float, float]:
+    """The score of a sum from those of its summands, which reduce
+    independently: all of them end as zeros, or at least one does not."""
+    best = sum(max(s) for s in scores)
+    return sum(s[0] for s in scores), best - min(max(s) - s[1] for s in scores)
+
+
+def _longest(score) -> float:
+    """The longest path of a term with this score: when only zeros are
+    left, the last one stays."""
+    z, n = score
+    return max(z - 1, n)
+
+
+def _split_pairs(p: Term) -> list[Term] | None:
+    """The summand pairs f s of an application F S, when F or S is a sum
+    and every summand of both is non-zero and redex-free; else None.
+    Then the only redexes are splits until all |F|·|S| pairs stand apart,
+    since a sum is not a value: every path takes |F|·|S| − 1 of them."""
+    if p.__class__ is not App:
+        return None
+    fs, ss = summands(p.fun), summands(p.arg)
+    if len(fs) == len(ss) == 1:
+        return None
+    for q in fs + ss:
+        if q is Zero or _redexes(q):
+            return None
+    return [App(f, s) for f in fs for s in ss]
+
+
+def check_sn(t: Term, budget: int = 100000) -> SnResult:
+    """The longest reduction path of t, found one summand at a time.
+
+    The summands of a sum reduce independently, so a sum's longest path
+    combines theirs (``_combine``); λx.b is scored as b one binder deeper;
+    an application of sums of normal forms splits in a known number of
+    steps (``_split_pairs``); any other atom is scored from its reducts,
+    each stepped at the atom's own binder depth.  Scores are memoised per
+    atom and depth, and at most ``budget`` atoms are explored."""
+    memo: dict[tuple[Term, int], tuple[float, float]] = {}
+    onstack: set[tuple[Term, int]] = set()
     seen = 0
 
-    def depth(u: Term) -> int:
+    def term(u: Term, depth: int) -> tuple[float, float]:
+        return _combine([atom(p, depth) for p in summands(u)])
+
+    def atom(p: Term, depth: int) -> tuple[float, float]:
         nonlocal seen
-        if u in memo:
-            return memo[u]
-        if u in onstack:
+        if p is Zero:
+            return 1, _NONE
+        if p.__class__ is Abs:
+            while p.__class__ is Abs:
+                p, depth = p.body, depth + 1
+            return _NONE, _longest(term(p, depth))
+        key = (p, depth)
+        score = memo.get(key)
+        if score is not None:
+            return score
+        if key in onstack:
             raise _Abort(cycle=True)
         seen += 1
         if seen > budget:
             raise _Abort(cycle=False)
-        onstack.add(u)
-        best = 0
-        for v in reducts(u):
-            best = max(best, 1 + depth(v))
-        onstack.discard(u)
-        memo[u] = best
-        return best
+        onstack.add(key)
+        pairs = _split_pairs(p)
+        if pairs is not None:
+            z, n = _combine([atom(q, depth) for q in pairs])
+            score = z + len(pairs) - 1, n + len(pairs) - 1
+        else:
+            scores = [term(u, depth) for u in dict.fromkeys(_step(p, r, depth) for r in _redexes(p))]
+            if scores:
+                score = max(s[0] for s in scores) + 1, max(s[1] for s in scores) + 1
+            else:
+                score = _NONE, 0  # a normal form other than zero
+        onstack.discard(key)
+        memo[key] = score
+        return score
 
     try:
-        d = depth(canonicalize(t))
+        d = _longest(term(canonicalize(t), 0))
     except _Abort as a:
-        return SnResult("budget-exhausted", 0, seen, a.cycle)
+        return SnResult("cycle" if a.cycle else "budget-exhausted", 0, seen, a.cycle)
     except RecursionError:
         return SnResult("recursion-limit", 0, seen, False)
-    return SnResult("terminates", d, seen, False)
+    return SnResult("terminates", int(d), seen, False)

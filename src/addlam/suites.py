@@ -61,6 +61,7 @@ class Report:
     cases: int = 0
     failures: list[Failure] = field(default_factory=list)
     millis: int = 0
+    budget: dict | None = None  # what a suite that searches used of its budget
 
     @property
     def passed(self) -> bool:
@@ -72,13 +73,16 @@ class Report:
             self.failures.append(Failure(case_id, stage, detail))
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "suite": self.suite,
             "seed": self.seed,
             "cases": self.cases,
             "failures": [vars(f) for f in self.failures],
             "millis": self.millis,
         }
+        if self.budget is not None:
+            out["budget"] = self.budget
+        return out
 
     def render(self) -> str:
         lines = [f"suite {self.suite}: {self.cases} cases, {len(self.failures)} failures, {self.millis} ms"]
@@ -196,18 +200,26 @@ def _suite_sr(corpus: Corpus, report: Report, cases: int, **_):
 
 def _suite_sn(corpus: Corpus, report: Report, cases: int, budget: int = 100000, **_):
     seen = set()
+    results = []
     for i, d in enumerate(corpus.derivations):
         if d.term in seen:
             continue
         seen.add(d.term)
         res = check_sn(d.term, budget)
+        results.append(res)
         report.check(
             f"sn-{i}", "finite", res.terminates,
             f"{show_term(d.term)}: {res.status}",
         )
     omega = check_sn(OMEGA, budget)
-    report.check("sn-omega", "divergent-control", not omega.terminates,
-                 "the untyped self-application control should exhaust its budget")
+    results.append(omega)
+    report.check("sn-omega", "divergent-control", omega.cycle,
+                 f"the untyped self-application control should reduce to itself: {omega.status}")
+    report.budget = {
+        "states": sum(r.states for r in results),
+        "states_max": max(r.states for r in results),
+        "depth_max": max(r.max_depth for r in results),
+    }
 
 
 def _suite_trans_type(corpus: Corpus, report: Report, cases: int, **_):

@@ -63,6 +63,17 @@ def test_suite_json_schema(capsys):
     assert payload["suite"] == "ac" and payload["failures"] == []
 
 
+def test_sn_suite_json_reports_its_budget(capsys):
+    code, out, _ = run(capsys, "suite", "sn", "--count", "40", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failures"] == []
+    budget = payload["budget"]
+    assert set(budget) == {"states", "states_max", "depth_max"}
+    assert 0 < budget["states_max"] <= budget["states"]
+    assert budget["depth_max"] > 0
+
+
 def test_suite_respects_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("ADDLAM_SEED", "7")
     code, out, _ = run(capsys, "suite", "ac", "--cases", "10", "--format", "json")
