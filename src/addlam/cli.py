@@ -147,6 +147,12 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
+def _fuel(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"fuel must be a number of steps, not {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     default_seed = int(os.environ.get("ADDLAM_SEED", "1"))
     top = argparse.ArgumentParser(prog="addlam",
@@ -166,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
            kind=(("term", "type", "fterm", "ftype"), "term"))
     pr = sub.add_parser("reduce", help="normalize a term, printing the trace")
     common(pr)
-    pr.add_argument("--fuel", type=int, default=10000)
+    pr.add_argument("--fuel", type=_fuel, default=10000)
     for name, help_ in (("check", "type-check an annotated term"),
                         ("elaborate", "print the full typing derivation"),
                         ("to-sadd", "convert the derivation to the rigid system"),

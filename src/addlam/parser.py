@@ -1,5 +1,6 @@
-"""Text syntax for terms, types, annotated terms, target-calculus terms
-and types, and type trees. Application binds tighter than +, arrows are
+"""Text syntax for terms, types, annotated terms, and target-calculus
+terms and types. Rigid sum trees have no syntax of their own: a rigid
+type is written as a type. Application binds tighter than +, arrows are
 right-associative and bind tighter than +, and binders extend to the
 right as far as possible."""
 
@@ -8,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derivation import AAbs, AApp, AGen, AInst, ASum, ATerm, AVar, AZero, AppWitness
-from .structured import LEAF, Node, TypeTree, ZLEAF
 from .syntax import Abs, App, Sum, Term, Var, Zero
 from .sysf import (
     FAbs,
@@ -321,41 +321,6 @@ class _Parser:
             return FForall(x, self.ftype())
         return FTVar(name)
 
-    # --- type trees ---
-
-    def tree(self) -> TypeTree:
-        if self.eat("("):
-            left = self.tree()
-            if not (self.eat(".") or self.eat("|")):
-                self.fail("expected '.' between subtrees")
-            right = self.tree()
-            self.expect(")")
-            return Node(left, right)
-        name = self.ident("a tree")
-        if name in ("L", "leaf"):
-            return LEAF
-        if name in ("Z", "zero"):
-            return ZLEAF
-        self.fail(f"unknown tree leaf {name!r}")
-
-    def labelling(self) -> dict[str, Type]:
-        """{ ll: X, lr: X -> void, _: ... } with _ for the root address."""
-        self.expect("{")
-        out: dict[str, Type] = {}
-        if not self.at("}"):
-            while True:
-                addr = self.ident("a leaf address")
-                if addr == "_":
-                    addr = ""
-                elif set(addr) - set("lr"):
-                    self.fail(f"bad leaf address {addr!r}")
-                self.expect(":")
-                out[addr] = self.type_()
-                if not self.eat(","):
-                    break
-        self.expect("}")
-        return out
-
 
 def _run(src: str, method: str):
     p = _Parser(src)
@@ -383,10 +348,6 @@ def parse_fterm(src: str) -> FTerm:
 
 def parse_ftype(src: str) -> FType:
     return _run(src, "ftype")
-
-
-def parse_tree(src: str) -> TypeTree:
-    return _run(src, "tree")
 
 
 def parse_context(src: str) -> list[tuple[str, Type]]:

@@ -189,19 +189,19 @@ def _strategy_key(r: Redex):
 
 
 def normalize(t: Term, fuel: int = 10000) -> NormalizeResult:
-    """Deterministic normalisation (innermost, non-beta rules first)."""
+    """Deterministic normalisation (innermost, non-beta rules first), at
+    most fuel steps; exhausted when the term it stops at still has a
+    redex."""
     t = canonicalize(t)
     trace: list[TraceStep] = []
-    while fuel > 0:
+    while True:
         rs = enumerate_redexes(t)
-        if not rs:
-            return NormalizeResult(t, tuple(trace), False)
+        if not rs or len(trace) >= fuel:
+            return NormalizeResult(t, tuple(trace), bool(rs))
         r = min(rs, key=_strategy_key)
         u = step(t, r)
         trace.append(TraceStep(r.rule, r.path, t, u))
         t = u
-        fuel -= 1
-    return NormalizeResult(t, tuple(trace), True)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Binary type trees and the structured variant of the type system,
-where sum types are rigid trees and the application rule composes them
-syntactically instead of reasoning up to equivalence.  Checking and
-the derivation transformations are those of ``derivation.py``, run
-with the ``StructuredSystem`` below."""
+"""The structured variant of the type system, where sum types are rigid
+binary trees and the application rule composes them syntactically
+instead of reasoning up to equivalence.  A rigid type is its own tree:
+a binary ``TSum`` is a node, ``TZero`` a zero leaf and a unit type a
+labelled leaf, and ``fold_tree`` is the one walk over that shape.
+Checking and the derivation transformations are those of
+``derivation.py``, run with the ``StructuredSystem`` below."""
 
 from __future__ import annotations
 
@@ -53,91 +55,35 @@ class ExcludedRule(Exception):
     """The redex uses the one rule the structured system cannot track."""
 
 
-# --- trees ------------------------------------------------------------------
+# --- rigid types as trees ---------------------------------------------------
 
 
-class TypeTree:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Leaf(TypeTree):
-    def __str__(self):
-        return "leaf"
-
-
-@dataclass(frozen=True)
-class ZeroLeaf(TypeTree):
-    def __str__(self):
-        return "zero"
-
-
-@dataclass(frozen=True)
-class Node(TypeTree):
-    left: TypeTree
-    right: TypeTree
-
-    def __str__(self):
-        return f"({self.left} | {self.right})"
-
-
-LEAF = Leaf()
-ZLEAF = ZeroLeaf()
-
-
-def leaf_addresses(a: TypeTree, prefix: str = "") -> tuple[str, ...]:
-    """Addresses of the labelled leaves, words over l/r, left to right."""
-    match a:
-        case Leaf():
-            return (prefix,)
-        case ZeroLeaf():
-            return ()
-        case Node(l, r):
-            return leaf_addresses(l, prefix + "l") + leaf_addresses(r, prefix + "r")
-    raise TypeError(f"not a tree: {a!r}")
-
-
-def tree_of_type(t: Type) -> tuple[TypeTree, dict[str, Type]]:
-    """Tree shape and leaf labelling of a rigid (binary-sum) type."""
-    match t:
-        case _ if t is TZero:
-            return ZLEAF, {}
-        case TSum((l, r)):
-            tl, ml = tree_of_type(l)
-            tr, mr = tree_of_type(r)
-            lab = {"l" + w: u for w, u in ml.items()}
-            lab.update({"r" + w: u for w, u in mr.items()})
-            return Node(tl, tr), lab
-        case TSum(_):
+def fold_tree(t: Type, leaf, zero, pair, w: str = ""):
+    """The one walk over a rigid type as a binary tree: ``leaf(w, u)`` at
+    the unit leaf u of address w (a word over l/r, root first), ``zero``
+    at the zero type and ``pair(l, r)`` at a binary sum, over the folded
+    halves.  Raises ValueError on a sum that is not binary or a leaf that
+    is not a unit type."""
+    if t is TZero:
+        return zero
+    if isinstance(t, TSum):
+        if len(t.parts) != 2:
             raise ValueError(f"sum is not binary: {show_type(t)}")
-        case _:
-            if not is_unit(t):
-                raise ValueError(f"leaf is not a unit type: {show_type(t)}")
-            return LEAF, {"": t}
+        l, r = t.parts
+        return pair(fold_tree(l, leaf, zero, pair, w + "l"),
+                    fold_tree(r, leaf, zero, pair, w + "r"))
+    if not is_unit(t):
+        raise ValueError(f"leaf is not a unit type: {show_type(t)}")
+    return leaf(w, t)
 
 
-def label_tree(a: TypeTree, lab: dict[str, Type], prefix: str = "") -> Type:
-    """Rebuild the rigid type from a tree shape and its leaf labels."""
-    match a:
-        case Leaf():
-            return lab[prefix]
-        case ZeroLeaf():
-            return TZero
-        case Node(l, r):
-            return TSum((label_tree(l, lab, prefix + "l"), label_tree(r, lab, prefix + "r")))
-    raise TypeError(f"not a tree: {a!r}")
+def leaves(t: Type) -> dict[str, Type]:
+    """The unit leaves of a rigid type by address, left to right."""
+    return dict(fold_tree(t, lambda w, u: ((w, u),), (), tuple.__add__))
 
 
-def tree_compose(a: TypeTree, a2: TypeTree) -> TypeTree:
-    """Graft a copy of a2 onto every labelled leaf of a."""
-    match a:
-        case Leaf():
-            return a2
-        case ZeroLeaf():
-            return ZLEAF
-        case Node(l, r):
-            return Node(tree_compose(l, a2), tree_compose(r, a2))
-    raise TypeError(f"not a tree: {a!r}")
+def _tsum(l: Type, r: Type) -> Type:
+    return TSum((l, r))
 
 
 # --- structured derivations ---------------------------------------------------
@@ -152,9 +98,9 @@ class SaddDerivation(Derivation):
 
 def _struct_result(d1_ty, d2_ty, u, ts, vs, xs):
     """The grafted conclusion type, after checking the premise trees
-    against the witness maps."""
-    a, lab1 = tree_of_type(d1_ty)
-    a2, lab2 = tree_of_type(d2_ty)
+    against the witness maps: a copy of the argument's tree at every
+    leaf w of the function's tree, its leaf v labelled T_w[vector_v]."""
+    lab1, lab2 = leaves(d1_ty), leaves(d2_ty)
     if set(lab1) != set(ts):
         raise RuleViolation((), "function labels do not cover the tree")
     if set(lab2) != set(vs):
@@ -173,12 +119,11 @@ def _struct_result(d1_ty, d2_ty, u, ts, vs, xs):
             raise RuleViolation(
                 (), f"leaf {v or 'e'}: {show_type(lab2[v])} is not {show_type(want)}"
             )
-    lab = {
-        w + v: raw_subst_vec(ts[w], xs, vec)
-        for w in ts
-        for v, vec in vs.items()
-    }
-    return label_tree(tree_compose(a, a2), lab)
+
+    def graft(w, _):
+        return fold_tree(d2_ty, lambda v, _: raw_subst_vec(ts[w], xs, vs[v]), TZero, _tsum)
+
+    return fold_tree(d1_ty, graft, TZero, _tsum)
 
 
 def _s_root_split(prem: SaddDerivation, target):
@@ -369,8 +314,7 @@ def add_to_sadd(d: AddDerivation) -> SaddDerivation:
         xs = d.arr_xs
         u = to_raw(d.arr_u)
         try:
-            _, lab1 = tree_of_type(p1.ty)
-            _, lab2 = tree_of_type(p2.ty)
+            lab1, lab2 = leaves(p1.ty), leaves(p2.ty)
         except ValueError as e:
             raise ConversionFailure(str(e))
         ts: dict[str, Type] = {}

@@ -12,16 +12,17 @@ from .binders import free_vars, fresh_name, rebuild
 from .corpus import OMEGA, Corpus, random_term, random_type
 from .derivation import UnsupportedDerivationShape, check_add, step_derivation
 from .reduction import check_sn, enumerate_redexes
-from .structured import ExcludedRule, check_sadd, tree_of_type
+from .structured import ExcludedRule, check_sadd, fold_tree
 from .syntax import Abs, App, Sum, Term, Var, canonicalize, show_term, substitute
 from .sysf import (
     FApp,
+    FProd,
+    FUnit,
     f_canonicalize,
     f_check,
     f_reaches,
     f_reducts,
     f_type_alpha_eq,
-    ftree_label,
     show_fterm,
 )
 from .translation import (
@@ -62,6 +63,7 @@ class Report:
     failures: list[Failure] = field(default_factory=list)
     millis: int = 0
     budget: dict | None = None  # what a suite that searches used of its budget
+    skipped: dict[str, int] = field(default_factory=dict)  # cases left out, by reason
 
     @property
     def passed(self) -> bool:
@@ -71,6 +73,9 @@ class Report:
         self.cases += 1
         if not ok:
             self.failures.append(Failure(case_id, stage, detail))
+
+    def skip(self, reason: str):
+        self.skipped[reason] = self.skipped.get(reason, 0) + 1
 
     def to_json(self) -> dict:
         out = {
@@ -82,6 +87,8 @@ class Report:
         }
         if self.budget is not None:
             out["budget"] = self.budget
+        if self.skipped:
+            out["skipped"] = dict(self.skipped)
         return out
 
     def render(self) -> str:
@@ -93,16 +100,18 @@ class Report:
         return "\n".join(lines)
 
 
-def _shuffle_sums(t: Term, rng: random.Random) -> Term:
+def _shuffle_sums(t, rng: random.Random):
+    """t, a term or a type, with the parts of every sum shuffled, inner
+    sums first."""
     match t:
-        case Abs(x, b):
-            return Abs(x, _shuffle_sums(b, rng))
-        case App(f, a):
-            return App(_shuffle_sums(f, rng), _shuffle_sums(a, rng))
-        case Sum(ps):
+        case Sum(ps) | TSum(ps):
             parts = [_shuffle_sums(p, rng) for p in ps]
             rng.shuffle(parts)
-            return Sum(tuple(parts))
+            return type(t)(tuple(parts))
+        case Abs(x, b) | TForall(x, b):
+            return type(t)(x, _shuffle_sums(b, rng))
+        case App(f, a) | TArrow(f, a):
+            return type(t)(_shuffle_sums(f, rng), _shuffle_sums(a, rng))
         case _:
             return t
 
@@ -141,20 +150,6 @@ def _suite_ac(corpus: Corpus, report: Report, cases: int, **_):
         report.check(f"ac-{i}", "congruence", wrapped1 == wrapped2, show_term(t))
 
 
-def _shuffle_type_sums(t, rng):
-    match t:
-        case TArrow(a, b):
-            return TArrow(_shuffle_type_sums(a, rng), _shuffle_type_sums(b, rng))
-        case TForall(x, b):
-            return TForall(x, _shuffle_type_sums(b, rng))
-        case TSum(ps):
-            parts = [_shuffle_type_sums(p, rng) for p in ps]
-            rng.shuffle(parts)
-            return TSum(tuple(parts))
-        case _:
-            return t
-
-
 def _suite_equiv(corpus: Corpus, report: Report, cases: int, **_):
     rng = random.Random(f"{corpus.seed}-equiv")
     for i in range(cases):
@@ -163,13 +158,13 @@ def _suite_equiv(corpus: Corpus, report: Report, cases: int, **_):
         report.check(f"equiv-{i}", "idempotence", type_canonicalize(rebuild(c)) == c, show_type(t))
         report.check(
             f"equiv-{i}", "permutation",
-            type_canonicalize(_shuffle_type_sums(t, rng)) == c, show_type(t),
+            type_canonicalize(_shuffle_sums(t, rng)) == c, show_type(t),
         )
         report.check(f"equiv-{i}", "zero-unit", type_equiv(TSum((t, TZero)), t), show_type(t))
         af, bf = TForall("A", TArrow(TVar("A"), t)), TForall("B", TArrow(TVar("B"), t))
         report.check(f"equiv-{i}", "alpha", type_equiv(af, bf), show_type(t))
         # congruence: equivalence is preserved under arrow and sum contexts
-        shuffled = _shuffle_type_sums(t, rng)
+        shuffled = _shuffle_sums(t, rng)
         report.check(
             f"equiv-{i}", "congruence",
             type_equiv(TArrow(TVar("X"), TSum((t, TVar("Y")))),
@@ -235,9 +230,8 @@ def _suite_trans_type(corpus: Corpus, report: Report, cases: int, **_):
                      show_type(sd.ty))
         report.check(cid, "context", res.fderivation.ctx == trans_ctx(sd.ctx),
                      show_term(sd.term))
-        # translation commutes with reading the type off its labelled tree
-        tree, lab = tree_of_type(sd.ty)
-        relabelled = ftree_label(tree, {w: trans_type(u) for w, u in lab.items()})
+        # translation commutes with reading the type as a tree of products
+        relabelled = fold_tree(sd.ty, lambda _, u: trans_type(u), FUnit, FProd)
         report.check(cid, "tree-label", f_type_alpha_eq(relabelled, trans_type(sd.ty)),
                      show_type(sd.ty))
 
@@ -246,14 +240,19 @@ def _suite_trans_red(corpus: Corpus, report: Report, cases: int, budget: int = 1
     for i, sd in enumerate(corpus.structured):
         for r in sorted(enumerate_redexes(sd.term), key=repr):
             if r.rule == "sum-zero":
+                report.skip("sum-zero")
                 continue
             cid = f"tr-{i}-{r.rule}{r.path}-{r.part}"
             try:
                 sim = simulate_step(sd, r, budget)
                 check_sadd(sim.derivation)
-            except (ExcludedRule, UnsupportedDerivationShape):
+            except ExcludedRule:
+                report.skip("excluded-rule")
+                continue
+            except UnsupportedDerivationShape:
                 # the reduct cannot be typed at the same rigid type; these
                 # steps are the ones mediated by the isomorphism terms
+                report.skip("rigid-type-change")
                 continue
             except Exception as e:  # noqa: BLE001
                 report.check(cid, "step", False, f"{type(e).__name__}: {e}")
@@ -284,6 +283,7 @@ def _has_empty_elim(sd) -> bool:
 def _suite_roundtrip(corpus: Corpus, report: Report, cases: int, **_):
     for i, sd in enumerate(corpus.structured):
         if _has_empty_elim(sd):
+            report.skip("empty-elimination")
             continue
         rt = round_trip(sd)
         report.check(f"rt-{i}", "roundtrip", rt.ok, rt.detail or show_term(sd.term))

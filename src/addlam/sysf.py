@@ -1,6 +1,8 @@
 """System F with pairs and unit: the target calculus. Terms, types, a
 derivation checker, full (non-deterministic) reduction including both
-eta rules, and bounded reachability search."""
+eta rules, and bounded reachability search.  It knows nothing of the
+source calculus: the translation (``translation.py``) builds its pairs
+and projections from rigid source types."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .binders import Node, alpha_eq, canonical, free_vars, subst
-from .structured import Leaf, Node as TreeNode, TypeTree, ZeroLeaf
 
 
 # --- types -------------------------------------------------------------------
@@ -490,67 +491,3 @@ def f_check(d: FDerivation, path: tuple[int, ...] = ()):
     for i, p in enumerate(d.premises):
         f_check(p, path + (i,))
     _f_check_node(d, path)
-
-
-# --- trees as pairs ----------------------------------------------------------
-
-
-def ftree_label(a: TypeTree, phi: dict[str, FType], prefix: str = "") -> FType:
-    """Read a tree with F-types at its leaves as nested products; a
-    zero leaf becomes the unit type."""
-    match a:
-        case Leaf():
-            return phi[prefix]
-        case ZeroLeaf():
-            return FUnit
-        case TreeNode(l, r):
-            return FProd(
-                ftree_label(l, phi, prefix + "l"), ftree_label(r, phi, prefix + "r")
-            )
-    raise TypeError(f"not a tree: {a!r}")
-
-
-def ftree_term(a: TypeTree, tau: dict[str, FTerm], prefix: str = "") -> FTerm:
-    """Read a tree with F-terms at its leaves as nested pairs; a zero
-    leaf becomes star."""
-    match a:
-        case Leaf():
-            return tau[prefix]
-        case ZeroLeaf():
-            return Star
-        case TreeNode(l, r):
-            return FPair(
-                ftree_term(l, tau, prefix + "l"), ftree_term(r, tau, prefix + "r")
-            )
-    raise TypeError(f"not a tree: {a!r}")
-
-
-def ftree_derivation(a: TypeTree, taud: dict[str, FDerivation], ctx: FContext) -> FDerivation:
-    """Pair up leaf derivations along a tree shape."""
-    match a:
-        case Leaf():
-            return taud[""]
-        case ZeroLeaf():
-            return f_unit_i(ctx)
-        case TreeNode(l, r):
-            dl = ftree_derivation(l, {w[1:]: d for w, d in taud.items() if w.startswith("l")}, ctx)
-            dr = ftree_derivation(r, {w[1:]: d for w, d in taud.items() if w.startswith("r")}, ctx)
-            return f_prod_i(dl, dr)
-    raise TypeError(f"not a tree: {a!r}")
-
-
-def proj_path(t: FTerm, w: str) -> FTerm:
-    """Projection chain selecting the leaf at address w: the first
-    letter of w is the innermost projection, so the outermost one is
-    the last (the mirror-word convention)."""
-    for c in w:
-        t = FProjL(t) if c == "l" else FProjR(t)
-    return t
-
-
-def proj_path_derivation(d: FDerivation, w: str) -> FDerivation:
-    """Typed version of proj_path: project a tree-typed derivation down
-    to the component at address w."""
-    for c in w:
-        d = f_proj_l(d) if c == "l" else f_proj_r(d)
-    return d

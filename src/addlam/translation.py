@@ -1,6 +1,11 @@
 """Translation of structured derivations into System F with pairs,
 the partial reverse translation, the isomorphism terms for dropping a
-zero summand, and the simulation of source reduction steps."""
+zero summand, and the simulation of source reduction steps.
+
+A rigid type's tree becomes nested pairs, built with ``fold_tree``; the
+leaf at address w (a word over l/r) is reached by the projection chain
+``proj_path`` builds and ``_strip_projections`` reads back.  Only this
+module and ``structured.py`` know that address format."""
 
 from __future__ import annotations
 
@@ -9,14 +14,10 @@ from dataclasses import dataclass
 from .reduction import Redex
 from .structured import (
     ExcludedRule,
-    LEAF,
-    Node,
     SaddDerivation,
-    TypeTree,
-    ZLEAF,
+    fold_tree,
+    leaves,
     step_sadd_derivation,
-    tree_compose,
-    tree_of_type,
 )
 from .syntax import Abs, App, Sum, Term, Var, Zero, canonicalize, show_term
 from .typesys import (
@@ -56,10 +57,9 @@ from .sysf import (
     f_forall_i,
     f_prod_i,
     f_proj_l,
+    f_proj_r,
     f_reaches,
     f_unit_i,
-    ftree_derivation,
-    proj_path_derivation,
 )
 
 
@@ -110,19 +110,24 @@ def _trans(sd: SaddDerivation) -> FDerivation:
     if sd.rule == "forallE":
         return f_forall_e(_trans(sd.premises[0]), trans_type(sd.inst_ty))
     if sd.rule == "arrE":
+        # the grafted tree as nested pairs: at leaf w of the function's
+        # tree, leaf v of the argument's, the application of the w
+        # projection, instantiated at vector v, to the v projection
         d1, d2 = _trans(sd.premises[0]), _trans(sd.premises[1])
-        a, _ = tree_of_type(sd.premises[0].ty)
-        a2, _ = tree_of_type(sd.premises[1].ty)
-        ts, vs = dict(sd.arr_ts), dict(sd.arr_vs)
-        leaves: dict[str, FDerivation] = {}
-        for w in ts:
+        vs, star = dict(sd.arr_vs), f_unit_i(fctx)
+
+        def graft(w, _):
             dw = proj_path_derivation(d1, w)
-            for v, vec in vs.items():
+
+            def app(v, _):
                 chain = dw
-                for inst in vec:
+                for inst in vs[v]:
                     chain = f_forall_e(chain, trans_type(inst))
-                leaves[w + v] = f_arr_e(chain, proj_path_derivation(d2, v))
-        return ftree_derivation(tree_compose(a, a2), leaves, fctx)
+                return f_arr_e(chain, proj_path_derivation(d2, v))
+
+            return fold_tree(sd.premises[1].ty, app, star, f_prod_i)
+
+        return fold_tree(sd.premises[0].ty, graft, star, f_prod_i)
     raise TypeError(f"not a structured rule: {sd.rule!r}")
 
 
@@ -157,22 +162,27 @@ def rev_type(a: FType) -> Type | None:
     return None
 
 
-def _f_as_tree(t: FTerm) -> tuple[TypeTree, dict[str, FTerm]]:
-    """Maximal pair-tree decomposition of an F term."""
-    if t is Star:
-        return ZLEAF, {}
-    if isinstance(t, FPair):
-        tl, ml = _f_as_tree(t.fst)
-        tr, mr = _f_as_tree(t.snd)
-        leaves = {"l" + w: u for w, u in ml.items()}
-        leaves.update({"r" + w: u for w, u in mr.items()})
-        return Node(tl, tr), leaves
-    return LEAF, {"": t}
+def proj_path(t: FTerm, w: str) -> FTerm:
+    """Projection chain selecting the leaf at address w: the first
+    letter of w is the innermost projection, so the outermost one is
+    the last (the mirror-word convention)."""
+    for c in w:
+        t = FProjL(t) if c == "l" else FProjR(t)
+    return t
+
+
+def proj_path_derivation(d: FDerivation, w: str) -> FDerivation:
+    """Typed version of proj_path: project a tree-typed derivation down
+    to the component at address w."""
+    for c in w:
+        d = f_proj_l(d) if c == "l" else f_proj_r(d)
+    return d
 
 
 def _strip_projections(t: FTerm) -> tuple[FTerm, str]:
-    """Peel a projection chain; the returned word lists the innermost
-    projection first (the address the chain selects)."""
+    """Peel a projection chain, the inverse of proj_path; the returned
+    word lists the innermost projection first (the address the chain
+    selects)."""
     letters = []
     while isinstance(t, (FProjL, FProjR)):
         letters.append("l" if isinstance(t, FProjL) else "r")
@@ -180,14 +190,24 @@ def _strip_projections(t: FTerm) -> tuple[FTerm, str]:
     return t, "".join(reversed(letters))
 
 
+def _f_leaves(t: FTerm, w: str = "") -> dict[str, FTerm]:
+    """The leaves of t's maximal pair tree by address, left to right;
+    star leaves are left out."""
+    if t is Star:
+        return {}
+    if isinstance(t, FPair):
+        return _f_leaves(t.fst, w + "l") | _f_leaves(t.snd, w + "r")
+    return {w: t}
+
+
 def _match_app_tree(t: FTerm) -> tuple[FTerm, FTerm] | None:
     """Recognise a tree of projected applications over one consistent
     function/argument pair; the image of the structured application."""
-    tree, leaves = _f_as_tree(t)
-    if not leaves:
+    parts = _f_leaves(t)
+    if not parts:
         return None
     t0 = u0 = None
-    for addr, leaf in leaves.items():
+    for addr, leaf in parts.items():
         if not isinstance(leaf, FApp):
             return None
         pl, w = _strip_projections(leaf.fun)
@@ -282,23 +302,21 @@ def equiv_coercion(t1: Type, t2: Type, ctx: FContext = FContext()) -> FDerivatio
     """A pair-shuffling term of type [[t1]] -> [[t2]] for rigid types
     equal up to reordering and zero summands: each leaf of t2's tree is
     fetched from a matching leaf of t1 by a projection chain."""
-    _, lab1 = tree_of_type(t1)
-    a2, lab2 = tree_of_type(t2)
+    pool = leaves(t1)
     cx = ctx.extend("x", trans_type(t1))
     dx = f_ax(cx, "x")
-    pool = dict(lab1)
-    leaves: dict[str, FDerivation] = {}
-    for v, unit in lab2.items():
+    fetched: dict[str, FDerivation] = {}
+    for v, unit in leaves(t2).items():
         for w, cand in pool.items():
             if raw_alpha_eq(cand, unit):
-                leaves[v] = proj_path_derivation(dx, w)
+                fetched[v] = proj_path_derivation(dx, w)
                 del pool[w]
                 break
         else:
             raise CoercionUnsupported(
                 f"no leaf of {show_type(t1)} matches {show_type(unit)}"
             )
-    body = ftree_derivation(a2, leaves, cx)
+    body = fold_tree(t2, lambda v, _: fetched[v], f_unit_i(cx), f_prod_i)
     return f_arr_i(body, "x")
 
 

@@ -15,7 +15,7 @@ from addlam.corpus import (
 )
 from addlam.derivation import check_add
 from addlam.reduction import enumerate_redexes, step
-from addlam.structured import LEAF, Node, ZLEAF, check_sadd, tree_compose
+from addlam.structured import check_sadd, fold_tree
 from addlam.suites import run_suite
 from addlam.syntax import Abs, App, Sum, Var, canonicalize
 from addlam.sysf import FApp, FPair, FProjL, FProjR, Star
@@ -136,13 +136,14 @@ def test_criterion_7_round_trip(corpus):
 
 def test_criterion_8_structural_fixtures():
     start = time.monotonic()
-    a = Node(Node(LEAF, ZLEAF), LEAF)
-    a2 = Node(LEAF, ZLEAF)
-    ok = tree_compose(a, a2) == Node(Node(Node(LEAF, ZLEAF), ZLEAF), Node(LEAF, ZLEAF))
+    x, y = TVar("X"), TVar("Y")
+    a = TSum((TSum((x, TZero)), y))
+    a2 = TSum((x, TZero))
+    composed = fold_tree(a, lambda w, u: a2, TZero, lambda l, r: TSum((l, r)))
+    ok = composed == TSum((TSum((TSum((x, TZero)), TZero)), TSum((x, TZero))))
 
     sd = example_struct_elim()
     check_sadd(sd)
-    x = TVar("X")
     expected = TSum((
         TSum((TSum((x, TZero)), TSum((TArrow(x, x), TZero)))),
         TZero,

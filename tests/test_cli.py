@@ -74,6 +74,18 @@ def test_sn_suite_json_reports_its_budget(capsys):
     assert budget["depth_max"] > 0
 
 
+def test_suite_json_counts_skipped_cases_by_reason(capsys):
+    code, out, _ = run(capsys, "suite", "trans-red", "--count", "500", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cases"] == 349
+    assert payload["skipped"] == {"sum-zero": 21, "rigid-type-change": 7}
+    code, out, _ = run(capsys, "suite", "roundtrip", "--count", "500", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cases"] == 76 and payload["skipped"] == {"empty-elimination": 25}
+
+
 def test_suite_respects_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("ADDLAM_SEED", "7")
     code, out, _ = run(capsys, "suite", "ac", "--cases", "10", "--format", "json")
@@ -98,6 +110,24 @@ def test_fuel_budget_and_seed_where_they_are_read(capsys):
     assert code == 0 and out.strip().splitlines()[-1] == "y"
     code, _, _ = run(capsys, "suite", "ac", "--cases", "5", "--budget", "10", "--seed", "2")
     assert code == 0
+
+
+def test_reduce_with_just_enough_fuel_reaches_the_normal_form(capsys):
+    code, out, _ = run(capsys, "reduce", "--fuel", "1", r"(\x. x) a")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "a"
+    code, out, _ = run(capsys, "reduce", "--fuel", "0", "a")
+    assert code == 0 and out.strip() == "a"
+    code, out, _ = run(capsys, "reduce", "--fuel", "0", r"(\x. x) a")
+    assert code == 1 and out.strip().splitlines()[-1] == "(fuel exhausted)"
+
+
+@pytest.mark.parametrize("fuel", ["-5", "x"])
+def test_reduce_rejects_a_fuel_that_is_not_a_step_count(capsys, fuel):
+    with pytest.raises(SystemExit) as e:
+        main(["reduce", "--fuel", fuel, "a"])
+    assert e.value.code == 2
+    assert "fuel must be a number of steps" in capsys.readouterr().err
 
 
 def test_deep_input_ends_in_a_documented_error(capsys):

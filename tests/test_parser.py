@@ -12,10 +12,8 @@ from addlam.parser import (
     parse_fterm,
     parse_ftype,
     parse_term,
-    parse_tree,
     parse_type,
 )
-from addlam.structured import LEAF, Node, ZLEAF
 from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, show_term
 from addlam.sysf import FPair, FProjL, FVar, Star, show_fterm, show_ftype
 from addlam.typesys import TArrow, TForall, TSum, TVar, show_type, type_canonicalize
@@ -86,11 +84,6 @@ def test_target_type_round_trip():
     for src in ("forall X. X * 1 -> X", "(A -> B) * C", "1"):
         t = parse_ftype(src)
         assert parse_ftype(show_ftype(t)) == t
-
-
-def test_tree_literals_both_spellings():
-    assert parse_tree("((L . Z) . L)") == Node(Node(LEAF, ZLEAF), LEAF)
-    assert parse_tree("((leaf | zero) | leaf)") == Node(Node(LEAF, ZLEAF), LEAF)
 
 
 def test_context_lists():

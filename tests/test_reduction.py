@@ -153,6 +153,21 @@ def test_normalize_reaches_a_redex_free_term():
             assert not enumerate_redexes(res.term), show_term(res.term)
 
 
+def test_normalize_is_exhausted_only_when_a_redex_is_left():
+    t = parse_term(r"(\x. x) ((\y. y) a)")
+    full = normalize(t)
+    assert len(full.steps) == 2 and not full.exhausted
+    # the fuel that the normal form needs, exactly, is enough
+    exact = normalize(t, fuel=2)
+    assert exact.term == full.term and not exact.exhausted
+    short = normalize(t, fuel=1)
+    assert len(short.steps) == 1 and short.exhausted
+    # a normal form needs no fuel at all
+    done = normalize(Var("a"), fuel=0)
+    assert done.term == Var("a") and not done.steps and not done.exhausted
+    assert normalize(t, fuel=0).exhausted
+
+
 def test_step_agrees_with_reducts():
     rng = random.Random(9)
     for _ in range(150):

@@ -20,22 +20,17 @@ from addlam.derivation import (
 from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
 from addlam.structured import (
     ExcludedRule,
-    LEAF,
-    Node,
     SaddDerivation,
-    ZLEAF,
     add_to_sadd,
     check_sadd,
-    label_tree,
-    leaf_addresses,
+    fold_tree,
+    leaves,
     sadd_to_add,
     sarr_i,
     sax,
     sax0,
     splus_i,
     step_sadd_derivation,
-    tree_compose,
-    tree_of_type,
 )
 from addlam.syntax import Sum, Var, Zero, canonicalize, show_term
 from addlam.typesys import TArrow, TSum, TVar, TZero, raw_alpha_eq, type_equiv
@@ -43,24 +38,36 @@ from addlam.typesys import TArrow, TSum, TVar, TZero, raw_alpha_eq, type_equiv
 X, Y = TVar("X"), TVar("Y")
 
 
+def _shape(t):
+    """A rigid type's tree with its leaves blanked: L labelled, Z zero."""
+    return fold_tree(t, lambda w, u: "L", "Z", lambda l, r: f"({l} . {r})")
+
+
+def _tsum(l, r):
+    return TSum((l, r))
+
+
 def test_leaf_addresses_follow_left_right_words():
-    a = Node(Node(LEAF, ZLEAF), LEAF)
-    assert leaf_addresses(a) == ("ll", "r")
+    t = TSum((TSum((X, TZero)), Y))
+    assert tuple(leaves(t)) == ("ll", "r")
+    assert leaves(TZero) == {} and leaves(X) == {"": X}
 
 
 def test_tree_of_type_reads_the_rigid_sum_shape():
     t = TSum((TSum((X, TZero)), Y))
-    tree, lab = tree_of_type(t)
-    assert tree == Node(Node(LEAF, ZLEAF), LEAF)
-    assert lab == {"ll": X, "r": Y}
-    assert label_tree(tree, lab) == t
+    assert _shape(t) == "((L . Z) . L)"
+    assert leaves(t) == {"ll": X, "r": Y}
+    assert fold_tree(t, lambda w, u: leaves(t)[w], TZero, _tsum) == t
+    with pytest.raises(ValueError, match="sum is not binary"):
+        leaves(TSum((X, TSum((X, Y, TZero)))))
 
 
 def test_tree_composition_grafts_at_plain_leaves():
-    a = Node(Node(LEAF, ZLEAF), LEAF)
-    a2 = Node(LEAF, ZLEAF)
-    composed = tree_compose(a, a2)
-    assert composed == Node(Node(Node(LEAF, ZLEAF), ZLEAF), Node(LEAF, ZLEAF))
+    a = TSum((TSum((X, TZero)), Y))
+    a2 = TSum((X, TZero))
+    composed = fold_tree(a, lambda w, u: a2, TZero, _tsum)
+    assert _shape(composed) == "(((L . Z) . Z) . (L . Z))"
+    assert composed == TSum((TSum((a2, TZero)), a2))
 
 
 def test_structured_elimination_matches_the_grafted_type():

@@ -1,8 +1,9 @@
-"""The polymorphic pair calculus: reduction, typing, and tree helpers."""
+"""The polymorphic pair calculus: reduction, typing, and rigid trees read
+as pairs and projections."""
 
 import pytest
 
-from addlam.structured import LEAF, Node, ZLEAF
+from addlam.structured import fold_tree
 from addlam.sysf import (
     FAbs,
     FApp,
@@ -34,11 +35,9 @@ from addlam.sysf import (
     f_reducts,
     f_type_alpha_eq,
     f_unit_i,
-    ftree_derivation,
-    ftree_term,
-    proj_path,
-    proj_path_derivation,
 )
+from addlam.translation import proj_path, proj_path_derivation
+from addlam.typesys import TSum, TVar, TZero
 
 A = FTVar("A")
 
@@ -156,15 +155,16 @@ def test_projection_path_nests_innermost_first():
 
 
 def test_tree_term_places_stars_at_zero_leaves():
-    tree = Node(Node(LEAF, ZLEAF), LEAF)
-    t = ftree_term(tree, {"ll": FVar("a"), "r": FVar("b")})
+    tree = TSum((TSum((TVar("X"), TZero)), TVar("Y")))
+    tau = {"ll": FVar("a"), "r": FVar("b")}
+    t = fold_tree(tree, lambda w, _: tau[w], Star, FPair)
     assert t == FPair(FPair(FVar("a"), Star), FVar("b"))
 
 
 def test_tree_derivation_assembles_products():
     ctx = FContext((("v", A),))
-    tree = Node(LEAF, ZLEAF)
-    d = ftree_derivation(tree, {"l": f_ax(ctx, "v")}, ctx)
+    tree = TSum((TVar("X"), TZero))
+    d = fold_tree(tree, lambda w, _: f_ax(ctx, "v"), f_unit_i(ctx), f_prod_i)
     f_check(d)
     assert f_type_alpha_eq(d.ty, FProd(A, FUnit))
     back = proj_path_derivation(d, "l")
