@@ -4,7 +4,7 @@ zero summand, and the simulation of source reduction steps.
 
 A rigid type's tree becomes nested pairs, built with ``fold_tree``; the
 leaf at address w (a word over l/r) is reached by the projection chain
-``proj_path`` builds and ``_strip_projections`` reads back.  Only this
+``proj_path_derivation`` builds and ``_strip_projections`` reads back.  Only this
 module and ``structured.py`` know that address format."""
 
 from __future__ import annotations
@@ -162,27 +162,19 @@ def rev_type(a: FType) -> Type | None:
     return None
 
 
-def proj_path(t: FTerm, w: str) -> FTerm:
-    """Projection chain selecting the leaf at address w: the first
-    letter of w is the innermost projection, so the outermost one is
-    the last (the mirror-word convention)."""
-    for c in w:
-        t = FProjL(t) if c == "l" else FProjR(t)
-    return t
-
-
 def proj_path_derivation(d: FDerivation, w: str) -> FDerivation:
-    """Typed version of proj_path: project a tree-typed derivation down
-    to the component at address w."""
+    """Project a tree-typed derivation down to the component at address
+    w: the first letter of w is the innermost projection, so the
+    outermost one is the last (the mirror-word convention)."""
     for c in w:
         d = f_proj_l(d) if c == "l" else f_proj_r(d)
     return d
 
 
 def _strip_projections(t: FTerm) -> tuple[FTerm, str]:
-    """Peel a projection chain, the inverse of proj_path; the returned
-    word lists the innermost projection first (the address the chain
-    selects)."""
+    """Peel a projection chain, the inverse of proj_path_derivation; the
+    returned word lists the innermost projection first (the address the
+    chain selects)."""
     letters = []
     while isinstance(t, (FProjL, FProjR)):
         letters.append("l" if isinstance(t, FProjL) else "r")

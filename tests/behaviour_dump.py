@@ -13,8 +13,8 @@ For each seed it prints:
 * every node of every ``trans_term`` F-derivation, ``rev_term`` of its
   term, ``round_trip`` and ``equiv_coercion(T, T)``.
 
-By default the first seed's corpus has 500 derivations and every other
-seed's 200; ``--count`` sets one size for all.  This file is not a test:
+The first seed's corpus has 500 derivations and every other seed's 200;
+the ``ac`` and ``equiv`` suites run 1000 cases.  This file is not a test:
 pytest collects only ``test_*.py``.
 """
 
@@ -37,13 +37,13 @@ from addlam.translation import equiv_coercion, rev_term, round_trip, trans_term 
 from addlam.typesys import show_type  # noqa: E402
 
 
+FIRST_COUNT, COUNT, CASES = 500, 200, 1000
+
+
 def seed_list(spec: str) -> list[int]:
-    """``1-5`` or ``1,3,7`` (or a mix) as a list of seeds."""
-    out = []
-    for part in spec.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
-    return out
+    """``1-5`` (or a single seed ``3``) as a list of seeds."""
+    lo, _, hi = spec.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def f_nodes(d, path=()):
@@ -55,11 +55,11 @@ def f_nodes(d, path=()):
         yield from f_nodes(p, path + (i,))
 
 
-def dump(seed: int, count: int, cases: int):
+def dump(seed: int, count: int):
     corpus = generate_corpus(seed, 20, count)
     yield f"# seed {seed} count {count}"
     for name in SUITES:
-        rep = run_suite(name, corpus, cases=cases).to_json()
+        rep = run_suite(name, corpus, cases=CASES).to_json()
         del rep["millis"]
         yield f"suite {json.dumps(rep, sort_keys=True)}"
     seen = set()
@@ -88,13 +88,10 @@ def dump(seed: int, count: int, cases: int):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", default="1-5", help="seed range, e.g. 1-5 or 1,3")
-    ap.add_argument("--count", type=int, default=None, help="corpus size for every seed")
-    ap.add_argument("--cases", type=int, default=1000, help="cases of the ac and equiv suites")
+    ap.add_argument("--seeds", default="1-5", help="seed range, e.g. 1-5")
     args = ap.parse_args(argv)
     for k, seed in enumerate(seed_list(args.seeds)):
-        count = args.count or (500 if k == 0 else 200)
-        for line in dump(seed, count, args.cases):
+        for line in dump(seed, FIRST_COUNT if k == 0 else COUNT):
             print(line)
     return 0
 

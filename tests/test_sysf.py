@@ -36,7 +36,7 @@ from addlam.sysf import (
     f_type_alpha_eq,
     f_unit_i,
 )
-from addlam.translation import proj_path, proj_path_derivation
+from addlam.translation import _strip_projections, proj_path_derivation
 from addlam.typesys import TSum, TVar, TZero
 
 A = FTVar("A")
@@ -147,11 +147,16 @@ def test_checker_rejects_a_forged_projection():
 
 
 def test_projection_path_nests_innermost_first():
-    t = FPair(FPair(FVar("u1"), FPair(FVar("u2"), FVar("u3"))), Star)
+    ctx = FContext((("u1", A), ("u2", A), ("u3", A)))
+    u1, u2, u3 = (f_ax(ctx, u) for u in ("u1", "u2", "u3"))
+    d = f_prod_i(f_prod_i(u1, f_prod_i(u2, u3)), f_unit_i(ctx))
+    t = d.term
     # the leaf at address l,r,r is reached by projecting left first
-    got = f_normalize(proj_path(t, "lrr"))
-    assert f_alpha_eq(got, FVar("u3"))
-    assert proj_path(t, "lrr") == FProjR(FProjR(FProjL(t)))
+    got = proj_path_derivation(d, "lrr")
+    f_check(got)
+    assert f_alpha_eq(f_normalize(got.term), FVar("u3"))
+    assert got.term == FProjR(FProjR(FProjL(t)))
+    assert _strip_projections(got.term) == (t, "lrr")
 
 
 def test_tree_term_places_stars_at_zero_leaves():
