@@ -30,6 +30,8 @@ it builds outside all binders) and returns a marked node at once.
 
 from __future__ import annotations
 
+from operator import is_ as _is
+
 _VAR, _BINDER, _SUM, _NODE, _CONST = range(5)
 
 
@@ -152,21 +154,47 @@ def sort_key(t: Node):
     return k
 
 
+# the positional binder names; a walk reaches depth d only from depth
+# d - 1, so it extends the table one name at a time
+_POSITIONAL = [f"_{d}" for d in range(64)]
+
+
 def _canon(t: Node, env: dict[str, str], depth: int) -> Node:
+    """The canonical form of t at binder depth ``depth``, where env maps
+    the names of the binders above to their positional names.  env is
+    one dict for the whole walk: a binder sets its name and puts back
+    what it hid.  A node whose canonical form is itself comes back as it
+    is, so only the nodes that change are built again."""
     if t._canonical and not depth:
         return t
     role = t._role
-    cls = t.__class__
     if role == _VAR:
-        nx = env.get(t.name)
-        out = cls(free_name(t.name) if nx is None else nx)
+        name = t.name
+        nx = env.get(name)
+        if nx is None:
+            free_name(name)
+            out = t
+        else:
+            out = t if nx == name else t.__class__(nx)
     elif role == _BINDER:
-        nx = f"_{depth}"
-        out = cls(nx, _canon(t.body, {**env, t.var: nx}, depth + 1))
+        if depth == len(_POSITIONAL):
+            _POSITIONAL.append(f"_{depth}")
+        nx = _POSITIONAL[depth]
+        x = t.var
+        hidden = env.get(x)
+        env[x] = nx
+        body = _canon(t.body, env, depth + 1)
+        if hidden is None:
+            del env[x]
+        else:
+            env[x] = hidden
+        out = t if x == nx and body is t.body else t.__class__(nx, body)
     elif role == _SUM:
-        out = cls._merge([_canon(p, env, depth) for p in t.parts])
+        out = t._merge([_canon(p, env, depth) for p in t.parts])
     elif role == _NODE:
-        out = cls(*[_canon(c, env, depth) for c in t._kids()])
+        kids = t._kids()
+        new = [_canon(c, env, depth) for c in kids]
+        out = t if all(map(_is, new, kids)) else t.__class__(*new)
     else:
         return t
     if not depth:

@@ -6,7 +6,8 @@ right as far as possible."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .derivation import AAbs, AApp, AGen, AInst, ASum, ATerm, AVar, AZero, AppWitness
 from .syntax import Abs, App, Sum, Term, Var, Zero
@@ -39,8 +40,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "sym", "eof"
     text: str
     line: int
@@ -50,32 +50,29 @@ class Token:
 _SYMBOLS = ("->", "\\", ".", "(", ")", "+", "*", "<", ">", ",", "{", "}",
             "[", "]", "|", ";", ":")
 
+# One token or one run of blanks, by group: newlines, other whitespace, an
+# identifier, a symbol.  ``\w`` is ``str.isalnum()`` or ``_``; symbols are
+# tried in the order of _SYMBOLS, so ``->`` wins over any shorter one.
+_TOKEN = re.compile(r"(\n+)|([^\S\n]+)|(\w[\w']*)|(" + "|".join(map(re.escape, _SYMBOLS)) + ")")
+
 
 def tokenize(src: str) -> list[Token]:
     toks = []
     line, col, i = 1, 1, 0
+    match = _TOKEN.match
     while i < len(src):
-        c = src[i]
-        if c == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if c.isspace():
-            col, i = col + 1, i + 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col, i = col + (j - i), j
-            continue
-        for s in _SYMBOLS:
-            if src.startswith(s, i):
-                toks.append(Token("sym", s, line, col))
-                col, i = col + len(s), i + len(s)
-                break
+        m = match(src, i)
+        if m is None:
+            raise ParseError(f"unexpected character {src[i]!r}", line, col)
+        j = m.end()
+        group = m.lastindex
+        if group == 1:
+            line, col = line + (j - i), 1
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+            if group > 2:
+                toks.append(Token("ident" if group == 3 else "sym", m.group(), line, col))
+            col += j - i
+        i = j
     toks.append(Token("eof", "", line, col))
     return toks
 

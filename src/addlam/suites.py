@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .binders import free_vars, fresh_name, rebuild
 from .corpus import OMEGA, Corpus, random_term, random_type
 from .derivation import UnsupportedDerivationShape, check_add, step_derivation
-from .reduction import check_sn, enumerate_redexes
+from .reduction import Redex, check_sn, enumerate_redexes, subterm_at
 from .structured import ExcludedRule, check_sadd, fold_tree
 from .syntax import Abs, App, Sum, Term, Var, canonicalize, show_term, substitute
 from .sysf import (
@@ -48,6 +50,19 @@ from .typesys import (
 SUITES = ("ac", "equiv", "sr", "sn", "trans-type", "trans-red", "roundtrip", "epsilon")
 
 
+def _context(t: Term, path: tuple[int, ...]) -> str:
+    """Where the subterm of t at path sits: at the root, under a lambda,
+    as the function or the argument of an application, or as a summand."""
+    if not path:
+        return "root"
+    match subterm_at(t, path[:-1]):
+        case Abs():
+            return "lambda"
+        case App():
+            return "argument" if path[-1] else "function"
+    return "summand"
+
+
 @dataclass(frozen=True)
 class Failure:
     id: str
@@ -64,18 +79,29 @@ class Report:
     millis: int = 0
     budget: dict | None = None  # what a suite that searches used of its budget
     skipped: dict[str, int] = field(default_factory=dict)  # cases left out, by reason
+    coverage: dict[str, int] = field(default_factory=dict)  # redexes attempted, by rule@context
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, case_id: str, stage: str, ok: bool, detail: str = ""):
+    def check(self, case_id: str, stage: str, ok: bool,
+              detail: str | Callable[[], str] = ""):
+        """Count one check, and record a failure when ok is false.  A
+        detail that costs work to write (printing a term or a type) is
+        given as a function of no arguments, called only on failure."""
         self.cases += 1
         if not ok:
-            self.failures.append(Failure(case_id, stage, detail))
+            self.failures.append(Failure(case_id, stage, detail() if callable(detail) else detail))
 
     def skip(self, reason: str):
         self.skipped[reason] = self.skipped.get(reason, 0) + 1
+
+    def cover(self, term: Term, r: Redex):
+        """Count the redex r of the canonical term as attempted, under its
+        rule and the context its path ends in."""
+        key = f"{r.rule}@{_context(term, r.path)}"
+        self.coverage[key] = self.coverage.get(key, 0) + 1
 
     def to_json(self) -> dict:
         out = {
@@ -89,6 +115,8 @@ class Report:
             out["budget"] = self.budget
         if self.skipped:
             out["skipped"] = dict(self.skipped)
+        if self.coverage:
+            out["coverage"] = dict(self.coverage)
         return out
 
     def render(self) -> str:
@@ -134,20 +162,15 @@ def _suite_ac(corpus: Corpus, report: Report, cases: int, **_):
     for i in range(cases):
         t = random_term(rng)
         c = canonicalize(t)
-        report.check(f"ac-{i}", "idempotence", canonicalize(rebuild(c)) == c, show_term(t))
-        report.check(
-            f"ac-{i}", "permutation",
-            canonicalize(_shuffle_sums(t, rng)) == c, show_term(t),
-        )
-        report.check(
-            f"ac-{i}", "alpha",
-            canonicalize(_rename_binders(t, rng)) == c, show_term(t),
-        )
+        shown = partial(show_term, t)
+        report.check(f"ac-{i}", "idempotence", canonicalize(rebuild(c)) == c, shown)
+        report.check(f"ac-{i}", "permutation", canonicalize(_shuffle_sums(t, rng)) == c, shown)
+        report.check(f"ac-{i}", "alpha", canonicalize(_rename_binders(t, rng)) == c, shown)
         # congruence: equal canonical forms stay equal in any surrounding term
         u = random_term(rng, 2)
         wrapped1 = canonicalize(App(Abs("q", u), Sum((t, u))))
         wrapped2 = canonicalize(App(Abs("q", u), Sum((_shuffle_sums(t, rng), u))))
-        report.check(f"ac-{i}", "congruence", wrapped1 == wrapped2, show_term(t))
+        report.check(f"ac-{i}", "congruence", wrapped1 == wrapped2, shown)
 
 
 def _suite_equiv(corpus: Corpus, report: Report, cases: int, **_):
@@ -155,27 +178,28 @@ def _suite_equiv(corpus: Corpus, report: Report, cases: int, **_):
     for i in range(cases):
         t = random_type(rng)
         c = type_canonicalize(t)
-        report.check(f"equiv-{i}", "idempotence", type_canonicalize(rebuild(c)) == c, show_type(t))
+        shown = partial(show_type, t)
+        report.check(f"equiv-{i}", "idempotence", type_canonicalize(rebuild(c)) == c, shown)
         report.check(
-            f"equiv-{i}", "permutation",
-            type_canonicalize(_shuffle_sums(t, rng)) == c, show_type(t),
-        )
-        report.check(f"equiv-{i}", "zero-unit", type_equiv(TSum((t, TZero)), t), show_type(t))
+            f"equiv-{i}", "permutation", type_canonicalize(_shuffle_sums(t, rng)) == c, shown)
+        report.check(f"equiv-{i}", "zero-unit", type_equiv(TSum((t, TZero)), t), shown)
         af, bf = TForall("A", TArrow(TVar("A"), t)), TForall("B", TArrow(TVar("B"), t))
-        report.check(f"equiv-{i}", "alpha", type_equiv(af, bf), show_type(t))
+        report.check(f"equiv-{i}", "alpha", type_equiv(af, bf), shown)
         # congruence: equivalence is preserved under arrow and sum contexts
         shuffled = _shuffle_sums(t, rng)
         report.check(
             f"equiv-{i}", "congruence",
             type_equiv(TArrow(TVar("X"), TSum((t, TVar("Y")))),
                        TArrow(TVar("X"), TSum((TVar("Y"), shuffled)))),
-            show_type(t),
+            shown,
         )
 
 
 def _suite_sr(corpus: Corpus, report: Report, cases: int, **_):
     for i, d in enumerate(corpus.derivations):
-        for r in sorted(enumerate_redexes(d.term), key=repr):
+        term = canonicalize(d.term)
+        for r in sorted(enumerate_redexes(term), key=repr):
+            report.cover(term, r)
             cid = f"sr-{i}-{r.rule}{r.path}-{r.part}"
             try:
                 d2 = step_derivation(d, r)
@@ -189,7 +213,7 @@ def _suite_sr(corpus: Corpus, report: Report, cases: int, **_):
                 continue
             report.check(
                 cid, "type-preserved", type_equiv(d2.ty, d.ty),
-                f"{show_type(d2.ty)} vs {show_type(d.ty)}",
+                lambda: f"{show_type(d2.ty)} vs {show_type(d.ty)}",
             )
 
 
@@ -204,7 +228,7 @@ def _suite_sn(corpus: Corpus, report: Report, cases: int, budget: int = 100000, 
         results.append(res)
         report.check(
             f"sn-{i}", "finite", res.terminates,
-            f"{show_term(d.term)}: {res.status}",
+            lambda: f"{show_term(d.term)}: {res.status}",
         )
     omega = check_sn(OMEGA, budget)
     results.append(omega)
@@ -227,21 +251,23 @@ def _suite_trans_type(corpus: Corpus, report: Report, cases: int, **_):
             report.check(cid, "translate", False, f"{type(e).__name__}: {e}")
             continue
         report.check(cid, "type", f_type_alpha_eq(res.ftype, trans_type(sd.ty)),
-                     show_type(sd.ty))
+                     lambda: show_type(sd.ty))
         report.check(cid, "context", res.fderivation.ctx == trans_ctx(sd.ctx),
-                     show_term(sd.term))
+                     lambda: show_term(sd.term))
         # translation commutes with reading the type as a tree of products
         relabelled = fold_tree(sd.ty, lambda _, u: trans_type(u), FUnit, FProd)
         report.check(cid, "tree-label", f_type_alpha_eq(relabelled, trans_type(sd.ty)),
-                     show_type(sd.ty))
+                     lambda: show_type(sd.ty))
 
 
 def _suite_trans_red(corpus: Corpus, report: Report, cases: int, budget: int = 10000, **_):
     for i, sd in enumerate(corpus.structured):
-        for r in sorted(enumerate_redexes(sd.term), key=repr):
+        term = canonicalize(sd.term)
+        for r in sorted(enumerate_redexes(term), key=repr):
             if r.rule == "sum-zero":
                 report.skip("sum-zero")
                 continue
+            report.cover(term, r)
             cid = f"tr-{i}-{r.rule}{r.path}-{r.part}"
             try:
                 sim = simulate_step(sd, r, budget)
@@ -259,15 +285,16 @@ def _suite_trans_red(corpus: Corpus, report: Report, cases: int, budget: int = 1
                 continue
             if not sim.found:
                 report.check(cid, "path", False,
-                             f"no path {show_fterm(sim.source.fterm)} ->* {show_fterm(sim.target.fterm)}")
+                             lambda: f"no path {show_fterm(sim.source.fterm)} ->* "
+                                     f"{show_fterm(sim.target.fterm)}")
                 continue
             ok = sim.path[0] == f_canonicalize(sim.source.fterm)
             ok = ok and sim.path[-1] == f_canonicalize(sim.target.fterm)
             for a, b in zip(sim.path, sim.path[1:]):
                 ok = ok and b in f_reducts(a)
-            report.check(cid, "path", ok, show_term(sd.term))
+            report.check(cid, "path", ok, lambda: show_term(sd.term))
             report.check(cid, "type-preserved", raw_alpha_eq(sim.derivation.ty, sd.ty),
-                         show_type(sd.ty))
+                         lambda: show_type(sd.ty))
     report.check("tr-corpus", "has-cases", report.cases > 0,
                  "no redex of the corpus could be simulated")
 
@@ -286,7 +313,7 @@ def _suite_roundtrip(corpus: Corpus, report: Report, cases: int, **_):
             report.skip("empty-elimination")
             continue
         rt = round_trip(sd)
-        report.check(f"rt-{i}", "roundtrip", rt.ok, rt.detail or show_term(sd.term))
+        report.check(f"rt-{i}", "roundtrip", rt.ok, lambda: rt.detail or show_term(sd.term))
     report.check("rt-corpus", "has-cases", report.cases > 0,
                  "no derivation of the corpus was reversible")
 
@@ -308,7 +335,7 @@ def _suite_epsilon(corpus: Corpus, report: Report, cases: int, budget: int = 100
             continue
         path = f_reaches(FApp(down.term, whole.fterm), inner.fterm, budget)
         report.check(cid, "reduces", path is not None and len(path) >= 2,
-                     show_term(sd.term))
+                     lambda: show_term(sd.term))
     report.check("eps-corpus", "has-cases", n > 0,
                  "the corpus should contain zero-summand sums")
 

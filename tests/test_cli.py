@@ -5,6 +5,8 @@ import json
 import pytest
 
 from addlam.cli import main
+from addlam.corpus import generate_corpus
+from addlam.reduction import enumerate_redexes
 
 
 def run(capsys, *argv):
@@ -84,6 +86,26 @@ def test_suite_json_counts_skipped_cases_by_reason(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["cases"] == 76 and payload["skipped"] == {"empty-elimination": 25}
+
+
+def test_suite_json_counts_attempted_redexes_by_rule_and_context(capsys):
+    code, out, _ = run(capsys, "suite", "sr", "--count", "500", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coverage"] == {
+        "beta@root": 66, "beta@summand": 26, "dist-left@root": 280, "dist-left@summand": 88,
+        "dist-right@root": 262, "dist-right@summand": 96, "sum-zero@root": 78,
+        "zero-arg@root": 47, "zero-fun@root": 44,
+    }
+    # every redex of the corpus is attempted once, and checked once
+    assert sum(payload["coverage"].values()) == payload["cases"] == 987
+    code, out, _ = run(capsys, "suite", "trans-red", "--count", "500", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    structured = generate_corpus(1, count=500).structured
+    attempted = sum(r.rule != "sum-zero" for sd in structured for r in enumerate_redexes(sd.term))
+    assert sum(payload["coverage"].values()) == attempted == 181
+    assert {k.split("@")[1] for k in payload["coverage"]} == {"root", "summand"}
 
 
 def test_suite_respects_seed_env(capsys, monkeypatch):
