@@ -11,7 +11,7 @@ only places where the presentations differ."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .binders import free_vars, fresh_name, sort_key
@@ -184,6 +184,12 @@ class Derivation:
     arr_ts: tuple | None = None  # arrE: the T's, one per function summand
     arr_vs: tuple | None = None  # arrE: V vectors, one per argument summand
     arr_xs: tuple[str, ...] | None = None  # arrE: generalised variables
+    # Facts that depend only on the node and its premises, kept once known:
+    # check_derivation sets _checked after the node and all its premises
+    # passed (a constructor never does), and the translation of a
+    # structured node keeps its F-derivation in _ftrans.
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _ftrans: object = field(default=None, init=False, repr=False, compare=False)
 
     def describe(self) -> str:
         return f"{self.rule}: {self.ctx} |- {show_term(self.term)} : {show_type(self.ty)}"
@@ -384,23 +390,20 @@ def _check_node(d: Derivation, path: tuple[int, ...]):
 
 def check_derivation(d: Derivation, path: tuple[int, ...] = ()):
     """Validate every node of a derivation of either system; raises
-    RuleViolation at the offending node."""
+    RuleViolation at the offending node.  A node that passed, premises
+    included, is marked and not checked again, so a stepped derivation
+    costs only the nodes the step built."""
+    if d._checked:
+        return
     for i, p in enumerate(d.premises):
         check_derivation(p, path + (i,))
     _check_node(d, path)
+    object.__setattr__(d, "_checked", True)
 
 
 def check_add(d: AddDerivation, path: tuple[int, ...] = ()):
     """Validate every node; raises RuleViolation at the offending node."""
     check_derivation(d, path)
-
-
-def is_valid_add(d: AddDerivation) -> bool:
-    try:
-        check_add(d)
-        return True
-    except RuleViolation:
-        return False
 
 
 # --- annotated terms and elaboration ---------------------------------------

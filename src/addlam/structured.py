@@ -243,14 +243,6 @@ def check_sadd(d: SaddDerivation, path: tuple[int, ...] = ()):
     check_derivation(d, path)
 
 
-def is_valid_sadd(d: SaddDerivation) -> bool:
-    try:
-        check_sadd(d)
-        return True
-    except RuleViolation:
-        return False
-
-
 def step_sadd_derivation(d: SaddDerivation, r: Redex) -> SaddDerivation:
     """One-step subject reduction in the structured system, keeping the
     rigid type unchanged; raises ExcludedRule for the zero-summand rule

@@ -96,6 +96,17 @@ class TranslationResult:
 
 
 def _trans(sd: SaddDerivation) -> FDerivation:
+    """The F-derivation of one node, kept on the node: it depends only on
+    the node and its premises, so a stepped derivation translates only
+    the spine the step rebuilt and shares its premises' F-derivations."""
+    fd = sd._ftrans
+    if fd is None:
+        fd = _trans_node(sd)
+        object.__setattr__(sd, "_ftrans", fd)
+    return fd
+
+
+def _trans_node(sd: SaddDerivation) -> FDerivation:
     fctx = trans_ctx(sd.ctx)
     if sd.rule == "ax":
         return f_ax(fctx, sd.term.name)

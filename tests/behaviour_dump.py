@@ -16,11 +16,22 @@ For each seed it prints:
 The first seed's corpus has 500 derivations and every other seed's 200;
 the ``ac`` and ``equiv`` suites run 1000 cases.  This file is not a test:
 pytest collects only ``test_*.py``.
+
+Each line's first word names its section (``suite``, ``term``,
+``add_to_sadd``, ``structured``, ``trans``, ``rev``, ``round_trip``,
+``coercion``). ``--section NAME`` prints the ``# seed`` headers and the
+lines of that section only, for diffing one section:
+
+    python tests/behaviour_dump.py --seeds 1 --section trans | sha256sum
+
+``tests/golden/behaviour.json`` holds the sha256 of that output for seed 1
+and every section; ``test_behaviour_golden.py`` recomputes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -38,6 +49,8 @@ from addlam.typesys import show_type  # noqa: E402
 
 
 FIRST_COUNT, COUNT, CASES = 500, 200, 1000
+SECTIONS = ("suite", "term", "add_to_sadd", "structured", "trans", "rev", "round_trip",
+            "coercion")
 
 
 def seed_list(spec: str) -> list[int]:
@@ -86,13 +99,35 @@ def dump(seed: int, count: int):
         yield from (f"  coercion {line}" for line in f_nodes(equiv_coercion(sd.ty, sd.ty)))
 
 
+def section(line: str) -> str | None:
+    """The section a dump line belongs to; None for a ``# seed`` header."""
+    return None if line.startswith("#") else line.split(None, 1)[0]
+
+
+def digests(seed: int, count: int) -> dict[str, str]:
+    """The sha256 of each section's output, as ``--seeds <seed> --section
+    NAME`` prints it for a first seed of the given count."""
+    out = {name: [] for name in SECTIONS}
+    header = None
+    for line in dump(seed, count):
+        kind = section(line)
+        if kind is None:
+            header = line
+        else:
+            out[kind].append(line)
+    return {name: hashlib.sha256("".join(f"{x}\n" for x in [header, *lines]).encode()).hexdigest()
+            for name, lines in out.items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="1-5", help="seed range, e.g. 1-5")
+    ap.add_argument("--section", choices=SECTIONS, help="print only this section's lines")
     args = ap.parse_args(argv)
     for k, seed in enumerate(seed_list(args.seeds)):
         for line in dump(seed, FIRST_COUNT if k == 0 else COUNT):
-            print(line)
+            if args.section is None or section(line) in (None, args.section):
+                print(line)
     return 0
 
 

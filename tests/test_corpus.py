@@ -1,12 +1,14 @@
 """Corpus generation: determinism, validity, and rule coverage."""
 
+from dataclasses import replace
+
 from addlam.corpus import (
     example_identity_app,
     example_two_funs,
     generate_corpus,
 )
-from addlam.derivation import check_add, is_valid_add
-from addlam.structured import is_valid_sadd
+from addlam.derivation import check_add
+from addlam.structured import check_sadd
 from addlam.typesys import TSum, TVar, TArrow, type_equiv
 
 
@@ -23,10 +25,22 @@ def test_different_seeds_differ():
     assert [d.term for d in c1.derivations] != [d.term for d in c2.derivations]
 
 
+def unmarked(d):
+    """An equal copy of a derivation built from fresh nodes, which the
+    checker has not marked, so checking it visits every node."""
+    return replace(d, premises=tuple(map(unmarked, d.premises)))
+
+
 def test_every_derivation_is_checked():
     c = generate_corpus(3, 20, 80)
-    assert all(is_valid_add(d) for d in c.derivations)
-    assert all(is_valid_sadd(sd) for sd in c.structured)
+    # generate_corpus has checked (and marked) its own nodes; check copies
+    for d in c.derivations:
+        copy = unmarked(d)
+        assert copy == d and not copy._checked
+        check_add(copy)
+        assert copy._checked
+    for sd in c.structured:
+        check_sadd(unmarked(sd))
 
 
 def test_every_rule_is_exercised():

@@ -20,7 +20,6 @@ from addlam.derivation import (
     forall_e,
     forall_i,
     generation_analyze,
-    is_valid_add,
     plus_i,
     step_derivation,
     subst_derivation,
@@ -98,7 +97,8 @@ def test_checker_rejects_a_forged_type():
     ctx = Context((("a", X),))
     good = ax(ctx, "a")
     forged = type(good)(good.rule, good.ctx, good.term, Y)
-    assert not is_valid_add(forged)
+    with pytest.raises(RuleViolation):
+        check_add(forged)
 
 
 def test_elaboration_of_an_annotated_application():

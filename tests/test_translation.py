@@ -1,15 +1,19 @@
 """Translation into the pair calculus, its partial inverse, the
 zero-summand isomorphism, and the simulation of reduction."""
 
+from dataclasses import replace
+
 import pytest
+from behaviour_dump import f_nodes
 
 from addlam.corpus import (
     BASE_CTX,
     example_pair_tree,
     generate_corpus,
 )
-from addlam.reduction import enumerate_redexes
-from addlam.structured import ExcludedRule, sax, sax0, splus_i
+from addlam.derivation import UnsupportedDerivationShape
+from addlam.reduction import StaleRedex, enumerate_redexes
+from addlam.structured import ExcludedRule, sax, sax0, splus_i, step_sadd_derivation
 from addlam.suites import _has_empty_elim
 from addlam.syntax import App, Sum, Var, Zero, canonicalize
 from addlam.sysf import (
@@ -191,3 +195,43 @@ def test_simulation_rejects_the_zero_summand_rule():
     (r,) = [r for r in enumerate_redexes(sd.term) if r.rule == "sum-zero"]
     with pytest.raises(ExcludedRule):
         simulate_step(sd, r)
+
+
+def _uncached(sd):
+    """An equal copy of a derivation built from fresh nodes, which carry
+    no translation, so translating it translates every node."""
+    return replace(sd, premises=tuple(map(_uncached, sd.premises)))
+
+
+def _subderivations(d):
+    yield d
+    for p in d.premises:
+        yield from _subderivations(p)
+
+
+@pytest.mark.parametrize("seed,count", [(1, 500), (2, 200)])
+def test_a_stepped_derivation_shares_its_untouched_premises_translations(seed, count):
+    """The translation kept on each node prints as a fresh translation,
+    and a node the step kept brings the F-derivation the source's
+    translation already holds, the same object."""
+    steps = shared = 0
+    for sd in generate_corpus(seed, 20, count).structured:
+        src = trans_term(sd).fderivation
+        for r in sorted(enumerate_redexes(sd.term), key=repr):
+            try:
+                sd2 = step_sadd_derivation(sd, r)
+            except (ExcludedRule, UnsupportedDerivationShape, StaleRedex):
+                continue
+            tgt = trans_term(sd2).fderivation
+            assert list(f_nodes(tgt)) == list(f_nodes(trans_term(_uncached(sd2)).fderivation))
+            src_nodes = {id(n) for n in _subderivations(src)}
+            tgt_nodes = {id(n) for n in _subderivations(tgt)}
+            kept = {id(n) for n in _subderivations(sd)} & {id(n) for n in _subderivations(sd2)}
+            for n in _subderivations(sd2):
+                # a premise typed by the zero type does not appear in an
+                # application's translation, which puts a fresh unit there
+                if id(n) in kept and id(trans_term(n).fderivation) in tgt_nodes:
+                    assert id(trans_term(n).fderivation) in src_nodes
+                    shared += 1
+            steps += 1
+    assert steps > 50 and shared > steps
