@@ -90,11 +90,19 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _derivation_lines(d, indent: str = ""):
+    """One line per node, root first, premises indented under their
+    conclusion."""
+    yield indent + d.describe()
+    for p in d.premises:
+        yield from _derivation_lines(p, indent + "  ")
+
+
 def _cmd_elaborate(args) -> int:
     d = _elaborated(args)
-    lines = d.describe().splitlines()
+    lines = list(_derivation_lines(d))
     _emit(args, lines, {"term": show_term(d.term), "type": show_type(d.ty),
-                        "derivation": d.describe()})
+                        "derivation": "\n".join(lines)})
     return 0
 
 
@@ -107,21 +115,14 @@ def _cmd_to_sadd(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    sd = add_to_sadd(_elaborated(args))
-    res = trans_term(sd)
+    """``translate``, and ``fcheck``, which also says that the check passed."""
+    res = trans_term(add_to_sadd(_elaborated(args)))
     f_check(res.fderivation)
-    lines = [f"{show_fterm(res.fterm)} : {show_ftype(res.ftype)}"]
-    _emit(args, lines, {"fterm": show_fterm(res.fterm), "ftype": show_ftype(res.ftype)})
-    return 0
-
-
-def _cmd_fcheck(args) -> int:
-    sd = add_to_sadd(_elaborated(args))
-    res = trans_term(sd)
-    f_check(res.fderivation)
-    lines = [f"ok: {show_fterm(res.fterm)} : {show_ftype(res.ftype)}"]
-    _emit(args, lines, {"ok": True, "fterm": show_fterm(res.fterm),
-                        "ftype": show_ftype(res.ftype)})
+    payload = {"fterm": show_fterm(res.fterm), "ftype": show_ftype(res.ftype)}
+    line = f"{payload['fterm']} : {payload['ftype']}"
+    if args.command == "fcheck":
+        line, payload["ok"] = "ok: " + line, True
+    _emit(args, [line], payload)
     return 0
 
 
@@ -147,10 +148,16 @@ def _cmd_suite(args) -> int:
     return 0 if report.passed else 1
 
 
-def _fuel(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"fuel must be a number of steps, not {text!r}")
-    return int(text)
+def _count(least: int, what: str):
+    """argparse type: a decimal number no less than least; what is the
+    error's text."""
+
+    def convert(text: str) -> int:
+        if not (text.isascii() and text.isdigit() and int(text) >= least):
+            raise argparse.ArgumentTypeError(f"{what}, not {text!r}")
+        return int(text)
+
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
            kind=(("term", "type", "fterm", "ftype"), "term"))
     pr = sub.add_parser("reduce", help="normalize a term, printing the trace")
     common(pr)
-    pr.add_argument("--fuel", type=_fuel, default=10000)
+    pr.add_argument("--fuel", type=_count(0, "fuel must be a number of steps"), default=10000)
     for name, help_ in (("check", "type-check an annotated term"),
                         ("elaborate", "print the full typing derivation"),
                         ("to-sadd", "convert the derivation to the rigid system"),
@@ -185,10 +192,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("suite", help="run a property suite")
     ps.add_argument("name", choices=SUITES)
     ps.add_argument("--format", choices=("text", "json"), default="text")
-    ps.add_argument("--budget", type=int, default=None)
+    positive = _count(1, "must be a positive number")
+    ps.add_argument("--budget", type=positive, default=None)
     ps.add_argument("--seed", type=int, default=default_seed)
-    ps.add_argument("--cases", type=int, default=10000)
-    ps.add_argument("--count", type=int, default=500, help="corpus size")
+    ps.add_argument("--cases", type=positive, default=10000)
+    ps.add_argument("--count", type=positive, default=500, help="corpus size")
     ps.add_argument("--corpus-budget", type=int, default=20)
     return top
 
@@ -200,7 +208,7 @@ _COMMANDS = {
     "elaborate": _cmd_elaborate,
     "to-sadd": _cmd_to_sadd,
     "translate": _cmd_translate,
-    "fcheck": _cmd_fcheck,
+    "fcheck": _cmd_translate,
     "reverse": _cmd_reverse,
     "suite": _cmd_suite,
 }

@@ -32,14 +32,12 @@ from .syntax import (
 )
 from .typesys import (
     Context,
-    SsubWitness,
     TArrow,
     TForall,
     TSum,
     TVar,
     TZero,
     Type,
-    instantiate,
     is_unit,
     show_type,
     sum_of_units,
@@ -462,23 +460,6 @@ class AppWitness:
     xs: tuple[str, ...] = ()
 
 
-def erase(a: ATerm) -> Term:
-    match a:
-        case AVar(x):
-            return Var(x)
-        case AZero():
-            return Zero
-        case AAbs(x, _, b):
-            return Abs(x, erase(b))
-        case AApp(f, u, _):
-            return App(erase(f), erase(u))
-        case ASum(ps):
-            return Sum(tuple(erase(p) for p in ps))
-        case AGen(_, b) | AInst(b, _):
-            return erase(b)
-    raise TypeError(f"not an annotated term: {a!r}")
-
-
 def elaborate(a: ATerm, ctx: Context, loc: str = "term") -> AddDerivation:
     """Build a derivation whose erasure is a; fails on the first witness
     that cannot be satisfied."""
@@ -535,27 +516,7 @@ def elaborate(a: ATerm, ctx: Context, loc: str = "term") -> AddDerivation:
     raise TypeError(f"not an annotated term: {a!r}")
 
 
-# --- generation analysis ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenerationReport:
-    head: str  # "app" | "abs" | "sum" | "leaf"
-    chain: tuple[SsubWitness, ...]
-    core_ty: Type
-    # app case
-    alpha: int | None = None
-    beta: int | None = None
-    u: Type | None = None
-    ts: tuple[Type, ...] | None = None
-    vs: tuple[tuple[Type, ...], ...] | None = None
-    xs: tuple[str, ...] | None = None
-    # abs case
-    bind_ty: Type | None = None
-    body_ty: Type | None = None
-    # sum case
-    left_ty: Type | None = None
-    right_ty: Type | None = None
+# --- structural helpers for the transformations -----------------------------
 
 
 def strip_wrappers(d: Derivation):
@@ -583,56 +544,6 @@ def reapply_wrappers(d: Derivation, wrappers) -> Derivation:
         else:
             d = system.forall_e(d, w)
     return d
-
-
-def _wrapper_chain(core_ty: Type, wrappers) -> tuple[SsubWitness, ...]:
-    """Witness chain core_ty <= root type read off the peeled wrappers."""
-    chain: list[SsubWitness] = []
-    cur = type_canonicalize(core_ty)
-    for kind, w in reversed(wrappers):  # core-to-root order
-        if kind == "equiv":
-            continue
-        if kind == "forallI":
-            chain.append(SsubWitness.gen(w))
-            cur = type_canonicalize(TForall(w, cur))
-        else:
-            c = type_canonicalize(cur)
-            chain.append(SsubWitness.inst(c.var, w))
-            cur = instantiate(c, w)
-    return tuple(chain)
-
-
-def generation_analyze(d: AddDerivation) -> GenerationReport:
-    """Decompose a checked derivation per the shape of its subject."""
-    core, wrappers = strip_wrappers(d)
-    chain = _wrapper_chain(core.ty, wrappers)
-    t = canonicalize(d.term)
-    if isinstance(t, App):
-        if core.rule != "arrE":
-            raise UnsupportedDerivationShape(core.describe())
-        return GenerationReport(
-            "app", chain, core.ty,
-            alpha=core.alpha, beta=core.beta,
-            u=core.arr_u, ts=core.arr_ts, vs=core.arr_vs, xs=core.arr_xs,
-        )
-    if isinstance(t, Abs):
-        if core.rule != "arrI":
-            raise UnsupportedDerivationShape(core.describe())
-        bind = core.premises[0].ctx.get(core.binder)
-        return GenerationReport(
-            "abs", chain, core.ty, bind_ty=bind, body_ty=core.premises[0].ty
-        )
-    if isinstance(t, Sum):
-        if core.rule != "plusI":
-            raise UnsupportedDerivationShape(core.describe())
-        return GenerationReport(
-            "sum", chain, core.ty,
-            left_ty=core.premises[0].ty, right_ty=core.premises[1].ty,
-        )
-    return GenerationReport("leaf", chain, core.ty)
-
-
-# --- structural helpers for the transformations -----------------------------
 
 
 def _all_tvars(d: Derivation) -> set[str]:

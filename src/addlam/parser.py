@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
+from .binders import free_name
 from .derivation import AAbs, AApp, AGen, AInst, ASum, ATerm, AVar, AZero, AppWitness
 from .syntax import Abs, App, Sum, Term, Var, Zero
 from .sysf import (
@@ -113,6 +114,10 @@ class _Parser:
         t = self.peek()
         if t.kind != "ident":
             self.fail(f"expected {what}")
+        try:
+            free_name(t.text)
+        except ValueError:
+            self.fail(f"{t.text!r} is reserved for positional binder names")
         return self.next().text
 
     def done(self):

@@ -121,10 +121,6 @@ def summands(t: Term) -> tuple[Term, ...]:
     return t.parts if isinstance(t, Sum) else (t,)
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    return canonicalize(t) == canonicalize(u)
-
-
 def substitute(t: Term, x: str, v: Term) -> Term:
     """Capture-avoiding substitution of v for x; result canonical."""
     return canonicalize(subst(t, x, v))

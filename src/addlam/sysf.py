@@ -201,49 +201,6 @@ def f_reducts(t: FTerm) -> frozenset[FTerm]:
     return frozenset(f_canonicalize(u) for u in _raw_freducts(canonical(t)))
 
 
-def f_normalize(t: FTerm, fuel: int = 10000) -> FTerm:
-    """Deterministic normalisation by beta and projections only; the
-    eta rules are deliberately left out of the strategy."""
-
-    def head(t: FTerm) -> FTerm | None:
-        match t:
-            case FApp(FAbs(x, b), a):
-                return subst(b, x, a)
-            case FProjL(FPair(f, _)):
-                return f
-            case FProjR(FPair(_, s)):
-                return s
-            case FAbs(x, b):
-                r = head(b)
-                return None if r is None else FAbs(x, r)
-            case FApp(f, a):
-                r = head(f)
-                if r is not None:
-                    return FApp(r, a)
-                r = head(a)
-                return None if r is None else FApp(f, r)
-            case FPair(f, s):
-                r = head(f)
-                if r is not None:
-                    return FPair(r, s)
-                r = head(s)
-                return None if r is None else FPair(f, r)
-            case FProjL(b):
-                r = head(b)
-                return None if r is None else FProjL(r)
-            case FProjR(b):
-                r = head(b)
-                return None if r is None else FProjR(r)
-        return None
-
-    for _ in range(fuel):
-        r = head(t)
-        if r is None:
-            break
-        t = r
-    return f_canonicalize(t)
-
-
 def f_reaches(t: FTerm, u: FTerm, budget: int = 10000):
     """Bounded breadth-first search for a reduction path t ->* u.
     Returns the path as a term list, or None within the budget."""

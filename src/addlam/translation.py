@@ -282,12 +282,6 @@ def round_trip(sd: SaddDerivation) -> RoundTrip:
 # --- isomorphism and coercion terms ----------------------------------------------
 
 
-def epsilon_terms(t: Type) -> tuple[FTerm, FTerm]:
-    """The two terms witnessing that a zero summand is redundant after
-    translation: a projection out of, and a pairing into, [[T]] x 1."""
-    return FAbs("x", FProjL(FVar("x"))), FAbs("x", FPair(FVar("x"), Star))
-
-
 def epsilon_derivations(t: Type, ctx: FContext = FContext()) -> tuple[FDerivation, FDerivation]:
     ft = trans_type(t)
     c1 = ctx.extend("x", FProd(ft, FUnit))

@@ -1,5 +1,4 @@
-"""The additive type grammar, its equivalence, substitution and the
-witnessed subtype-like relation used by subject reduction.
+"""The additive type grammar, its equivalence and substitution.
 
 Types are sums of *unit types* (variables, arrows, foralls) plus the
 zero type.  Two layers coexist:
@@ -16,8 +15,6 @@ type, and only unit types substitute for type variables.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .binders import Node, alpha_eq, canonical, fresh_name, free_vars, sort_key, subst
 
@@ -135,20 +132,6 @@ def type_subst_vec(t: Type, xs, us) -> Type:
 raw_alpha_eq = alpha_eq
 
 
-def peel_forall(t: Type) -> tuple[str, Type]:
-    """Binder and standalone-canonical body of a canonical forall type."""
-    c = type_canonicalize(t)
-    if not isinstance(c, TForall):
-        raise ValueError(f"not a universally quantified type: {t}")
-    return c.var, c.body
-
-
-def instantiate(t: Type, v: Type) -> Type:
-    """Body of the canonical forall t with its binder replaced by v."""
-    x, body = peel_forall(t)
-    return type_subst(body, x, v)
-
-
 def to_raw(t: Type) -> Type:
     """Left-associated binary view of a canonical type, applied at
     every level (for the structured system, which has rigid binary
@@ -169,59 +152,6 @@ def to_raw(t: Type) -> Type:
                 return u
 
     return go(type_canonicalize(t))
-
-
-# --- witnessed checking of the Appendix relation ---------------------------
-
-
-class WitnessError(Exception):
-    """A witness does not have the shape its step requires."""
-
-
-@dataclass(frozen=True)
-class SsubWitness:
-    """Certificate for one generalisation/instantiation step."""
-
-    kind: str  # "gen" | "inst"
-    binder: str
-    ty: Type | None = None  # instantiating unit type, inst only
-
-    @staticmethod
-    def gen(binder: str) -> "SsubWitness":
-        return SsubWitness("gen", binder)
-
-    @staticmethod
-    def inst(binder: str, ty: Type) -> "SsubWitness":
-        return SsubWitness("inst", binder, ty)
-
-
-def ssub_step(u1: Type, w: SsubWitness) -> Type:
-    """The unique type one witnessed step above u1 (canonical)."""
-    if w.kind == "gen":
-        if not is_unit(type_canonicalize(u1)):
-            raise WitnessError(f"gen step on a non-unit type: {u1}")
-        return type_canonicalize(TForall(w.binder, u1))
-    if w.kind == "inst":
-        c = type_canonicalize(u1)
-        if not isinstance(c, TForall):
-            raise WitnessError(f"inst step on a non-forall type: {u1}")
-        if w.ty is None or not is_unit(type_canonicalize(w.ty)):
-            raise WitnessError("inst step needs a unit instantiating type")
-        return instantiate(c, w.ty)
-    raise WitnessError(f"unknown witness kind {w.kind!r}")
-
-
-def ssub_check(u1: Type, u2: Type, w: SsubWitness) -> bool:
-    """Does the single witnessed step lead from u1 to u2?"""
-    return type_equiv(ssub_step(u1, w), u2)
-
-
-def ssub_chain_check(u1: Type, u2: Type, witnesses) -> bool:
-    """Fold a witness list; the empty chain is equivalence."""
-    cur = type_canonicalize(u1)
-    for w in witnesses:
-        cur = ssub_step(cur, w)
-    return type_equiv(cur, u2)
 
 
 # --- contexts --------------------------------------------------------------

@@ -50,6 +50,38 @@ def test_translate_emits_the_pair_calculus(capsys):
     assert "proj_l" in out and "X * X" in out
 
 
+def test_fcheck_says_the_translation_checked(capsys):
+    code, out, _ = run(capsys, "fcheck", "--ctx", "a: X, f: X -> X", "f a")
+    assert code == 0 and out.strip() == "ok: f a : X"
+    code, out, _ = run(capsys, "fcheck", "--ctx", "a: X, b: X", "--format", "json", "a + b")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "fterm": "<a, b>", "ftype": "X * X"}
+
+
+def test_to_sadd_prints_the_rigid_sequent(capsys):
+    code, out, _ = run(
+        capsys, "to-sadd", "--ctx", "a: X, b: X",
+        r"(gen Z. \x: Z. x) (a + b) { Z | Z | [X], [X] | Z }",
+    )
+    assert code == 0 and out.strip() == r"(\x. x) (a + b) : X + X"
+    code, out, _ = run(capsys, "to-sadd", "--ctx", "a: X, b: X", "--format", "json", "a + b + zero")
+    assert code == 0
+    assert json.loads(out) == {"term": "a + b + zero", "type": "(X + X) + void"}
+
+
+def test_elaborate_prints_every_node_of_the_derivation(capsys):
+    want = [
+        "arrE: a: X, f: X -> X |- f a : X",
+        "  ax: a: X, f: X -> X |- f : X -> X",
+        "  ax: a: X, f: X -> X |- a : X",
+    ]
+    code, out, _ = run(capsys, "elaborate", "--ctx", "a: X, f: X -> X", "f a")
+    assert code == 0 and out.splitlines() == want
+    code, out, _ = run(capsys, "elaborate", "--ctx", "a: X, f: X -> X", "--format", "json", "f a")
+    assert code == 0
+    assert json.loads(out) == {"term": "f a", "type": "X", "derivation": "\n".join(want)}
+
+
 def test_reverse_term_and_undefined(capsys):
     code, out, _ = run(capsys, "reverse", "<proj_l f u, proj_r f u>")
     assert code == 0 and out.strip() == "f u"
@@ -150,6 +182,28 @@ def test_reduce_rejects_a_fuel_that_is_not_a_step_count(capsys, fuel):
         main(["reduce", "--fuel", fuel, "a"])
     assert e.value.code == 2
     assert "fuel must be a number of steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "_0"),
+    ("reduce", r"(\x.x) _1"),
+    ("check", "--ctx", "_0: X", "_0"),
+    ("reverse", r"\x. _0"),
+    ("parse", "--kind", "type", "forall X. _0 -> X"),
+])
+def test_a_positional_binder_name_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "reserved for positional binder names" in err
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--count", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_suite_counts_must_be_positive(capsys, flag, value):
+    with pytest.raises(SystemExit) as e:
+        main(["suite", "sn", flag, value])
+    assert e.value.code == 2
+    assert f"argument {flag}: must be a positive number" in capsys.readouterr().err
 
 
 def test_deep_input_ends_in_a_documented_error(capsys):

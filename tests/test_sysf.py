@@ -19,7 +19,6 @@ from addlam.sysf import (
     FUnit,
     FVar,
     Star,
-    f_alpha_eq,
     f_arr_e,
     f_arr_i,
     f_ax,
@@ -27,7 +26,6 @@ from addlam.sysf import (
     f_check,
     f_forall_e,
     f_forall_i,
-    f_normalize,
     f_prod_i,
     f_proj_l,
     f_proj_r,
@@ -56,7 +54,6 @@ def test_reducts_under_a_binder_do_not_capture():
     t = f_canonicalize(FAbs("a", FApp(FAbs("x", FAbs("y", FVar("a"))), FVar("b"))))
     want = f_canonicalize(FAbs("a", FAbs("y", FVar("a"))))
     assert f_reducts(t) == {want}
-    assert f_normalize(t) == want
 
 
 def test_eta_contraction_needs_a_fresh_variable():
@@ -94,8 +91,7 @@ def test_a_free_positional_name_is_refused():
 
 def test_normalisation_of_a_pair_program():
     t = FProjR(FPair(FVar("a"), FApp(FAbs("x", FVar("x")), FVar("b"))))
-    res = f_normalize(t)
-    assert f_alpha_eq(res, FVar("b"))
+    assert f_reaches(t, FVar("b")) is not None
 
 
 def test_reaches_returns_a_connected_path():
@@ -154,7 +150,7 @@ def test_projection_path_nests_innermost_first():
     # the leaf at address l,r,r is reached by projecting left first
     got = proj_path_derivation(d, "lrr")
     f_check(got)
-    assert f_alpha_eq(f_normalize(got.term), FVar("u3"))
+    assert f_reaches(got.term, FVar("u3")) is not None
     assert got.term == FProjR(FProjR(FProjL(t)))
     assert _strip_projections(got.term) == (t, "lrr")
 

@@ -8,7 +8,6 @@ from addlam.corpus import random_type
 from addlam.binders import rebuild
 from addlam.typesys import (
     Context,
-    SsubWitness,
     TArrow,
     TForall,
     TSum,
@@ -17,8 +16,6 @@ from addlam.typesys import (
     is_unit,
     raw_alpha_eq,
     raw_subst_vec,
-    ssub_chain_check,
-    ssub_check,
     to_raw,
     type_canonicalize,
     type_equiv,
@@ -121,15 +118,6 @@ def test_to_raw_binarizes_nested_sums():
 def test_summands_of_canonical_sum():
     parts = type_summands(type_canonicalize(TSum((Y, X))))
     assert set(parts) == {X, Y}
-
-
-def test_ssub_witness_round_trip():
-    u = TArrow(X, X)
-    gen = SsubWitness("gen", "Z")
-    inst = SsubWitness("inst", "Z", Y)
-    assert ssub_check(u, TForall("Z", u), gen)
-    assert ssub_chain_check(u, u, ())
-    assert ssub_chain_check(TForall("Z", TArrow(Z, Z)), TArrow(Y, Y), (inst,))
 
 
 def test_context_lookup_and_extension():
