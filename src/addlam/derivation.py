@@ -81,6 +81,12 @@ def _fail(msg: str):
     raise RuleViolation((), msg)
 
 
+def _map_key(m) -> tuple:
+    """A witness map as a hashable key: a dict by its sorted (address,
+    value) items, any other map as the tuple of its entries."""
+    return tuple(sorted(m.items())) if isinstance(m, dict) else tuple(m)
+
+
 # --- the two systems ---------------------------------------------------------
 
 
@@ -97,7 +103,9 @@ class System:
     * ``fail(msg)``: reject the premises of a transformation;
     * ``wit_values``/``wit_map``: read and rewrite an ``arrE`` witness map;
     * ``app_witness``: check application premise types against the
-      witnesses; returns the stored witnesses and the result type;
+      witnesses; returns the stored witnesses and the result type.  The
+      engine calls it through ``witness``, which computes it once per
+      distinct input;
     * ``beta_vector``: the instantiation vector of a unit-typed redex;
     * ``focus_dist``, ``drop_zero``, ``descend_sum``: split a derivation
       of a sum for the distributivity rules, the zero-summand rule and a
@@ -108,6 +116,19 @@ class System:
     def __init__(self, cls: type):
         self.cls = cls
         cls.system = self  # so the engine finds the system from a node
+        self._witnesses = {}
+
+    def witness(self, fun_ty, arg_ty, u, ts, vs, xs):
+        """``app_witness(fun_ty, arg_ty, u, ts, vs, xs)``, computed once per
+        distinct input in a process.  A witness map given as a dict is
+        keyed by its sorted items, the form a node stores.  A failure is
+        not kept: it raises again on every call."""
+        key = (fun_ty, arg_ty, u, _map_key(ts), _map_key(vs), tuple(xs))
+        try:
+            return self._witnesses[key]
+        except KeyError:
+            out = self._witnesses[key] = self.app_witness(fun_ty, arg_ty, u, ts, vs, xs)
+            return out
 
     def instantiate(self, ty: Type, v: Type) -> Type:
         c = self.norm(ty)
@@ -158,7 +179,7 @@ class System:
         xs = tuple(xs)
         if d1.ctx != d2.ctx:
             _fail("application premises typed in different contexts")
-        u, ts, vs, res = self.app_witness(d1.ty, d2.ty, u, ts, vs, xs)
+        u, ts, vs, res = self.witness(d1.ty, d2.ty, u, ts, vs, xs)
         term = canonicalize(App(d1.term, d2.term))
         return self.cls(
             "arrE", d1.ctx, term, res, (d1, d2),
@@ -375,7 +396,7 @@ def _check_node(d: Derivation, path: tuple[int, ...]):
         if p1.ctx != d.ctx or p2.ctx != d.ctx:
             bad("application context mismatch")
         try:
-            res = system.app_witness(p1.ty, p2.ty, d.arr_u, d.arr_ts, d.arr_vs, d.arr_xs)[3]
+            res = system.witness(p1.ty, p2.ty, d.arr_u, d.arr_ts, d.arr_vs, d.arr_xs)[3]
         except RuleViolation as e:
             bad(e.message)
         except ValueError as e:

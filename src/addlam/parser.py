@@ -353,12 +353,18 @@ def parse_ftype(src: str) -> FType:
 
 
 def parse_context(src: str) -> list[tuple[str, Type]]:
-    """Comma-separated hypotheses: `x: X, f: X -> X`."""
+    """Comma-separated hypotheses: `x: X, f: X -> X`.  A variable named
+    twice is refused at its second occurrence."""
     p = _Parser(src)
     out: list[tuple[str, Type]] = []
+    seen: set[str] = set()
     if p.peek().kind != "eof":
         while True:
+            t = p.peek()
             x = p.ident("a variable")
+            if x in seen:
+                raise ParseError(f"variable {x} is already in the context", t.line, t.col)
+            seen.add(x)
             p.expect(":")
             out.append((x, p.type_()))
             if not p.eat(","):

@@ -197,6 +197,15 @@ def test_a_positional_binder_name_is_a_parse_error(capsys, argv):
     assert err.startswith("parse error: ") and "reserved for positional binder names" in err
 
 
+@pytest.mark.parametrize("command", ["check", "elaborate", "to-sadd", "translate", "fcheck"])
+def test_a_context_naming_a_variable_twice_is_a_parse_error(capsys, command):
+    code, out, err = run(capsys, command, "--ctx", "a: X, b: X, a: Y", "a")
+    assert code == 2 and out == ""
+    assert err.strip() == "parse error: 1:13: variable a is already in the context"
+    code, out, _ = run(capsys, command, "--ctx", "a: X, b: Y", "a")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("flag", ["--cases", "--count", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_suite_counts_must_be_positive(capsys, flag, value):

@@ -92,6 +92,13 @@ def test_context_lists():
     assert parse_context("") == []
 
 
+def test_a_context_names_each_variable_once():
+    with pytest.raises(ParseError) as e:
+        parse_context("a: X,\n  f: X -> X, a: Y")
+    assert (e.value.line, e.value.col) == (2, 14)
+    assert e.value.message == "variable a is already in the context"
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as e:
         parse_term("(a +")
