@@ -26,6 +26,8 @@ order of its declarations.
 Canonical binder names are positional (``_d`` for the binder at depth d),
 which no parser produces.  ``canonical`` marks what it returns (every node
 it builds outside all binders) and returns a marked node at once.
+
+``Context``, the typing context of every language, is defined here too.
 """
 
 from __future__ import annotations
@@ -130,6 +132,66 @@ def free_vars(t: Node) -> frozenset[str]:
     for c in t._kids():
         out |= free_vars(c)
     return out
+
+
+# --- typing contexts ----------------------------------------------------------
+
+
+class Context:
+    """Immutable map from term variables to types, sorted by name, for the
+    source systems and System F alike; equal when the same names map to
+    equal types."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, entries=()):
+        d = dict(entries)
+        self._items = tuple(sorted(d.items()))
+
+    def get(self, name: str) -> Node | None:
+        for k, v in self._items:
+            if k == name:
+                return v
+        return None
+
+    def __contains__(self, name: str) -> bool:
+        return self.get(name) is not None
+
+    def extend(self, name: str, ty: Node) -> "Context":
+        d = dict(self._items)
+        d[name] = ty
+        return Context(d.items())
+
+    def remove(self, name: str) -> "Context":
+        return Context((k, v) for k, v in self._items if k != name)
+
+    def items(self):
+        return self._items
+
+    def names(self):
+        return tuple(k for k, _ in self._items)
+
+    def free_tvars(self) -> frozenset[str]:
+        out = frozenset()
+        for _, v in self._items:
+            out |= free_vars(v)
+        return out
+
+    def map_types(self, fn) -> "Context":
+        return Context((k, fn(v)) for k, v in self._items)
+
+    def __eq__(self, other):
+        return isinstance(other, Context) and self._items == other._items
+
+    def __hash__(self):
+        return hash(self._items)
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}: {v!r}" for k, v in self._items)
+        return f"Context({{{inner}}})"
+
+    def __str__(self):
+        return ", ".join(f"{k}: {v}" for k, v in self._items) or "-"
 
 
 # --- order and canonical forms -----------------------------------------------

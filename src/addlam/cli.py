@@ -9,6 +9,7 @@ import json
 import os
 import sys
 
+from .binders import Context
 from .corpus import generate_corpus
 from .derivation import ElaborationError, RuleViolation, check_add, elaborate
 from .parser import (
@@ -26,7 +27,7 @@ from .suites import SUITES, run_suite
 from .sysf import f_check, show_fterm, show_ftype
 from .syntax import show_term
 from .translation import rev_term, rev_type, trans_term
-from .typesys import Context, show_type
+from .typesys import show_type
 
 
 def _read_input(args) -> str:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .binders import Context
 from .derivation import (
     AddDerivation,
     arr_e,
@@ -32,7 +33,6 @@ from .structured import (
 )
 from .syntax import Abs, App, Sum, Term, Var, Zero
 from .typesys import (
-    Context,
     TArrow,
     TForall,
     TSum,

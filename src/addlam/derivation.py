@@ -7,14 +7,19 @@ typed up to type equivalence, and the structured system of
 ``structured.py``, whose sum types are rigid binary trees.  The checker
 and the transformations are written once.  Each derivation class names
 its ``System``, and the members of the two ``System`` instances are the
-only places where the presentations differ."""
+only places where the presentations differ.
+
+Each typing rule is defined once, by its node constructor (``System.ax``
+... ``System.arr_e``).  A node is valid when its rule's constructor
+rebuilds it from its premises and fields: that is all the checker asks,
+and the transformations build every node they return the same way."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from .binders import free_vars, fresh_name, sort_key
+from .binders import Context, free_vars, fresh_name, sort_key
 from .reduction import Redex, StaleRedex, step
 from .syntax import (
     Abs,
@@ -31,7 +36,6 @@ from .syntax import (
     transfer_path,
 )
 from .typesys import (
-    Context,
     TArrow,
     TForall,
     TSum,
@@ -92,8 +96,10 @@ def _map_key(m) -> tuple:
 
 class System:
     """One presentation of the type system.  The node constructors below
-    validate one node, assuming valid premises, and are shared; a
-    subclass supplies what differs:
+    validate one node, assuming valid premises, and are shared.  They are
+    the only definition of the rules: a node is valid when its
+    constructor rebuilds it (``check_derivation``).  A subclass supplies
+    what differs:
 
     * ``rules``, and ``unit_hypotheses`` (must an axiom's hypothesis be
       a unit type);
@@ -130,10 +136,6 @@ class System:
             out = self._witnesses[key] = self.app_witness(fun_ty, arg_ty, u, ts, vs, xs)
             return out
 
-    def instantiate(self, ty: Type, v: Type) -> Type:
-        c = self.norm(ty)
-        return self.subst(c.body, c.var, v)
-
     def ax(self, ctx: Context, name: str):
         u = ctx.get(name)
         if u is None:
@@ -160,7 +162,7 @@ class System:
         return self.cls("plusI", d1.ctx, term, self.norm(TSum((d1.ty, d2.ty))), (d1, d2))
 
     def forall_i(self, d, binder: str):
-        if not is_unit(d.ty):
+        if not is_unit(self.norm(d.ty)):
             _fail(f"generalisation over a non-unit type {show_type(d.ty)}")
         if binder in d.ctx.free_tvars():
             _fail(f"{binder} occurs free in the context")
@@ -171,9 +173,10 @@ class System:
         v = self.norm(v)
         if not is_unit(v):
             _fail(f"instantiation with a non-unit type {show_type(v)}")
-        if not isinstance(d.ty, TForall):
+        c = self.norm(d.ty)
+        if not isinstance(c, TForall):
             _fail(f"instantiating a non-quantified type {show_type(d.ty)}")
-        return self.cls("forallE", d.ctx, d.term, self.instantiate(d.ty, v), (d,), inst_ty=v)
+        return self.cls("forallE", d.ctx, d.term, self.subst(c.body, c.var, v), (d,), inst_ty=v)
 
     def arr_e(self, d1, d2, u: Type, ts, vs, xs=()):
         xs = tuple(xs)
@@ -327,84 +330,43 @@ arr_e = ADD.arr_e
 # --- the checker ------------------------------------------------------------
 
 
+# per rule: the number of premises, and the fields a node carries besides them
+_SHAPES = {"ax": (0, ()), "ax0": (0, ()), "equiv": (1, ()), "arrI": (1, ("binder",)),
+           "plusI": (2, ()), "forallI": (1, ("binder",)), "forallE": (1, ("inst_ty",)),
+           "arrE": (2, ("arr_u", "arr_ts", "arr_vs", "arr_xs"))}
+
+
 def _check_node(d: Derivation, path: tuple[int, ...]):
+    """d is valid when its rule's constructor rebuilds its conclusion
+    from its premises and fields: the same context, the same canonical
+    term and a type equal in d's system."""
+
     def bad(msg):
         raise RuleViolation(path, msg)
 
     system = d.system
-    ps = d.premises
     if d.rule not in system.rules:
         bad(f"unknown rule {d.rule!r}")
-    if d.rule == "ax":
-        u = d.ctx.get(d.term.name) if isinstance(d.term, Var) else None
-        if u is None:
-            bad("axiom subject is not a context variable")
-        if not system.eq(d.ty, u):
-            bad("axiom type differs from the hypothesis")
-    elif d.rule == "ax0":
-        if d.term is not Zero or not system.eq(d.ty, TZero):
-            bad("zero axiom must type zero with the zero type")
-    elif d.rule == "equiv":
-        (p,) = ps
-        if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
-            bad("equivalence changes the judgement subject")
-        if not system.eq(p.ty, d.ty):
-            bad("equivalence between inequivalent types")
-    elif d.rule == "arrI":
-        (p,) = ps
-        u = p.ctx.get(d.binder or "")
-        if u is None:
-            bad("binder missing from the premise context")
-        if p.ctx.remove(d.binder) != d.ctx:
-            bad("abstraction context mismatch")
-        if canonicalize(d.term) != canonicalize(Abs(d.binder, p.term)):
-            bad("abstraction subject mismatch")
-        if not system.eq(d.ty, TArrow(u, p.ty)):
-            bad("abstraction type is not the expected arrow")
-    elif d.rule == "plusI":
-        p1, p2 = ps
-        if p1.ctx != d.ctx or p2.ctx != d.ctx:
-            bad("sum context mismatch")
-        if canonicalize(d.term) != mk_sum((p1.term, p2.term)):
-            bad("sum subject mismatch")
-        if not system.eq(d.ty, TSum((p1.ty, p2.ty))):
-            bad("sum type is not the sum of the premise types")
-    elif d.rule == "forallI":
-        (p,) = ps
-        if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
-            bad("generalisation changes the judgement subject")
-        if not is_unit(system.norm(p.ty)):
-            bad("generalisation over a non-unit type")
-        if d.binder in d.ctx.free_tvars():
-            bad(f"{d.binder} occurs free in the context")
-        if not system.eq(d.ty, TForall(d.binder, p.ty)):
-            bad("generalised type mismatch")
-    elif d.rule == "forallE":
-        (p,) = ps
-        if p.ctx != d.ctx or canonicalize(p.term) != canonicalize(d.term):
-            bad("instantiation changes the judgement subject")
-        if not isinstance(system.norm(p.ty), TForall):
-            bad("instantiating a non-quantified type")
-        if d.inst_ty is None or not is_unit(system.norm(d.inst_ty)):
-            bad("instantiation witness must be a unit type")
-        if not system.eq(d.ty, system.instantiate(p.ty, d.inst_ty)):
-            bad("instantiated type mismatch")
-    elif d.rule == "arrE":
-        p1, p2 = ps
-        if d.arr_ts is None or d.arr_vs is None or d.arr_u is None or d.arr_xs is None:
-            bad("application node lacks its witnesses")
-        if p1.ctx != d.ctx or p2.ctx != d.ctx:
-            bad("application context mismatch")
-        try:
-            res = system.witness(p1.ty, p2.ty, d.arr_u, d.arr_ts, d.arr_vs, d.arr_xs)[3]
-        except RuleViolation as e:
-            bad(e.message)
-        except ValueError as e:
-            bad(str(e))
-        if canonicalize(d.term) != canonicalize(App(p1.term, p2.term)):
-            bad("application subject mismatch")
-        if not system.eq(d.ty, res):
-            bad("application result type mismatch")
+    arity, fields = _SHAPES[d.rule]
+    if len(d.premises) != arity:
+        bad(f"{d.rule} takes {arity} premises, not {len(d.premises)}")
+    if d.rule == "ax" and not isinstance(d.term, Var):
+        bad("axiom subject is not a variable")
+    for f in fields:
+        if getattr(d, f) is None:
+            bad(f"{d.rule} node lacks its {f}")
+    try:
+        want = _rebuild(d, lambda p: p)
+    except RuleViolation as e:
+        bad(e.message)
+    except ValueError as e:
+        bad(str(e))
+    if want.ctx != d.ctx:
+        bad(f"context {d.ctx} is not the rule's {want.ctx}")
+    if canonicalize(want.term) != canonicalize(d.term):
+        bad(f"subject {show_term(d.term)} is not the rule's {show_term(want.term)}")
+    if not system.eq(want.ty, d.ty):
+        bad(f"type {show_type(d.ty)} is not the rule's {show_type(want.ty)}")
 
 
 def check_derivation(d: Derivation, path: tuple[int, ...] = ()):
@@ -607,10 +569,15 @@ def _all_tvars(d: Derivation) -> set[str]:
     return out
 
 
-def _rebuild(n: Derivation, go) -> Derivation:
-    """n over the premises go(p), with its own side conditions."""
+def _rebuild(n: Derivation, go, ctx: Context | None = None) -> Derivation:
+    """n over the premises go(p), built by its rule's constructor; an
+    axiom is built over ctx when one is given."""
     system = n.system
     ps = [go(p) for p in n.premises]
+    if n.rule == "ax":
+        return system.ax(n.ctx if ctx is None else ctx, n.term.name)
+    if n.rule == "ax0":
+        return system.ax0(n.ctx if ctx is None else ctx)
     if n.rule == "equiv":
         return system.retype(ps[0], n.ty)
     if n.rule == "arrI":
@@ -639,13 +606,11 @@ def rename_var(d: Derivation, old: str, new: str) -> Derivation:
         if n.rule == "ax":
             nm = n.term.name
             return system.retype(system.ax(ctx, new if nm == old else nm), n.ty)
-        if n.rule == "ax0":
-            return system.ax0(ctx)
         if n.rule == "arrI" and n.binder in (old, new):
             raise UnsupportedDerivationShape(
                 f"binder {n.binder} collides while renaming {old} to {new}"
             )
-        return _rebuild(n, go)
+        return _rebuild(n, go, ctx)
 
     return go(d)
 
@@ -659,10 +624,8 @@ def weaken(d: Derivation, name: str, ty: Type) -> Derivation:
     new_tv = free_vars(ty)
 
     def go(n: Derivation) -> Derivation:
-        if n.rule == "ax":
-            return system.ax(n.ctx.extend(name, ty), n.term.name)
-        if n.rule == "ax0":
-            return system.ax0(n.ctx.extend(name, ty))
+        if not n.premises:
+            return _rebuild(n, go, n.ctx.extend(name, ty))
         if n.rule == "arrI" and n.binder == name:
             p, b = n.premises[0], n.binder
             avoid = set(p.ctx.names()) | free_vars(p.term) | {name}
@@ -694,10 +657,8 @@ def type_subst_derivation(d: Derivation, x: str, u: Type) -> Derivation:
         return None if t is None else system.subst(t, x, u)
 
     def go(n: Derivation) -> Derivation:
-        if n.rule == "ax":
-            return system.ax(n.ctx.map_types(sub), n.term.name)
-        if n.rule == "ax0":
-            return system.ax0(n.ctx.map_types(sub))
+        if not n.premises:
+            return _rebuild(n, go, n.ctx.map_types(sub))
         if n.rule == "equiv":
             return system.retype(go(n.premises[0]), sub(n.ty))
         if n.rule == "forallI":
@@ -754,12 +715,10 @@ def subst_derivation(d: Derivation, x: str, dv: Derivation) -> Derivation:
         system.fail("only values substitute for term variables")
 
     def go(n: Derivation, dv: Derivation) -> Derivation:
-        if n.rule == "ax":
-            if n.term.name == x:
-                return system.retype(dv, n.ty)
-            return system.ax(n.ctx.remove(x), n.term.name)
-        if n.rule == "ax0":
-            return system.ax0(n.ctx.remove(x))
+        if n.rule == "ax" and n.term.name == x:
+            return system.retype(dv, n.ty)
+        if not n.premises:
+            return _rebuild(n, None, n.ctx.remove(x))
         if n.rule == "arrI":
             p, b = n.premises[0], n.binder
             if b == x:

@@ -3,8 +3,10 @@ binary trees and the application rule composes them syntactically
 instead of reasoning up to equivalence.  A rigid type is its own tree:
 a binary ``TSum`` is a node, ``TZero`` a zero leaf and a unit type a
 labelled leaf, and ``fold_tree`` is the one walk over that shape.
-Checking and the derivation transformations are those of
-``derivation.py``, run with the ``StructuredSystem`` below."""
+The rules are the node constructors of ``derivation.System`` run with the
+``StructuredSystem`` below, and a node is valid when its constructor
+rebuilds it; checking and the derivation transformations are those of
+``derivation.py``."""
 
 from __future__ import annotations
 

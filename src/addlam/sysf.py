@@ -1,7 +1,10 @@
-"""System F with pairs and unit: the target calculus. Terms, types, a
-derivation checker, full (non-deterministic) reduction including both
-eta rules, and bounded reachability search.  It knows nothing of the
-source calculus: the translation (``translation.py``) builds its pairs
+"""System F with pairs and unit: the target calculus. Terms, types,
+typing rules, full (non-deterministic) reduction including both eta
+rules, and bounded reachability search.  Each typing rule is defined
+once, by the constructor of its derivation nodes (``f_ax`` ...
+``f_forall_e``); the checker accepts a node when that constructor
+rebuilds it from the node's premises.  The module knows nothing of
+the source calculus: the translation (``translation.py``) builds its pairs
 and projections from rigid source types."""
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .binders import Node, alpha_eq, canonical, free_vars, subst
+from .binders import Context, Node, alpha_eq, canonical, free_vars, subst
 
 
 # --- types -------------------------------------------------------------------
@@ -17,6 +20,9 @@ from .binders import Node, alpha_eq, canonical, free_vars, subst
 
 class FType(Node):
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return show_ftype(self)
 
 
 class FTVar(FType, var=True):
@@ -229,60 +235,10 @@ def f_reaches(t: FTerm, u: FTerm, budget: int = 10000):
 # --- typing ------------------------------------------------------------------
 
 
-class FContext:
-    """Immutable name-sorted typing context for the target calculus."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=()):
-        self.entries: tuple[tuple[str, FType], ...] = tuple(
-            sorted(dict(entries).items())
-        )
-
-    def get(self, name):
-        for k, v in self.entries:
-            if k == name:
-                return v
-        return None
-
-    def __contains__(self, name):
-        return self.get(name) is not None
-
-    def extend(self, name, ty):
-        return FContext(dict(self.entries) | {name: ty})
-
-    def remove(self, name):
-        return FContext((k, v) for k, v in self.entries if k != name)
-
-    def items(self):
-        return self.entries
-
-    def free_tvars(self):
-        out = frozenset()
-        for _, v in self.entries:
-            out |= free_vars(v)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, FContext) and all(
-            x == y and f_type_alpha_eq(a, b)
-            for (x, a), (y, b) in zip(self.entries, other.entries)
-        ) and len(self.entries) == len(other.entries)
-
-    def __hash__(self):
-        return hash(tuple(k for k, _ in self.entries))
-
-    def __str__(self):
-        return ", ".join(f"{k}: {show_ftype(v)}" for k, v in self.entries) or "-"
-
-    def __repr__(self):
-        return f"FContext({self.entries!r})"
-
-
 @dataclass(frozen=True)
 class FDerivation:
     rule: str  # Ax UnitI ArrI ArrE ProdI ProdEl ProdEr ForallI ForallE
-    ctx: FContext
+    ctx: Context
     term: FTerm
     ty: FType
     premises: tuple["FDerivation", ...] = ()
@@ -305,14 +261,14 @@ def _ffail(msg):
     raise FRuleViolation((), msg)
 
 
-def f_ax(ctx: FContext, name: str) -> FDerivation:
+def f_ax(ctx: Context, name: str) -> FDerivation:
     ty = ctx.get(name)
     if ty is None:
         _ffail(f"variable {name} not in context")
     return FDerivation("Ax", ctx, FVar(name), ty)
 
 
-def f_unit_i(ctx: FContext) -> FDerivation:
+def f_unit_i(ctx: Context) -> FDerivation:
     return FDerivation("UnitI", ctx, Star, FUnit)
 
 
@@ -376,71 +332,48 @@ def f_forall_e(d: FDerivation, ty: FType) -> FDerivation:
     )
 
 
+# per rule: the number of premises, the other fields, and the constructor
+_F_RULES = {
+    "Ax": (0, (), lambda d: f_ax(d.ctx, d.term.name)),
+    "UnitI": (0, (), lambda d: f_unit_i(d.ctx)),
+    "ArrI": (1, ("binder",), lambda d, p: f_arr_i(p, d.binder)),
+    "ArrE": (2, (), lambda d, p1, p2: f_arr_e(p1, p2)),
+    "ProdI": (2, (), lambda d, p1, p2: f_prod_i(p1, p2)),
+    "ProdEl": (1, (), lambda d, p: f_proj_l(p)),
+    "ProdEr": (1, (), lambda d, p: f_proj_r(p)),
+    "ForallI": (1, ("binder",), lambda d, p: f_forall_i(p, d.binder)),
+    "ForallE": (1, ("inst_ty",), lambda d, p: f_forall_e(p, d.inst_ty)),
+}
+
+
 def _f_check_node(d: FDerivation, path):
+    """d is valid when its rule's constructor rebuilds its conclusion
+    from its premises and fields: the same context, and the same term and
+    type up to the renaming of bound variables."""
+
     def bad(msg):
         raise FRuleViolation(path, msg)
 
-    ps = d.premises
-    if d.rule == "Ax":
-        ty = d.ctx.get(d.term.name) if isinstance(d.term, FVar) else None
-        if ty is None or not f_type_alpha_eq(ty, d.ty):
-            bad("axiom does not read its type off the context")
-    elif d.rule == "UnitI":
-        if d.term is not Star or d.ty is not FUnit:
-            bad("the unit axiom must type star with 1")
-    elif d.rule == "ArrI":
-        (p,) = ps
-        dom = p.ctx.get(d.binder or "")
-        if dom is None or p.ctx.remove(d.binder) != d.ctx:
-            bad("abstraction context mismatch")
-        if not f_alpha_eq(d.term, FAbs(d.binder, p.term)):
-            bad("abstraction subject mismatch")
-        if not f_type_alpha_eq(d.ty, FArrow(dom, p.ty)):
-            bad("abstraction type mismatch")
-    elif d.rule == "ArrE":
-        p1, p2 = ps
-        if p1.ctx != d.ctx or p2.ctx != d.ctx:
-            bad("application context mismatch")
-        if not isinstance(p1.ty, FArrow) or not f_type_alpha_eq(p1.ty.dom, p2.ty):
-            bad("application premises do not compose")
-        if not f_alpha_eq(d.term, FApp(p1.term, p2.term)):
-            bad("application subject mismatch")
-        if not f_type_alpha_eq(d.ty, p1.ty.cod):
-            bad("application result type mismatch")
-    elif d.rule == "ProdI":
-        p1, p2 = ps
-        if p1.ctx != d.ctx or p2.ctx != d.ctx:
-            bad("pair context mismatch")
-        if not f_alpha_eq(d.term, FPair(p1.term, p2.term)):
-            bad("pair subject mismatch")
-        if not f_type_alpha_eq(d.ty, FProd(p1.ty, p2.ty)):
-            bad("pair type mismatch")
-    elif d.rule in ("ProdEl", "ProdEr"):
-        (p,) = ps
-        if p.ctx != d.ctx or not isinstance(p.ty, FProd):
-            bad("projection premise is not a product")
-        want_tm = FProjL(p.term) if d.rule == "ProdEl" else FProjR(p.term)
-        want_ty = p.ty.left if d.rule == "ProdEl" else p.ty.right
-        if not f_alpha_eq(d.term, want_tm) or not f_type_alpha_eq(d.ty, want_ty):
-            bad("projection conclusion mismatch")
-    elif d.rule == "ForallI":
-        (p,) = ps
-        if p.ctx != d.ctx or not f_alpha_eq(p.term, d.term):
-            bad("generalisation changes the subject")
-        if d.binder in d.ctx.free_tvars():
-            bad(f"{d.binder} occurs free in the context")
-        if not f_type_alpha_eq(d.ty, FForall(d.binder, p.ty)):
-            bad("generalised type mismatch")
-    elif d.rule == "ForallE":
-        (p,) = ps
-        if p.ctx != d.ctx or not f_alpha_eq(p.term, d.term):
-            bad("instantiation changes the subject")
-        if not isinstance(p.ty, FForall) or d.inst_ty is None:
-            bad("instantiation premise is not quantified")
-        if not f_type_alpha_eq(d.ty, subst(p.ty.body, p.ty.var, d.inst_ty)):
-            bad("instantiated type mismatch")
-    else:
+    if d.rule not in _F_RULES:
         bad(f"unknown rule {d.rule!r}")
+    arity, fields, build = _F_RULES[d.rule]
+    if len(d.premises) != arity:
+        bad(f"{d.rule} takes {arity} premises, not {len(d.premises)}")
+    if d.rule == "Ax" and not isinstance(d.term, FVar):
+        bad("axiom subject is not a variable")
+    for f in fields:
+        if getattr(d, f) is None:
+            bad(f"{d.rule} node lacks its {f}")
+    try:
+        want = build(d, *d.premises)
+    except FRuleViolation as e:
+        bad(e.message)
+    if want.ctx != d.ctx:
+        bad(f"context {d.ctx} is not the rule's {want.ctx}")
+    if not f_alpha_eq(want.term, d.term):
+        bad(f"subject {show_fterm(d.term)} is not the rule's {show_fterm(want.term)}")
+    if not f_type_alpha_eq(want.ty, d.ty):
+        bad(f"type {show_ftype(d.ty)} is not the rule's {show_ftype(want.ty)}")
 
 
 def f_check(d: FDerivation, path: tuple[int, ...] = ()):

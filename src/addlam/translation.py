@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .binders import Context
 from .reduction import Redex
 from .structured import (
     ExcludedRule,
@@ -21,7 +22,6 @@ from .structured import (
 )
 from .syntax import Abs, App, Sum, Term, Var, Zero, canonicalize, show_term
 from .typesys import (
-    Context,
     TArrow,
     TForall,
     TSum,
@@ -36,7 +36,6 @@ from .sysf import (
     FAbs,
     FApp,
     FArrow,
-    FContext,
     FDerivation,
     FForall,
     FPair,
@@ -84,8 +83,8 @@ def trans_type(t: Type) -> FType:
     raise TypeError(f"not a type: {t!r}")
 
 
-def trans_ctx(ctx: Context) -> FContext:
-    return FContext((x, trans_type(u)) for x, u in ctx.items())
+def trans_ctx(ctx: Context) -> Context:
+    return ctx.map_types(trans_type)
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def round_trip(sd: SaddDerivation) -> RoundTrip:
 # --- isomorphism and coercion terms ----------------------------------------------
 
 
-def epsilon_derivations(t: Type, ctx: FContext = FContext()) -> tuple[FDerivation, FDerivation]:
+def epsilon_derivations(t: Type, ctx: Context = Context()) -> tuple[FDerivation, FDerivation]:
     ft = trans_type(t)
     c1 = ctx.extend("x", FProd(ft, FUnit))
     down = f_arr_i(f_proj_l(f_ax(c1, "x")), "x")
@@ -295,7 +294,7 @@ class CoercionUnsupported(Exception):
     """The two types differ below the sum structure."""
 
 
-def equiv_coercion(t1: Type, t2: Type, ctx: FContext = FContext()) -> FDerivation:
+def equiv_coercion(t1: Type, t2: Type, ctx: Context = Context()) -> FDerivation:
     """A pair-shuffling term of type [[t1]] -> [[t2]] for rigid types
     equal up to reordering and zero summands: each leaf of t2's tree is
     fetched from a matching leaf of t1 by a projection chain."""

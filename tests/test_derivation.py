@@ -4,9 +4,11 @@ import pytest
 
 from addlam.corpus import BASE_CTX, generate_corpus
 from addlam.derivation import (
+    ADD,
     AAbs,
     AApp,
     AVar,
+    AddDerivation,
     AppWitness,
     RuleViolation,
     arr_e,
@@ -25,7 +27,9 @@ from addlam.derivation import (
 )
 from addlam.reduction import Redex, StaleRedex, enumerate_redexes
 from addlam.syntax import Abs, App, Var, canonicalize, show_term
-from addlam.typesys import Context, TArrow, TSum, TVar, TZero, type_equiv
+from addlam.binders import Context
+from addlam.typesys import TArrow, TSum, TVar, TZero, type_equiv
+from test_check_oracle import malformed_nodes_fail_at_their_paths, nodes
 
 X, Y = TVar("X"), TVar("Y")
 
@@ -97,6 +101,18 @@ def test_checker_rejects_a_forged_type():
     forged = type(good)(good.rule, good.ctx, good.term, Y)
     with pytest.raises(RuleViolation):
         check_add(forged)
+
+
+def test_a_malformed_node_fails_at_its_path():
+    """An unknown rule, a wrong number of premises or a lost field is a
+    RuleViolation at the node, under every rule of the system."""
+    ctx = Context((("a", X),))
+    poly = forall_i(_ident(ctx, TVar("Z")), "Z")
+    app = arr_e(forall_e(poly, X), plus_i(ax(ctx, "a"), ax0(ctx)), u=X, ts=(X,), vs=((),))
+    d = AddDerivation("equiv", ctx, app.term, app.ty, (app,))
+    check_add(d)
+    assert {n.rule for _, n in nodes(d)} == set(ADD.rules)
+    assert malformed_nodes_fail_at_their_paths(d, check_add, RuleViolation) == 33
 
 
 def test_elaboration_of_an_annotated_application():

@@ -11,6 +11,7 @@ import pytest
 
 import addlam
 from addlam import syntax
+from addlam.binders import Context
 from addlam.corpus import OMEGA, generate_corpus, random_term
 from addlam.derivation import AAbs, AApp, AVar, elaborate, step_derivation
 from addlam.parser import parse_term
@@ -23,7 +24,7 @@ from addlam.reduction import (
     step,
 )
 from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, free_vars, show_term
-from addlam.typesys import Context, TVar
+from addlam.typesys import TVar
 from test_sn_oracle import reducts
 
 DELTA = Abs("x", App(Var("x"), Var("x")))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from addlam.binders import Context
 from addlam.corpus import (
     BASE_CTX,
     example_pair_tree,
@@ -19,6 +20,7 @@ from addlam.derivation import (
 )
 from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
 from addlam.structured import (
+    SADD,
     ExcludedRule,
     SaddDerivation,
     add_to_sadd,
@@ -29,11 +31,14 @@ from addlam.structured import (
     sarr_i,
     sax,
     sax0,
+    sforall_e,
+    sforall_i,
     splus_i,
     step_sadd_derivation,
 )
 from addlam.syntax import Sum, Var, Zero, canonicalize, show_term
 from addlam.typesys import TArrow, TSum, TVar, TZero, raw_alpha_eq, type_equiv
+from test_check_oracle import malformed_nodes_fail_at_their_paths, nodes
 
 X, Y = TVar("X"), TVar("Y")
 
@@ -90,10 +95,32 @@ def test_structured_types_are_rigid():
 
 
 def test_hypotheses_must_be_unit_typed():
-    from addlam.typesys import Context
     ctx = Context((("s", TSum((X, Y))),))
     with pytest.raises(RuleViolation):
         sax(ctx, "s")
+
+
+def test_a_malformed_node_fails_at_its_path():
+    """An unknown rule (the additive system's equiv among them), a wrong
+    number of premises or a lost field is a RuleViolation at the node,
+    under every rule of the system."""
+    elim = example_struct_elim()
+    z = TVar("Z")
+    poly = sforall_i(sarr_i(sax(BASE_CTX.extend("x", z), "x"), "x"), "Z")
+    d = splus_i(elim, sforall_e(poly, X))
+    check_sadd(d)
+    assert {n.rule for _, n in nodes(d)} == set(SADD.rules)
+    assert malformed_nodes_fail_at_their_paths(d, check_sadd, RuleViolation) == 67
+    with pytest.raises(RuleViolation, match="unknown rule 'equiv'") as e:
+        check_sadd(splus_i(elim, SaddDerivation("equiv", elim.ctx, elim.term, elim.ty, (elim,))))
+    assert e.value.path == (1,)
+
+
+def test_an_axiom_needs_a_unit_hypothesis_in_a_checked_node_too():
+    ctx = Context((("s", TSum((X, Y))),))
+    forged = SaddDerivation("ax", ctx, Var("s"), TSum((X, Y)))
+    with pytest.raises(RuleViolation, match="not unit-typed"):
+        check_sadd(forged)
 
 
 def test_conversion_round_trip_preserves_the_sequent():

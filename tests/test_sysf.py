@@ -3,12 +3,12 @@ as pairs and projections."""
 
 import pytest
 
+from addlam.binders import Context
 from addlam.structured import fold_tree
 from addlam.sysf import (
     FAbs,
     FApp,
     FArrow,
-    FContext,
     FForall,
     FPair,
     FProd,
@@ -36,6 +36,7 @@ from addlam.sysf import (
 )
 from addlam.translation import _strip_projections, proj_path_derivation
 from addlam.typesys import TSum, TVar, TZero
+from test_check_oracle import malformed_nodes_fail_at_their_paths, nodes
 
 A = FTVar("A")
 
@@ -103,7 +104,7 @@ def test_reaches_returns_a_connected_path():
 
 
 def test_typing_of_abstraction_and_application():
-    ctx = FContext((("v", A),))
+    ctx = Context((("v", A),))
     d = f_arr_i(f_ax(ctx.extend("x", A), "x"), "x")
     assert f_type_alpha_eq(d.ty, FArrow(A, A))
     app = f_arr_e(d, f_ax(ctx, "v"))
@@ -112,7 +113,7 @@ def test_typing_of_abstraction_and_application():
 
 
 def test_typing_of_pairs_and_projections():
-    ctx = FContext((("v", A), ("w", FUnit)))
+    ctx = Context((("v", A), ("w", FUnit)))
     d = f_prod_i(f_ax(ctx, "v"), f_unit_i(ctx))
     assert f_type_alpha_eq(d.ty, FProd(A, FUnit))
     f_check(f_proj_l(d))
@@ -120,7 +121,7 @@ def test_typing_of_pairs_and_projections():
 
 
 def test_typing_of_quantifiers():
-    ctx = FContext()
+    ctx = Context()
     d = f_forall_i(f_arr_i(f_ax(ctx.extend("x", FTVar("B")), "x"), "x"), "B")
     assert f_type_alpha_eq(d.ty, FForall("C", FArrow(FTVar("C"), FTVar("C"))))
     inst = f_forall_e(d, FProd(A, A))
@@ -129,21 +130,36 @@ def test_typing_of_quantifiers():
 
 
 def test_generalisation_needs_a_fresh_type_variable():
-    ctx = FContext((("v", A),))
+    ctx = Context((("v", A),))
     with pytest.raises(FRuleViolation):
         f_forall_i(f_ax(ctx, "v"), "A")
 
 
 def test_checker_rejects_a_forged_projection():
-    ctx = FContext((("v", A),))
+    ctx = Context((("v", A),))
     d = f_ax(ctx, "v")
     forged = type(d)("projL", ctx, FProjL(d.term), A, (d,))
     with pytest.raises(FRuleViolation):
         f_check(forged)
 
 
+def test_a_malformed_node_fails_at_its_path():
+    """An unknown rule, a wrong number of premises or a lost field is an
+    FRuleViolation at the node, under every rule of F."""
+    ctx = Context((("v", A),))
+    b = FTVar("B")
+    poly = f_forall_i(f_arr_i(f_ax(ctx.extend("x", b), "x"), "x"), "B")
+    pair = f_prod_i(f_arr_e(f_forall_e(poly, A), f_ax(ctx, "v")), f_unit_i(ctx))
+    d = f_prod_i(f_proj_l(pair), f_proj_r(pair))
+    f_check(d)
+    assert {n.rule for _, n in nodes(d)} == {
+        "Ax", "UnitI", "ArrI", "ArrE", "ProdI", "ProdEl", "ProdEr", "ForallI", "ForallE"
+    }
+    assert malformed_nodes_fail_at_their_paths(d, f_check, FRuleViolation) == 61
+
+
 def test_projection_path_nests_innermost_first():
-    ctx = FContext((("u1", A), ("u2", A), ("u3", A)))
+    ctx = Context((("u1", A), ("u2", A), ("u3", A)))
     u1, u2, u3 = (f_ax(ctx, u) for u in ("u1", "u2", "u3"))
     d = f_prod_i(f_prod_i(u1, f_prod_i(u2, u3)), f_unit_i(ctx))
     t = d.term
@@ -163,7 +179,7 @@ def test_tree_term_places_stars_at_zero_leaves():
 
 
 def test_tree_derivation_assembles_products():
-    ctx = FContext((("v", A),))
+    ctx = Context((("v", A),))
     tree = TSum((TVar("X"), TZero))
     d = fold_tree(tree, lambda w, _: f_ax(ctx, "v"), f_unit_i(ctx), f_prod_i)
     f_check(d)

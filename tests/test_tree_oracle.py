@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from addlam.binders import Context
 from addlam.corpus import generate_corpus
 from addlam.derivation import RuleViolation, UnsupportedDerivationShape, forall_close
 from addlam.reduction import enumerate_redexes
@@ -28,7 +29,6 @@ from addlam.structured import (
 )
 from addlam.sysf import (
     FApp,
-    FContext,
     FDerivation,
     FPair,
     FTerm,
@@ -140,7 +140,7 @@ def tree_compose(a: TypeTree, a2: TypeTree) -> TypeTree:
     raise TypeError(f"not a tree: {a!r}")
 
 
-def ftree_derivation(a: TypeTree, taud: dict[str, FDerivation], ctx: FContext) -> FDerivation:
+def ftree_derivation(a: TypeTree, taud: dict[str, FDerivation], ctx: Context) -> FDerivation:
     """Pair up leaf derivations along a tree shape."""
     match a:
         case Leaf():
@@ -230,7 +230,7 @@ def ref_trans(sd: SaddDerivation) -> FDerivation:
     raise TypeError(f"not a structured rule: {sd.rule!r}")
 
 
-def ref_equiv_coercion(t1: Type, t2: Type, ctx: FContext = FContext()) -> FDerivation:
+def ref_equiv_coercion(t1: Type, t2: Type, ctx: Context = Context()) -> FDerivation:
     _, lab1 = tree_of_type(t1)
     a2, lab2 = tree_of_type(t2)
     cx = ctx.extend("x", trans_type(t1))

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from addlam.corpus import random_type
-from addlam.binders import rebuild
+from addlam.binders import Context, rebuild
 from addlam.typesys import (
-    Context,
     TArrow,
     TForall,
     TSum,
