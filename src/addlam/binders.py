@@ -26,6 +26,10 @@ order of its declarations.
 Canonical binder names are positional (``_d`` for the binder at depth d),
 which no parser produces.  ``canonical`` marks what it returns (every node
 it builds outside all binders) and returns a marked node at once.
+A reduction step in any language canonicalises only what it builds:
+``step_at`` replaces the subterm at a path and rebuilds only the nodes
+above it, ``instantiate`` contracts a redex at its own binder depth, and
+``relevel`` moves a canonical subterm to another depth.
 
 ``Context``, the typing context of every language, is defined here too.
 """
@@ -282,6 +286,8 @@ def mark_canonical(t: Node) -> Node:
 def alpha_eq(a: Node, b: Node) -> bool:
     """Equality up to the renaming of bound variables.  Sums are compared
     part by part in order, so this is structural on raw sums."""
+    if a == b:  # O(1) when they share their children
+        return True
 
     def go(a, b, ea, eb, d):
         if a.__class__ is not b.__class__:
@@ -296,6 +302,93 @@ def alpha_eq(a: Node, b: Node) -> bool:
         return len(ka) == len(kb) and all(go(p, q, ea, eb, d) for p, q in zip(ka, kb))
 
     return go(a, b, {}, {}, 0)
+
+
+# --- steps at a path ---------------------------------------------------------
+
+
+def kind(u: Node) -> str:
+    """What u is, for a message; it names the node, not the subterm: an
+    open subterm of a canonical node would print with its free binders
+    captured."""
+    return f"a {type(u).__name__.lstrip('_')} node"
+
+
+def child(u: Node, i, stale: type[Exception]) -> Node:
+    """The child i of u, counted as ``_kids`` lists them; raises stale
+    when u has no such child."""
+    kids = u._kids()
+    if isinstance(i, int) and 0 <= i < len(kids):
+        return kids[i]
+    raise stale(f"no child {i!r} in {kind(u)}")
+
+
+def step_at(t: Node, path, depth: int, contract, stale: type[Exception]) -> Node:
+    """t, canonical at binder depth ``depth``, with the subterm u at path
+    replaced by ``contract(u, d)``, where d is u's binder depth.  Only the
+    nodes on the path are rebuilt: a sum there is merged again by its
+    language's rule, and every other subterm is shared with t.  A path
+    that leaves t raises stale."""
+    spine = []
+    u = t
+    for i in path:
+        spine.append(u)
+        if u._role == _BINDER:
+            depth += 1
+        u = child(u, i, stale)
+    new = contract(u, depth)
+    for node, i in zip(reversed(spine), reversed(path)):
+        role = node._role
+        if role == _BINDER:
+            new = node.__class__(node.var, new)
+        elif role == _SUM:
+            new = node._merge(node.parts[:i] + node.parts[i + 1:] + (new,))
+        else:
+            kids = list(node._kids())
+            kids[i] = new
+            new = node.__class__(*kids)
+    return new
+
+
+def instantiate(body: Node, x: str, v: Node, depth: int) -> Node:
+    """The canonical contractum of the redex (binder x. body) v sitting at
+    binder depth ``depth`` of a canonical node: body's binders move up one
+    level and each x becomes v, moved to where it lands.  Neither part is
+    canonicalised on its own, so variables bound above the redex are never
+    captured."""
+    return _move(body, {}, depth, x, v, depth)
+
+
+def relevel(t: Node, old: int, new: int) -> Node:
+    """t, canonical at binder depth old, moved to binder depth new."""
+    return t if old == new else _move(t, {}, new)
+
+
+def _move(t: Node, ren: dict, depth: int, x=None, v=None, vdepth=0) -> Node:
+    """Copy of the canonical subterm t landing at binder depth ``depth``:
+    its binders take their new positional names, the sums they reach are
+    merged again, and each variable x becomes v, moved from depth vdepth.
+    ren maps the old names of the binders met so far to their new
+    variables; a name stands for one level, so the map is never undone.
+    Variables bound above t keep their names."""
+    role = t._role
+    if role == _VAR:
+        y = t.name
+        if y == x:
+            return relevel(v, vdepth, depth)
+        return ren.get(y, t)
+    if role == _BINDER:
+        if depth == len(_POSITIONAL):
+            _POSITIONAL.append(f"_{depth}")
+        nx = _POSITIONAL[depth]
+        cls = t.__class__
+        ren[t.var] = cls._var(nx)
+        return cls(nx, _move(t.body, ren, depth + 1, x, v, vdepth))
+    if role == _SUM:
+        return t._merge([_move(p, ren, depth, x, v, vdepth) for p in t.parts])
+    if role == _NODE:
+        return t.__class__(*[_move(c, ren, depth, x, v, vdepth) for c in t._kids()])
+    return t
 
 
 # --- rebuilding ----------------------------------------------------------------

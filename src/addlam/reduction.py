@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import mark_canonical
+from .binders import child, instantiate, kind, mark_canonical, step_at
 from .syntax import (
     Abs,
     App,
@@ -13,7 +13,6 @@ from .syntax import (
     Term,
     Zero,
     canonicalize,
-    instantiate,
     is_value,
     merge_sum,
     show_term,
@@ -38,26 +37,9 @@ class Redex:
         return hash((self.path, self.rule, -1 if self.part is None else self.part))
 
 
-def _kind(u: Term) -> str:
-    # messages name the node, not the subterm: an open subterm of a
-    # canonical term would print with its free binders captured
-    return f"a {type(u).__name__.lstrip('_')} node"
-
-
-def _child(u: Term, i: int) -> Term:
-    match u:
-        case App(f, a) if i in (0, 1):
-            return a if i else f
-        case Abs(_, b) if i == 0:
-            return b
-        case Sum(ps) if 0 <= i < len(ps):
-            return ps[i]
-    raise StaleRedex(f"no child {i} in {_kind(u)}")
-
-
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     for i in path:
-        t = _child(t, i)
+        t = child(t, i, StaleRedex)
     return t
 
 
@@ -131,7 +113,7 @@ def _contract(u: Term, r: Redex, depth: int) -> Term:
             if zero is not Zero:
                 raise StaleRedex("sum-zero split is not a zero summand")
             return rest
-    raise StaleRedex(f"rule {r.rule} does not match the {_kind(u)} at {r.path}")
+    raise StaleRedex(f"rule {r.rule} does not match the {kind(u)} at {r.path}")
 
 
 def step(t: Term, r: Redex) -> Term:
@@ -145,23 +127,7 @@ def _step(t: Term, r: Redex, depth: int) -> Term:
     """The contractum of r in t, where t is canonical at binder depth
     ``depth`` (a subterm of a canonical term, or one on its own at depth
     0); the result is canonical at the same depth and is not marked."""
-    spine = []
-    u = t
-    for i in r.path:
-        spine.append(u)
-        if isinstance(u, Abs):
-            depth += 1
-        u = _child(u, i)
-    new = _contract(u, r, depth)
-    for node, i in zip(reversed(spine), reversed(r.path)):
-        match node:
-            case App(f, a):
-                new = App(f, new) if i else App(new, a)
-            case Abs(x, _):
-                new = Abs(x, new)
-            case Sum(ps):
-                new = merge_sum(ps[:i] + ps[i + 1 :] + summands(new))
-    return new
+    return step_at(t, r.path, depth, lambda u, d: _contract(u, r, d), StaleRedex)
 
 
 @dataclass(frozen=True)

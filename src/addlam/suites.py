@@ -241,6 +241,17 @@ def _suite_sn(corpus: Corpus, report: Report, cases: int, budget: int = 100000, 
     }
 
 
+def _search_budget(log: list[tuple[int, bool]]) -> dict:
+    """What the F-searches of a suite used of their budget, from the log
+    ``f_reaches`` keeps: terms expanded in all and at most in one search,
+    and the searches that stopped at the budget without a path."""
+    return {
+        "expansions": sum(n for n, _ in log),
+        "expansions_max": max((n for n, _ in log), default=0),
+        "exhausted": sum(hit for _, hit in log),
+    }
+
+
 def _suite_trans_type(corpus: Corpus, report: Report, cases: int, **_):
     for i, sd in enumerate(corpus.structured):
         cid = f"tt-{i}"
@@ -261,6 +272,7 @@ def _suite_trans_type(corpus: Corpus, report: Report, cases: int, **_):
 
 
 def _suite_trans_red(corpus: Corpus, report: Report, cases: int, budget: int = 10000, **_):
+    log = []
     for i, sd in enumerate(corpus.structured):
         term = canonicalize(sd.term)
         for r in sorted(enumerate_redexes(term), key=repr):
@@ -270,7 +282,7 @@ def _suite_trans_red(corpus: Corpus, report: Report, cases: int, budget: int = 1
             report.cover(term, r)
             cid = f"tr-{i}-{r.rule}{r.path}-{r.part}"
             try:
-                sim = simulate_step(sd, r, budget)
+                sim = simulate_step(sd, r, budget, log)
                 check_sadd(sim.derivation)
             except ExcludedRule:
                 report.skip("excluded-rule")
@@ -297,6 +309,7 @@ def _suite_trans_red(corpus: Corpus, report: Report, cases: int, budget: int = 1
                          lambda: show_type(sd.ty))
     report.check("tr-corpus", "has-cases", report.cases > 0,
                  "no redex of the corpus could be simulated")
+    report.budget = _search_budget(log)
 
 
 def _has_empty_elim(sd) -> bool:
@@ -320,6 +333,7 @@ def _suite_roundtrip(corpus: Corpus, report: Report, cases: int, **_):
 
 def _suite_epsilon(corpus: Corpus, report: Report, cases: int, budget: int = 10000, **_):
     n = 0
+    log = []
     for i, sd in enumerate(corpus.structured):
         if sd.rule != "plusI" or sd.premises[1].rule != "ax0":
             continue
@@ -333,11 +347,12 @@ def _suite_epsilon(corpus: Corpus, report: Report, cases: int, budget: int = 100
         except Exception as e:  # noqa: BLE001
             report.check(cid, "translate", False, f"{type(e).__name__}: {e}")
             continue
-        path = f_reaches(FApp(down.term, whole.fterm), inner.fterm, budget)
+        path = f_reaches(FApp(down.term, whole.fterm), inner.fterm, budget, log)
         report.check(cid, "reduces", path is not None and len(path) >= 2,
                      lambda: show_term(sd.term))
     report.check("eps-corpus", "has-cases", n > 0,
                  "the corpus should contain zero-summand sums")
+    report.budget = _search_budget(log)
 
 
 _RUNNERS = {

@@ -5,9 +5,9 @@ the impossible computation ``zero``.  Sums are flattened multisets held
 in a deterministic, alpha-invariant order, so alpha-AC-equivalent terms
 have one representation and can be compared with ``==``.
 
-The nodes, their caches, canonical forms and substitution come from
-``binders``; this module adds the term rules: sums keep ``zero``, and a
-beta redex is contracted in place at its own binder depth.
+The nodes, their caches, canonical forms, substitution and the
+contraction of a redex at its own binder depth come from ``binders``;
+this module adds the term rule that sums keep ``zero``.
 """
 
 from __future__ import annotations
@@ -67,43 +67,6 @@ def canonicalize(t: Term) -> Term:
     """Unique representative modulo alpha and AC of +.  Idempotent, and
     O(1) on a term it returned before."""
     return canonical(t)
-
-
-def _relevel(t: Term, old: int, new: int) -> Term:
-    """t, canonical at binder depth old, moved to binder depth new."""
-    return t if old == new else _move(t, {}, new)
-
-
-def instantiate(body: Term, x: str, v: Term, depth: int) -> Term:
-    """The canonical contractum of the beta redex (\\x. body) v sitting at
-    binder depth ``depth`` of a canonical term: body's binders move up one
-    level and each x becomes v, re-levelled to where it lands.  Neither
-    part is canonicalised on its own, so variables bound above the redex
-    are never captured."""
-    return _move(body, {}, depth, x, v, depth)
-
-
-def _move(t: Term, ren: dict[str, Term], depth: int, x=None, v=None, vdepth=0) -> Term:
-    """Copy of the canonical subterm t landing at binder depth ``depth``:
-    its binders take their new positional names, the sums they reach are
-    re-sorted, and each variable x becomes v, moved from depth vdepth.
-    ren maps the old names of the binders met so far to their new
-    variables; a name stands for one level, so the map is never undone.
-    Variables bound above t keep their names."""
-    match t:
-        case Var(y):
-            if y == x:
-                return _relevel(v, vdepth, depth)
-            return ren.get(y, t)
-        case Abs(y, b):
-            nx = f"_{depth}"
-            ren[y] = Var(nx)
-            return Abs(nx, _move(b, ren, depth + 1, x, v, vdepth))
-        case App(f, a):
-            return App(_move(f, ren, depth, x, v, vdepth), _move(a, ren, depth, x, v, vdepth))
-        case Sum(ps):
-            return merge_sum([_move(p, ren, depth, x, v, vdepth) for p in ps])
-    return t
 
 
 def mk_sum(parts) -> Term:

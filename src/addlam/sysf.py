@@ -1,18 +1,39 @@
 """System F with pairs and unit: the target calculus. Terms, types,
 typing rules, full (non-deterministic) reduction including both eta
-rules, and bounded reachability search.  Each typing rule is defined
-once, by the constructor of its derivation nodes (``f_ax`` ...
-``f_forall_e``); the checker accepts a node when that constructor
-rebuilds it from the node's premises.  The module knows nothing of
-the source calculus: the translation (``translation.py``) builds its pairs
-and projections from rigid source types."""
+rules, and bounded reachability search.
+
+Reduction is named steps at paths, as in ``reduction.py``: ``_fredexes``
+lists each redex of a canonical term as (path, rule) in one walk, and
+``f_step`` contracts one at its own binder depth, rebuilding only the
+spine above it.  A canonical term keeps its reducts on the node, and a
+raw term its canonical form, so the reducts of each term are computed
+once however many searches pass through it.
+
+Each typing rule is defined once, by the constructor of its derivation
+nodes (``f_ax`` ... ``f_forall_e``); the checker accepts a node when that
+constructor rebuilds it from the node's premises.  The module knows
+nothing of the source calculus: the translation (``translation.py``)
+builds its pairs and projections from rigid source types."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .binders import Context, Node, alpha_eq, canonical, free_vars, subst
+from .binders import (
+    Context,
+    Node,
+    alpha_eq,
+    canonical,
+    free_name,
+    free_vars,
+    instantiate,
+    kind,
+    mark_canonical,
+    relevel,
+    step_at,
+    subst,
+)
 
 
 # --- types -------------------------------------------------------------------
@@ -53,9 +74,11 @@ FUnit = _FUnit()
 
 class FTerm(Node):
     """The repr keeps the dataclass form ``FAbs(var='x', body=FVar(name='x'))``,
-    because ``f_reaches`` orders reducts by it."""
+    because ``f_reaches`` orders reducts by it.  A canonical term keeps
+    its one-step reducts, in that order, once they are computed, and a
+    raw term its canonical form."""
 
-    __slots__ = ()
+    __slots__ = ("_reducts", "_cform")
 
 
 class FVar(FTerm, var=True):
@@ -92,12 +115,24 @@ Star = _Star()
 def f_canonicalize(t: FTerm) -> FTerm:
     """Positional renaming of binders; canonical forms are equal iff the
     terms are alpha-equivalent.  Idempotent, and O(1) on a term it
-    returned before."""
-    return canonical(t)
+    returned or was given before: a raw term keeps its canonical form, so
+    every search from it starts at one node and finds the reducts kept
+    there."""
+    if t._canonical:
+        return t
+    try:
+        return t._cform
+    except AttributeError:
+        out = canonical(t)
+        if out is not t:  # a raw term that was canonical is marked instead
+            t._cform = out
+        return out
 
 
 def f_alpha_eq(a: FTerm, b: FTerm) -> bool:
-    return f_canonicalize(a) == f_canonicalize(b)
+    # equal raw terms are alpha-equivalent, and == costs O(1) when they
+    # share their children, as a rebuilt conclusion does
+    return a == b or f_canonicalize(a) == f_canonicalize(b)
 
 
 # F-types have no sums, so this walk agrees with comparing canonical forms;
@@ -155,81 +190,132 @@ def show_ftype(t: FType) -> str:
 # --- reduction ---------------------------------------------------------------
 
 
-def _immediate_freducts(t: FTerm) -> list[FTerm]:
+class StaleFRedex(Exception):
+    """The F-redex does not address a matching subterm of the given term."""
+
+
+def _eta_body(u: FAbs) -> FTerm | None:
+    """f when u is \\x. f x with x not free in f, else None."""
+    b = u.body
+    if b.__class__ is FApp and b.arg.__class__ is FVar and b.arg.name == u.var \
+            and u.var not in free_vars(b.fun):
+        return b.fun
+    return None
+
+
+def _fredexes(t: FTerm) -> list[tuple[tuple[int, ...], str]]:
+    """The redexes of t, a subterm of a canonical term, as (path, rule)
+    in the order of one left-to-right walk; paths start at t.  The rules
+    are beta, proj-l, proj-r, eta and surjective pairing (surj)."""
     out = []
-    match t:
-        case FApp(FAbs(x, b), a):
-            out.append(subst(b, x, a))
-        case FProjL(FPair(f, _)):
-            out.append(f)
-        case FProjR(FPair(_, s)):
-            out.append(s)
-    match t:
-        case FAbs(x, FApp(f, FVar(y))) if y == x and x not in free_vars(f):
-            out.append(f)
-        case FPair(FProjL(p), FProjR(q)) if p == q:
-            # t is a subterm of a canonical term, so p and q sit at one
-            # binder depth and are alpha-equivalent iff they are equal;
-            # canonicalising them on their own would capture the binders
-            # above them
-            out.append(p)
+
+    def walk(u: FTerm, path: tuple[int, ...]):
+        match u:
+            case FApp(f, a):
+                if f.__class__ is FAbs:
+                    out.append((path, "beta"))
+                walk(f, path + (0,))
+                walk(a, path + (1,))
+            case FAbs(_, b):
+                if _eta_body(u) is not None:
+                    out.append((path, "eta"))
+                walk(b, path + (0,))
+            case FPair(f, s):
+                if f.__class__ is FProjL and s.__class__ is FProjR and f.body == s.body:
+                    # p and q sit at one binder depth of a canonical term,
+                    # so they are alpha-equivalent iff they are equal;
+                    # canonicalising them on their own would capture the
+                    # binders above them
+                    out.append((path, "surj"))
+                walk(f, path + (0,))
+                walk(s, path + (1,))
+            case FProjL(b) | FProjR(b):
+                if b.__class__ is FPair:
+                    out.append((path, "proj-l" if u.__class__ is FProjL else "proj-r"))
+                walk(b, path + (0,))
+
+    walk(t, ())
     return out
 
 
-def _raw_freducts(t: FTerm) -> list[FTerm]:
-    out = list(_immediate_freducts(t))
+def _fcontract(u: FTerm, rule: str, depth: int) -> FTerm:
+    """Canonical contractum of the redex u, which sits at binder depth
+    ``depth`` of a canonical term: beta moves the body's binders up one
+    level and puts the argument, moved to where it lands, for the bound
+    variable; eta moves f up one level; a projection and surjective
+    pairing return the subterm they keep."""
+    match rule, u:
+        case "beta", FApp(FAbs(x, b), a):
+            return instantiate(b, x, a, depth)
+        case "proj-l", FProjL(FPair(f, _)):
+            return f
+        case "proj-r", FProjR(FPair(_, s)):
+            return s
+        case "eta", FAbs():
+            f = _eta_body(u)
+            if f is not None:
+                return relevel(f, depth + 1, depth)
+        case "surj", FPair(FProjL(p), FProjR(q)) if p == q:
+            return p
+    raise StaleFRedex(f"rule {rule!r} does not match {kind(u)}")
 
-    def inside(build, sub):
-        out.extend(build(u) for u in _raw_freducts(sub))
 
-    match t:
-        case FAbs(x, b):
-            inside(lambda u: FAbs(x, u), b)
-        case FApp(f, a):
-            inside(lambda u: FApp(u, a), f)
-            inside(lambda u: FApp(f, u), a)
-        case FPair(f, s):
-            inside(lambda u: FPair(u, s), f)
-            inside(lambda u: FPair(f, u), s)
-        case FProjL(b):
-            inside(FProjL, b)
-        case FProjR(b):
-            inside(FProjR, b)
-    return out
+def f_step(t: FTerm, r: tuple[tuple[int, ...], str]) -> FTerm:
+    """Canonical contractum of the redex r = (path, rule) of t, which is
+    canonicalised first (O(1) when it already is).  Only the path from
+    the redex to the root is rebuilt; every other subterm is shared with
+    t.  A path that leaves t, or a rule that does not match the node it
+    reaches, raises StaleFRedex."""
+    path, rule = r
+    return mark_canonical(step_at(f_canonicalize(t), path, 0,
+                                  lambda u, depth: _fcontract(u, rule, depth), StaleFRedex))
+
+
+def _freducts(t: FTerm) -> tuple[FTerm, ...]:
+    """The distinct one-step reducts of the canonical term t, ordered by
+    repr; computed once and kept on t."""
+    try:
+        return t._reducts
+    except AttributeError:
+        out = t._reducts = tuple(sorted({f_step(t, r) for r in _fredexes(t)}, key=repr))
+        return out
 
 
 def f_reducts(t: FTerm) -> frozenset[FTerm]:
     """All one-step reducts at all positions: full beta, projections and
-    both eta rules.  t is canonicalised first (O(1) when it already is).
-    Reducts are rebuilt raw and each whole reduct is canonicalised once:
-    canonicalising a reduct of an open subterm on its own would capture
-    the binders above it."""
-    return frozenset(f_canonicalize(u) for u in _raw_freducts(canonical(t)))
+    both eta rules.  t is canonicalised first (O(1) when it already is)."""
+    return frozenset(_freducts(f_canonicalize(t)))
 
 
-def f_reaches(t: FTerm, u: FTerm, budget: int = 10000):
+def f_reaches(t: FTerm, u: FTerm, budget: int = 10000, log: list | None = None):
     """Bounded breadth-first search for a reduction path t ->* u.
-    Returns the path as a term list, or None within the budget."""
+    Returns the path as a term list, or None within the budget.  When
+    log is a list, the search appends to it the number of terms it
+    expanded and whether it stopped at the budget without a path."""
     t, u = f_canonicalize(t), f_canonicalize(u)
-    if t == u:
-        return [t]
     seen = {t: None}
     queue = deque([t])
     expanded = 0
-    while queue and expanded < budget:
+    found = t == u
+    while not found and queue and expanded < budget:
         cur = queue.popleft()
         expanded += 1
-        for nxt in sorted(f_reducts(cur), key=repr):
+        for nxt in _freducts(cur):
             if nxt in seen:
                 continue
             seen[nxt] = cur
             if nxt == u:
-                path = [nxt]
-                while path[-1] is not None and seen[path[-1]] is not None:
-                    path.append(seen[path[-1]])
-                return list(reversed(path))
+                found = True
+                break
             queue.append(nxt)
-    return None
+    if log is not None:
+        log.append((expanded, not found and bool(queue)))
+    if not found:
+        return None
+    path = [u]
+    while seen[path[-1]] is not None:
+        path.append(seen[path[-1]])
+    return path[::-1]
 
 
 # --- typing ------------------------------------------------------------------
@@ -265,7 +351,7 @@ def f_ax(ctx: Context, name: str) -> FDerivation:
     ty = ctx.get(name)
     if ty is None:
         _ffail(f"variable {name} not in context")
-    return FDerivation("Ax", ctx, FVar(name), ty)
+    return FDerivation("Ax", ctx, FVar(free_name(name)), ty)
 
 
 def f_unit_i(ctx: Context) -> FDerivation:

@@ -106,11 +106,10 @@ def _trans(sd: SaddDerivation) -> FDerivation:
 
 
 def _trans_node(sd: SaddDerivation) -> FDerivation:
-    fctx = trans_ctx(sd.ctx)
     if sd.rule == "ax":
-        return f_ax(fctx, sd.term.name)
+        return f_ax(trans_ctx(sd.ctx), sd.term.name)
     if sd.rule == "ax0":
-        return f_unit_i(fctx)
+        return f_unit_i(trans_ctx(sd.ctx))
     if sd.rule == "plusI":
         return f_prod_i(_trans(sd.premises[0]), _trans(sd.premises[1]))
     if sd.rule == "arrI":
@@ -124,7 +123,7 @@ def _trans_node(sd: SaddDerivation) -> FDerivation:
         # tree, leaf v of the argument's, the application of the w
         # projection, instantiated at vector v, to the v projection
         d1, d2 = _trans(sd.premises[0]), _trans(sd.premises[1])
-        vs, star = dict(sd.arr_vs), f_unit_i(fctx)
+        vs, star = dict(sd.arr_vs), f_unit_i(d1.ctx)
 
         def graft(w, _):
             dw = proj_path_derivation(d1, w)
@@ -338,14 +337,15 @@ class Simulation:
         return True
 
 
-def simulate_step(sd: SaddDerivation, r: Redex, budget: int = 10000) -> Simulation:
+def simulate_step(sd: SaddDerivation, r: Redex, budget: int = 10000,
+                  log: list | None = None) -> Simulation:
     """Mirror one source reduction step in the target calculus: step the
     derivation, translate both sides, and search for the connecting
-    reduction path."""
+    reduction path.  log is handed to ``f_reaches``."""
     if r.rule == "sum-zero":
         raise ExcludedRule("the zero-summand rule is handled by the epsilon terms")
     sd2 = step_sadd_derivation(sd, r)
     src = trans_term(sd)
     tgt = trans_term(sd2)
-    path = f_reaches(src.fterm, tgt.fterm, budget)
+    path = f_reaches(src.fterm, tgt.fterm, budget, log)
     return Simulation(sd2, path, src, tgt)

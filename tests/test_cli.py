@@ -108,6 +108,19 @@ def test_sn_suite_json_reports_its_budget(capsys):
     assert budget["depth_max"] > 0
 
 
+@pytest.mark.parametrize("name", ["trans-red", "epsilon"])
+def test_searching_suites_json_report_their_budget(capsys, name):
+    code, out, _ = run(capsys, "suite", name, "--count", "100", "--format", "json")
+    assert code == 0
+    budget = json.loads(out)["budget"]
+    assert set(budget) == {"expansions", "expansions_max", "exhausted"}
+    assert 0 < budget["expansions_max"] <= budget["expansions"]
+    assert budget["exhausted"] == 0
+    code, out, _ = run(capsys, "suite", name, "--count", "100", "--budget", "1", "--format", "json")
+    budget = json.loads(out)["budget"]
+    assert code == 1 and budget["expansions_max"] == 1 and budget["exhausted"] > 0
+
+
 def test_suite_json_counts_skipped_cases_by_reason(capsys):
     code, out, _ = run(capsys, "suite", "trans-red", "--count", "500", "--format", "json")
     assert code == 0

@@ -70,6 +70,8 @@ def test_stale_redex_is_rejected():
     cases = [(ident, Redex((0, 0, 5), "beta")), (s, Redex((), "sum-zero", 7))]
     cases += [(s, Redex(p, "beta")) for p in ((5,), (-1,), (0, 0))]
     cases += [(app, Redex(p, "beta")) for p in ((2,), (-1,))]
+    # a path index that is not an int is stale, not a TypeError
+    cases += [(t, Redex(("0",), "beta")) for t in (s, app)]
     # a split rule built without its part is stale, not a TypeError
     fsum = canonicalize(App(Sum((Var("f"), Var("g"))), Var("a")))
     asum = canonicalize(App(Var("a"), Sum((Var("f"), Var("g")))))

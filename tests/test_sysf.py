@@ -3,12 +3,15 @@ as pairs and projections."""
 
 import pytest
 
+import addlam.sysf as sysf
 from addlam.binders import Context
+from addlam.corpus import generate_corpus
 from addlam.structured import fold_tree
 from addlam.sysf import (
     FAbs,
     FApp,
     FArrow,
+    FDerivation,
     FForall,
     FPair,
     FProd,
@@ -18,7 +21,9 @@ from addlam.sysf import (
     FTVar,
     FUnit,
     FVar,
+    StaleFRedex,
     Star,
+    _fredexes,
     f_arr_e,
     f_arr_i,
     f_ax,
@@ -31,10 +36,11 @@ from addlam.sysf import (
     f_proj_r,
     f_reaches,
     f_reducts,
+    f_step,
     f_type_alpha_eq,
     f_unit_i,
 )
-from addlam.translation import _strip_projections, proj_path_derivation
+from addlam.translation import _strip_projections, proj_path_derivation, trans_term
 from addlam.typesys import TSum, TVar, TZero
 from test_check_oracle import malformed_nodes_fail_at_their_paths, nodes
 
@@ -88,6 +94,79 @@ def test_a_free_positional_name_is_refused():
     # the identity
     with pytest.raises(ValueError, match="'_0'"):
         f_canonicalize(FAbs("x", FVar("_0")))
+
+
+def test_a_stale_redex_is_refused_by_name():
+    """A path that leaves the term, or a rule that does not match the node
+    the path reaches, raises StaleFRedex, never an IndexError or the like."""
+    t = f_canonicalize(FAbs("a", FPair(FApp(FAbs("x", FVar("x")), FVar("a")),
+                                       FProjL(FPair(FVar("a"), Star)))))
+    assert set(_fredexes(t)) == {((0, 0), "beta"), ((0, 1), "proj-l")}
+    for path, rule in (
+        ((1,), "beta"),  # an abstraction has one child
+        ((0, 2), "beta"),  # a pair has two
+        ((0, 0, 0, 0, 0), "beta"),  # a variable has none
+        ((0, 1, 0, 1, 0), "beta"),  # nor has star
+        ((0, "0"), "beta"),  # a child is named by an int
+        ((0, 0), "proj-l"),  # the rule of another redex
+        ((0, 1), "proj-r"),
+        ((), "eta"),  # \a.<...> is no eta redex
+        ((0,), "surj"),  # the projected terms differ
+        ((0, 0), "gamma"),  # no such rule
+    ):
+        with pytest.raises(StaleFRedex):
+            f_step(t, (path, rule))
+    assert f_step(t, ((0, 0), "beta")) == f_canonicalize(
+        FAbs("a", FPair(FVar("a"), FProjL(FPair(FVar("a"), Star)))))
+
+
+def test_a_free_positional_name_is_refused_where_the_axiom_names_it():
+    ctx = Context([("_0", FUnit)])
+    with pytest.raises(ValueError, match="'_0'"):
+        f_ax(ctx, "_0")
+    with pytest.raises(ValueError, match="'_0'"):
+        f_check(FDerivation("Ax", ctx, FVar("_0"), FUnit))
+
+
+def test_checking_a_translation_canonicalises_nothing(monkeypatch):
+    """Each node's conclusion, rebuilt from its premises, shares its
+    children with the node, so == decides the comparison."""
+    calls = []
+    real = sysf.canonical
+    monkeypatch.setattr(sysf, "canonical", lambda t: calls.append(t) or real(t))
+    checked = 0
+    for sd in generate_corpus(1, 20, 100).structured:
+        f_check(trans_term(sd).fderivation)
+        checked += 1
+    assert checked > 20 and calls == []
+
+
+def test_a_second_search_from_a_raw_term_computes_no_reduct(monkeypatch):
+    """A raw term keeps its canonical form, and each canonical term the
+    first search expanded keeps its reducts."""
+    calls = []
+    real = sysf._fredexes
+    monkeypatch.setattr(sysf, "_fredexes", lambda t: calls.append(t) or real(t))
+    src = FApp(FAbs("x", FPair(FProjL(FPair(FVar("x"), Star)), FVar("x"))), FVar("v"))
+    tgt = FPair(FVar("v"), FVar("v"))
+    first = f_reaches(src, tgt)
+    assert len(first) == 3 and len(calls) >= 2
+    assert f_canonicalize(src) is f_canonicalize(src) is first[0]
+    n = len(calls)
+    assert f_reaches(src, tgt) == first and f_reducts(src) == set(sysf._freducts(first[0]))
+    assert len(calls) == n
+
+
+def test_a_search_logs_what_it_used_of_its_budget():
+    # <proj_l <a, b>, b> takes one step to <a, b>, and proj_l (proj_l
+    # <<a, b>, b>) two to a
+    a, b = FVar("a"), FVar("b")
+    log = []
+    assert f_reaches(FPair(FProjL(FPair(a, b)), b), FPair(a, b), 10, log) is not None
+    assert f_reaches(a, a, 10, log) == [a]
+    assert f_reaches(FProjL(FProjL(FPair(FPair(a, b), b))), a, 1, log) is None
+    assert f_reaches(FProjL(FPair(a, b)), b, 10, log) is None
+    assert log == [(1, False), (0, False), (1, True), (2, False)]
 
 
 def test_normalisation_of_a_pair_program():
