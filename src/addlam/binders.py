@@ -31,12 +31,19 @@ A reduction step in any language canonicalises only what it builds:
 above it, ``instantiate`` contracts a redex at its own binder depth, and
 ``relevel`` moves a canonical subterm to another depth.
 
-``Context``, the typing context of every language, is defined here too.
+``Context``, the typing context of every language, is defined here too,
+and so is the one derivation kernel of the three type systems (additive,
+structured and System F): a ``System`` maps each of its rules to the
+rule's constructor, a ``DerivationNode`` holds one sequent with its
+premises, and ``check_derivation`` accepts a node when its constructor
+rebuilds it, raising ``RuleViolation`` at the node's path otherwise.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from operator import is_ as _is
+from typing import ClassVar
 
 _VAR, _BINDER, _SUM, _NODE, _CONST = range(5)
 
@@ -196,6 +203,119 @@ class Context:
 
     def __str__(self):
         return ", ".join(f"{k}: {v}" for k, v in self._items) or "-"
+
+
+# --- derivations -----------------------------------------------------------------
+
+
+class RuleViolation(Exception):
+    """A derivation node does not instantiate its rule schema."""
+
+    def __init__(self, path: tuple[int, ...], message: str):
+        self.path = path
+        self.message = message
+        at = ".".join(map(str, path)) or "root"
+        super().__init__(f"at {at}: {message}")
+
+
+def refuse(msg: str):
+    """Reject the premises of a rule; the checker reports it at the node."""
+    raise RuleViolation((), msg)
+
+
+def var_name(t: Node) -> str:
+    """The name of the variable t, the subject of an axiom."""
+    if t._role != _VAR:
+        raise ValueError(f"the axiom's subject, {kind(t)}, is not a variable")
+    return t.name
+
+
+class System:
+    """A type system given as sequent rules ``ctx |- term : ty`` over the
+    derivation nodes of one class.  A subclass supplies ``eq``, the
+    equality of its types, and ``rules``, which maps each rule to (premise
+    count, fields, build): the fields a node of that rule must carry
+    besides its premises, and ``build(n, ctx, *premises)``, the rule's
+    constructor applied to n's fields, the premises and, for an axiom, ctx.
+    Each typing rule is defined once, by its constructor: a node is valid
+    when its constructor rebuilds it (``check_derivation``)."""
+
+    def __init__(self, cls: type):
+        self.cls = cls
+        cls.system = self  # so the kernel finds the system from a node
+
+    def rebuild(self, n, premises, ctx: Context | None = None):
+        """n built by its rule's constructor over premises, with ctx in
+        place of n's context where the rule reads one (an axiom)."""
+        return self.rules[n.rule][2](n, n.ctx if ctx is None else ctx, *premises)
+
+
+@dataclass(frozen=True)
+class DerivationNode:
+    """One node of a typing derivation of the subclass's system: the
+    conclusion ``ctx |- term : ty``, its premises and its rule's fields."""
+
+    system: ClassVar[System]
+    rule: str
+    ctx: Context
+    term: Node
+    ty: Node
+    premises: tuple = ()
+    binder: str | None = None  # arrow introduction: term binder; generalisation: type binder
+    inst_ty: Node | None = None  # instantiation
+    # check_derivation sets _checked after the node and all its premises
+    # passed (a constructor never does)
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def describe(self) -> str:
+        return f"{self.rule}: {self.ctx} |- {self.term} : {self.ty}"
+
+
+def _check_node(d: DerivationNode, path: tuple[int, ...]):
+    """d is valid when its rule's constructor rebuilds its conclusion
+    from its premises and fields: the same context, the same term up to
+    the renaming of bound variables (and the language's sum rule), and a
+    type equal in d's system."""
+
+    def bad(msg):
+        raise RuleViolation(path, msg)
+
+    system = d.system
+    if d.rule not in system.rules:
+        bad(f"unknown rule {d.rule!r}")
+    arity, fields, _ = system.rules[d.rule]
+    if len(d.premises) != arity:
+        bad(f"{d.rule} takes {arity} premises, not {len(d.premises)}")
+    for f in fields:
+        if getattr(d, f) is None:
+            bad(f"{d.rule} node lacks its {f}")
+    try:
+        want = system.rebuild(d, d.premises)
+    except RuleViolation as e:
+        bad(e.message)
+    except ValueError as e:
+        bad(str(e))
+    if want.ctx != d.ctx:
+        bad(f"context {d.ctx} is not the rule's {want.ctx}")
+    # == costs O(1) when the terms share their children, as a rebuilt
+    # conclusion does
+    if not (want.term == d.term or canonical(want.term) == canonical(d.term)):
+        bad(f"subject {d.term} is not the rule's {want.term}")
+    if not system.eq(want.ty, d.ty):
+        bad(f"type {d.ty} is not the rule's {want.ty}")
+
+
+def check_derivation(d: DerivationNode, path: tuple[int, ...] = ()):
+    """Validate every node of a derivation of any system; raises
+    RuleViolation at the offending node.  A node that passed, premises
+    included, is marked and not checked again, so a derivation that shares
+    premises with a checked one costs only its new nodes."""
+    if d._checked:
+        return
+    for i, p in enumerate(d.premises):
+        check_derivation(p, path + (i,))
+    _check_node(d, path)
+    object.__setattr__(d, "_checked", True)
 
 
 # --- order and canonical forms -----------------------------------------------

@@ -162,7 +162,6 @@ def _count(least: int, what: str):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("ADDLAM_SEED", "1"))
     top = argparse.ArgumentParser(prog="addlam",
                                   description="workbench for a non-deterministic "
                                               "call-by-value calculus with sums")
@@ -195,7 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", choices=("text", "json"), default="text")
     positive = _count(1, "must be a positive number")
     ps.add_argument("--budget", type=positive, default=None)
-    ps.add_argument("--seed", type=int, default=default_seed)
+    # a string default is converted like an argument, and only when suite
+    # runs, so a bad ADDLAM_SEED is a bad argument of suite alone
+    ps.add_argument("--seed", type=int, default=os.environ.get("ADDLAM_SEED", "1"))
     ps.add_argument("--cases", type=positive, default=10000)
     ps.add_argument("--count", type=positive, default=500, help="corpus size")
     ps.add_argument("--corpus-budget", type=int, default=20)

@@ -1,31 +1,42 @@
-"""First-class typing derivations, their checker, elaboration from
+"""Typing derivations of the source calculus, elaboration from
 annotated terms, and the derivation transformations behind subject
 reduction (substitution lemmas, one-step reduction of derivations).
 
 The paper presents one type system twice: the additive system here,
 typed up to type equivalence, and the structured system of
-``structured.py``, whose sum types are rigid binary trees.  The checker
-and the transformations are written once.  Each derivation class names
-its ``System``, and the members of the two ``System`` instances are the
-only places where the presentations differ.
+``structured.py``, whose sum types are rigid binary trees.  The
+transformations are written once.  Each derivation class names its
+``SourceSystem``, and the members of the two instances are the only
+places where the presentations differ.
 
-Each typing rule is defined once, by its node constructor (``System.ax``
-... ``System.arr_e``).  A node is valid when its rule's constructor
-rebuilds it from its premises and fields: that is all the checker asks,
-and the transformations build every node they return the same way."""
+Each typing rule is defined once, by its node constructor
+(``SourceSystem.ax`` ... ``SourceSystem.arr_e``), which the system's rule
+table names.  Checking is the derivation kernel of ``binders.py``, shared
+with System F: a node is valid when its rule's constructor rebuilds it
+from its premises and fields, and the transformations build every node
+they return the same way."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
-from .binders import Context, free_vars, fresh_name, sort_key
+from .binders import (
+    Context,
+    DerivationNode,
+    RuleViolation,
+    System,
+    check_derivation,
+    free_vars,
+    fresh_name,
+    refuse,
+    sort_key,
+    var_name,
+)
 from .reduction import Redex, StaleRedex, step
 from .syntax import (
     Abs,
     App,
     Sum,
-    Term,
     Var,
     Zero,
     canonicalize,
@@ -53,16 +64,6 @@ from .typesys import (
 )
 
 
-class RuleViolation(Exception):
-    """A derivation node does not instantiate its rule schema."""
-
-    def __init__(self, path: tuple[int, ...], message: str):
-        self.path = path
-        self.message = message
-        at = ".".join(map(str, path)) or "root"
-        super().__init__(f"at {at}: {message}")
-
-
 class ElaborationError(Exception):
     def __init__(self, location: str, message: str):
         self.location = location
@@ -81,10 +82,6 @@ def forall_close(xs, u: Type) -> Type:
     return u
 
 
-def _fail(msg: str):
-    raise RuleViolation((), msg)
-
-
 def _map_key(m) -> tuple:
     """A witness map as a hashable key: a dict by its sorted (address,
     value) items, any other map as the tuple of its entries."""
@@ -94,15 +91,13 @@ def _map_key(m) -> tuple:
 # --- the two systems ---------------------------------------------------------
 
 
-class System:
-    """One presentation of the type system.  The node constructors below
-    validate one node, assuming valid premises, and are shared.  They are
-    the only definition of the rules: a node is valid when its
-    constructor rebuilds it (``check_derivation``).  A subclass supplies
-    what differs:
+class SourceSystem(System):
+    """One presentation of the source type system.  The node constructors
+    below validate one node, assuming valid premises, and are shared; the
+    rule table names them.  A subclass supplies what differs:
 
-    * ``rules``, and ``unit_hypotheses`` (must an axiom's hypothesis be
-      a unit type);
+    * the ``equiv`` rule, if it has one, and ``unit_hypotheses`` (must an
+      axiom's hypothesis be a unit type);
     * ``norm``, ``eq``, ``subst``: normal form, equality and unit
       substitution of types;
     * ``retype(d, ty)``: d re-derived at an equal type ``ty``;
@@ -118,10 +113,19 @@ class System:
       step inside one summand."""
 
     unit_hypotheses = False
+    rules = {
+        "ax": (0, (), lambda n, ctx: n.system.ax(ctx, var_name(n.term))),
+        "ax0": (0, (), lambda n, ctx: n.system.ax0(ctx)),
+        "arrI": (1, ("binder",), lambda n, ctx, p: n.system.arr_i(p, n.binder)),
+        "plusI": (2, (), lambda n, ctx, p1, p2: n.system.plus_i(p1, p2)),
+        "forallI": (1, ("binder",), lambda n, ctx, p: n.system.forall_i(p, n.binder)),
+        "forallE": (1, ("inst_ty",), lambda n, ctx, p: n.system.forall_e(p, n.inst_ty)),
+        "arrE": (2, ("arr_u", "arr_ts", "arr_vs", "arr_xs"), lambda n, ctx, p1, p2:
+                 n.system.arr_e(p1, p2, n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs)),
+    }
 
     def __init__(self, cls: type):
-        self.cls = cls
-        cls.system = self  # so the engine finds the system from a node
+        super().__init__(cls)
         self._witnesses = {}
 
     def witness(self, fun_ty, arg_ty, u, ts, vs, xs):
@@ -139,9 +143,9 @@ class System:
     def ax(self, ctx: Context, name: str):
         u = ctx.get(name)
         if u is None:
-            _fail(f"variable {name} not in context")
+            refuse(f"variable {name} not in context")
         if self.unit_hypotheses and not is_unit(u):
-            _fail(f"hypothesis {name} is not unit-typed")
+            refuse(f"hypothesis {name} is not unit-typed")
         return self.cls("ax", ctx, Var(name), u)
 
     def ax0(self, ctx: Context):
@@ -150,38 +154,38 @@ class System:
     def arr_i(self, d, binder: str):
         u = d.ctx.get(binder)
         if u is None:
-            _fail(f"abstraction binder {binder} not in premise context")
+            refuse(f"abstraction binder {binder} not in premise context")
         term = canonicalize(Abs(binder, d.term))
         ty = self.norm(TArrow(u, d.ty))
         return self.cls("arrI", d.ctx.remove(binder), term, ty, (d,), binder=binder)
 
     def plus_i(self, d1, d2):
         if d1.ctx != d2.ctx:
-            _fail("sum premises typed in different contexts")
+            refuse("sum premises typed in different contexts")
         term = mk_sum((d1.term, d2.term))
         return self.cls("plusI", d1.ctx, term, self.norm(TSum((d1.ty, d2.ty))), (d1, d2))
 
     def forall_i(self, d, binder: str):
         if not is_unit(self.norm(d.ty)):
-            _fail(f"generalisation over a non-unit type {show_type(d.ty)}")
+            refuse(f"generalisation over a non-unit type {show_type(d.ty)}")
         if binder in d.ctx.free_tvars():
-            _fail(f"{binder} occurs free in the context")
+            refuse(f"{binder} occurs free in the context")
         ty = self.norm(TForall(binder, d.ty))
         return self.cls("forallI", d.ctx, d.term, ty, (d,), binder=binder)
 
     def forall_e(self, d, v: Type):
         v = self.norm(v)
         if not is_unit(v):
-            _fail(f"instantiation with a non-unit type {show_type(v)}")
+            refuse(f"instantiation with a non-unit type {show_type(v)}")
         c = self.norm(d.ty)
         if not isinstance(c, TForall):
-            _fail(f"instantiating a non-quantified type {show_type(d.ty)}")
+            refuse(f"instantiating a non-quantified type {show_type(d.ty)}")
         return self.cls("forallE", d.ctx, d.term, self.subst(c.body, c.var, v), (d,), inst_ty=v)
 
     def arr_e(self, d1, d2, u: Type, ts, vs, xs=()):
         xs = tuple(xs)
         if d1.ctx != d2.ctx:
-            _fail("application premises typed in different contexts")
+            refuse("application premises typed in different contexts")
         u, ts, vs, res = self.witness(d1.ty, d2.ty, u, ts, vs, xs)
         term = canonicalize(App(d1.term, d2.term))
         return self.cls(
@@ -191,30 +195,17 @@ class System:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """One node of a typing derivation of the subclass's system."""
+class Derivation(DerivationNode):
+    """One node of a source typing derivation: the kernel's node, plus the
+    witnesses of ``arrE``."""
 
-    system: ClassVar[System]
-    rule: str
-    ctx: Context
-    term: Term
-    ty: Type
-    premises: tuple["Derivation", ...] = ()
-    binder: str | None = None  # arrI term binder / forallI type binder
-    inst_ty: Type | None = None  # forallE
     arr_u: Type | None = None  # arrE: shared arrow domain U
     arr_ts: tuple | None = None  # arrE: the T's, one per function summand
     arr_vs: tuple | None = None  # arrE: V vectors, one per argument summand
     arr_xs: tuple[str, ...] | None = None  # arrE: generalised variables
-    # Facts that depend only on the node and its premises, kept once known:
-    # check_derivation sets _checked after the node and all its premises
-    # passed (a constructor never does), and the translation of a
-    # structured node keeps its F-derivation in _ftrans.
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    # the translation of a structured node keeps its F-derivation, which
+    # depends only on the node and its premises
     _ftrans: object = field(default=None, init=False, repr=False, compare=False)
-
-    def describe(self) -> str:
-        return f"{self.rule}: {self.ctx} |- {show_term(self.term)} : {show_type(self.ty)}"
 
 
 @dataclass(frozen=True)
@@ -231,21 +222,22 @@ class AddDerivation(Derivation):
         return len(self.arr_vs) if self.arr_vs is not None else 0
 
 
-class AdditiveSystem(System):
+class AdditiveSystem(SourceSystem):
     """Types compared up to equivalence; an ``equiv`` node retypes."""
 
-    rules = ("ax", "ax0", "equiv", "arrI", "arrE", "plusI", "forallI", "forallE")
+    rules = {**SourceSystem.rules,
+             "equiv": (1, (), lambda n, ctx, p: n.system.retype(p, n.ty))}
     norm = staticmethod(type_canonicalize)
     eq = staticmethod(type_equiv)
     subst = staticmethod(type_subst)
 
     def fail(self, msg: str):
-        _fail(msg)
+        refuse(msg)
 
     def retype(self, d: AddDerivation, ty: Type) -> AddDerivation:
         ty = type_canonicalize(ty)
         if not type_equiv(d.ty, ty):
-            _fail(f"equiv between inequivalent types {show_type(d.ty)} and {show_type(ty)}")
+            refuse(f"equiv between inequivalent types {show_type(d.ty)} and {show_type(ty)}")
         if d.rule == "equiv":  # fuse consecutive equivalence nodes
             d = d.premises[0]
         if d.ty == ty:
@@ -263,18 +255,18 @@ class AdditiveSystem(System):
         ts = tuple(type_canonicalize(t) for t in ts)
         vs = tuple(tuple(type_canonicalize(v) for v in vec) for vec in vs)
         if not is_unit(u):
-            _fail(f"arrow domain {show_type(u)} is not a unit type")
+            refuse(f"arrow domain {show_type(u)} is not a unit type")
         for vec in vs:
             if len(vec) != len(xs):
-                _fail("instantiation vector length mismatch")
+                refuse("instantiation vector length mismatch")
             if not all(is_unit(v) for v in vec):
-                _fail("instantiation vectors must hold unit types")
+                refuse("instantiation vectors must hold unit types")
         want = sum_of_units(forall_close(xs, TArrow(u, t)) for t in ts)
         if not type_equiv(fun_ty, want):
-            _fail(f"function premise has type {show_type(fun_ty)}, expected {show_type(want)}")
+            refuse(f"function premise has type {show_type(fun_ty)}, expected {show_type(want)}")
         want = sum_of_units(type_subst_vec(u, xs, vec) for vec in vs)
         if not type_equiv(arg_ty, want):
-            _fail(f"argument premise has type {show_type(arg_ty)}, expected {show_type(want)}")
+            refuse(f"argument premise has type {show_type(arg_ty)}, expected {show_type(want)}")
         res = sum_of_units(type_subst_vec(t, xs, vec) for t in ts for vec in vs)
         return u, ts, vs, res
 
@@ -327,63 +319,9 @@ forall_e = ADD.forall_e
 arr_e = ADD.arr_e
 
 
-# --- the checker ------------------------------------------------------------
-
-
-# per rule: the number of premises, and the fields a node carries besides them
-_SHAPES = {"ax": (0, ()), "ax0": (0, ()), "equiv": (1, ()), "arrI": (1, ("binder",)),
-           "plusI": (2, ()), "forallI": (1, ("binder",)), "forallE": (1, ("inst_ty",)),
-           "arrE": (2, ("arr_u", "arr_ts", "arr_vs", "arr_xs"))}
-
-
-def _check_node(d: Derivation, path: tuple[int, ...]):
-    """d is valid when its rule's constructor rebuilds its conclusion
-    from its premises and fields: the same context, the same canonical
-    term and a type equal in d's system."""
-
-    def bad(msg):
-        raise RuleViolation(path, msg)
-
-    system = d.system
-    if d.rule not in system.rules:
-        bad(f"unknown rule {d.rule!r}")
-    arity, fields = _SHAPES[d.rule]
-    if len(d.premises) != arity:
-        bad(f"{d.rule} takes {arity} premises, not {len(d.premises)}")
-    if d.rule == "ax" and not isinstance(d.term, Var):
-        bad("axiom subject is not a variable")
-    for f in fields:
-        if getattr(d, f) is None:
-            bad(f"{d.rule} node lacks its {f}")
-    try:
-        want = _rebuild(d, lambda p: p)
-    except RuleViolation as e:
-        bad(e.message)
-    except ValueError as e:
-        bad(str(e))
-    if want.ctx != d.ctx:
-        bad(f"context {d.ctx} is not the rule's {want.ctx}")
-    if canonicalize(want.term) != canonicalize(d.term):
-        bad(f"subject {show_term(d.term)} is not the rule's {show_term(want.term)}")
-    if not system.eq(want.ty, d.ty):
-        bad(f"type {show_type(d.ty)} is not the rule's {show_type(want.ty)}")
-
-
-def check_derivation(d: Derivation, path: tuple[int, ...] = ()):
-    """Validate every node of a derivation of either system; raises
-    RuleViolation at the offending node.  A node that passed, premises
-    included, is marked and not checked again, so a stepped derivation
-    costs only the nodes the step built."""
-    if d._checked:
-        return
-    for i, p in enumerate(d.premises):
-        check_derivation(p, path + (i,))
-    _check_node(d, path)
-    object.__setattr__(d, "_checked", True)
-
-
 def check_add(d: AddDerivation, path: tuple[int, ...] = ()):
-    """Validate every node; raises RuleViolation at the offending node."""
+    """Validate every node of an additive derivation; raises RuleViolation
+    at the offending node."""
     check_derivation(d, path)
 
 
@@ -569,30 +507,6 @@ def _all_tvars(d: Derivation) -> set[str]:
     return out
 
 
-def _rebuild(n: Derivation, go, ctx: Context | None = None) -> Derivation:
-    """n over the premises go(p), built by its rule's constructor; an
-    axiom is built over ctx when one is given."""
-    system = n.system
-    ps = [go(p) for p in n.premises]
-    if n.rule == "ax":
-        return system.ax(n.ctx if ctx is None else ctx, n.term.name)
-    if n.rule == "ax0":
-        return system.ax0(n.ctx if ctx is None else ctx)
-    if n.rule == "equiv":
-        return system.retype(ps[0], n.ty)
-    if n.rule == "arrI":
-        return system.arr_i(ps[0], n.binder)
-    if n.rule == "plusI":
-        return system.plus_i(ps[0], ps[1])
-    if n.rule == "forallI":
-        return system.forall_i(ps[0], n.binder)
-    if n.rule == "forallE":
-        return system.forall_e(ps[0], n.inst_ty)
-    if n.rule == "arrE":
-        return system.arr_e(ps[0], ps[1], n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs)
-    raise UnsupportedDerivationShape(n.rule)
-
-
 def rename_var(d: Derivation, old: str, new: str) -> Derivation:
     """Rename a free term variable throughout a derivation."""
     if old not in d.ctx and old not in free_vars(d.term):
@@ -610,7 +524,7 @@ def rename_var(d: Derivation, old: str, new: str) -> Derivation:
             raise UnsupportedDerivationShape(
                 f"binder {n.binder} collides while renaming {old} to {new}"
             )
-        return _rebuild(n, go, ctx)
+        return system.rebuild(n, map(go, n.premises), ctx)
 
     return go(d)
 
@@ -625,7 +539,7 @@ def weaken(d: Derivation, name: str, ty: Type) -> Derivation:
 
     def go(n: Derivation) -> Derivation:
         if not n.premises:
-            return _rebuild(n, go, n.ctx.extend(name, ty))
+            return system.rebuild(n, (), n.ctx.extend(name, ty))
         if n.rule == "arrI" and n.binder == name:
             p, b = n.premises[0], n.binder
             avoid = set(p.ctx.names()) | free_vars(p.term) | {name}
@@ -635,7 +549,7 @@ def weaken(d: Derivation, name: str, ty: Type) -> Derivation:
             p, b = n.premises[0], n.binder
             nb = fresh_name(b, _all_tvars(p) | new_tv)
             return system.forall_i(go(type_subst_derivation(p, b, TVar(nb))), nb)
-        return _rebuild(n, go)
+        return system.rebuild(n, map(go, n.premises))
 
     return go(d)
 
@@ -658,7 +572,7 @@ def type_subst_derivation(d: Derivation, x: str, u: Type) -> Derivation:
 
     def go(n: Derivation) -> Derivation:
         if not n.premises:
-            return _rebuild(n, go, n.ctx.map_types(sub))
+            return system.rebuild(n, (), n.ctx.map_types(sub))
         if n.rule == "equiv":
             return system.retype(go(n.premises[0]), sub(n.ty))
         if n.rule == "forallI":
@@ -695,7 +609,7 @@ def type_subst_derivation(d: Derivation, x: str, u: Type) -> Derivation:
                     arr_u = system.subst(arr_u, y, TVar(ny))
                     ts = wit_map(lambda t: system.subst(t, y, TVar(ny)), ts)
             return system.arr_e(p1, p2, sub(arr_u), wit_map(sub, ts), vs, xs)
-        return _rebuild(n, go)
+        return system.rebuild(n, map(go, n.premises))
 
     return go(d)
 
@@ -718,13 +632,13 @@ def subst_derivation(d: Derivation, x: str, dv: Derivation) -> Derivation:
         if n.rule == "ax" and n.term.name == x:
             return system.retype(dv, n.ty)
         if not n.premises:
-            return _rebuild(n, None, n.ctx.remove(x))
+            return system.rebuild(n, (), n.ctx.remove(x))
         if n.rule == "arrI":
             p, b = n.premises[0], n.binder
             if b == x:
                 raise UnsupportedDerivationShape("binder shadows the substituted variable")
             return system.arr_i(go(p, weaken(dv, b, p.ctx.get(b))), b)
-        return _rebuild(n, lambda p: go(p, dv))
+        return system.rebuild(n, [go(p, dv) for p in n.premises])
 
     return go(d, dv)
 

@@ -3,27 +3,26 @@ binary trees and the application rule composes them syntactically
 instead of reasoning up to equivalence.  A rigid type is its own tree:
 a binary ``TSum`` is a node, ``TZero`` a zero leaf and a unit type a
 labelled leaf, and ``fold_tree`` is the one walk over that shape.
-The rules are the node constructors of ``derivation.System`` run with the
-``StructuredSystem`` below, and a node is valid when its constructor
-rebuilds it; checking and the derivation transformations are those of
+The rules are the node constructors of ``derivation.SourceSystem`` run
+with the ``StructuredSystem`` below, which has no ``equiv`` rule.  A node
+is valid when its constructor rebuilds it: checking is the derivation
+kernel of ``binders.py``, and the derivation transformations are those of
 ``derivation.py``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import free_vars
+from .binders import RuleViolation, check_derivation, free_vars, refuse
 from .derivation import (
     AddDerivation,
     Derivation,
-    RuleViolation,
-    System,
+    SourceSystem,
     UnsupportedDerivationShape,
     arr_e,
     arr_i,
     ax,
     ax0,
-    check_derivation,
     forall_close,
     forall_i,
     forall_e,
@@ -104,23 +103,19 @@ def _struct_result(d1_ty, d2_ty, u, ts, vs, xs):
     leaf w of the function's tree, its leaf v labelled T_w[vector_v]."""
     lab1, lab2 = leaves(d1_ty), leaves(d2_ty)
     if set(lab1) != set(ts):
-        raise RuleViolation((), "function labels do not cover the tree")
+        refuse("function labels do not cover the tree")
     if set(lab2) != set(vs):
-        raise RuleViolation((), "argument labels do not cover the tree")
+        refuse("argument labels do not cover the tree")
     for w, t in ts.items():
         want = forall_close(xs, TArrow(u, t))
         if not raw_alpha_eq(lab1[w], want):
-            raise RuleViolation(
-                (), f"leaf {w or 'e'}: {show_type(lab1[w])} is not {show_type(want)}"
-            )
+            refuse(f"leaf {w or 'e'}: {show_type(lab1[w])} is not {show_type(want)}")
     for v, vec in vs.items():
         if len(vec) != len(xs):
-            raise RuleViolation((), "instantiation vector length mismatch")
+            refuse("instantiation vector length mismatch")
         want = raw_subst_vec(u, xs, vec)
         if not raw_alpha_eq(lab2[v], want):
-            raise RuleViolation(
-                (), f"leaf {v or 'e'}: {show_type(lab2[v])} is not {show_type(want)}"
-            )
+            refuse(f"leaf {v or 'e'}: {show_type(lab2[v])} is not {show_type(want)}")
 
     def graft(w, _):
         return fold_tree(d2_ty, lambda v, _: raw_subst_vec(ts[w], xs, vs[v]), TZero, _tsum)
@@ -158,11 +153,10 @@ def _s_replace_piece(n: SaddDerivation, target, rank: int, fn) -> SaddDerivation
     return splus_i(p0, _s_replace_piece(p1, target, rank - c0, fn))
 
 
-class StructuredSystem(System):
+class StructuredSystem(SourceSystem):
     """Rigid types up to bound renaming and no equivalence rule: a
     transformation that would change a type is refused."""
 
-    rules = ("ax", "ax0", "arrI", "arrE", "plusI", "forallI", "forallE")
     unit_hypotheses = True
     eq = staticmethod(raw_alpha_eq)
     subst = staticmethod(raw_subst)
@@ -189,7 +183,7 @@ class StructuredSystem(System):
 
     def app_witness(self, fun_ty, arg_ty, u, ts, vs, xs):
         if not is_unit(u):
-            raise RuleViolation((), f"arrow domain {show_type(u)} is not a unit type")
+            refuse(f"arrow domain {show_type(u)} is not a unit type")
         ts, vs = dict(ts), dict(vs)
         res = _struct_result(fun_ty, arg_ty, u, ts, vs, xs)
         return u, tuple(sorted(ts.items())), tuple(sorted(vs.items())), res

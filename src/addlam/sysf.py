@@ -10,8 +10,11 @@ raw term its canonical form, so the reducts of each term are computed
 once however many searches pass through it.
 
 Each typing rule is defined once, by the constructor of its derivation
-nodes (``f_ax`` ... ``f_forall_e``); the checker accepts a node when that
-constructor rebuilds it from the node's premises.  The module knows
+nodes (``f_ax`` ... ``f_forall_e``), and ``F``'s rule table names them.
+F is the third ``System`` of the derivation kernel in ``binders.py``,
+beside the two source systems: ``f_check`` is the kernel's checker, which
+accepts a node when its constructor rebuilds it from the node's premises
+and raises ``RuleViolation`` at its path otherwise.  The module knows
 nothing of the source calculus: the translation (``translation.py``)
 builds its pairs and projections from rigid source types."""
 
@@ -22,17 +25,22 @@ from dataclasses import dataclass
 
 from .binders import (
     Context,
+    DerivationNode,
     Node,
+    System,
     alpha_eq,
     canonical,
+    check_derivation,
     free_name,
     free_vars,
     instantiate,
     kind,
     mark_canonical,
+    refuse,
     relevel,
     step_at,
     subst,
+    var_name,
 )
 
 
@@ -79,6 +87,9 @@ class FTerm(Node):
     raw term its canonical form."""
 
     __slots__ = ("_reducts", "_cform")
+
+    def __str__(self) -> str:
+        return show_fterm(self)
 
 
 class FVar(FTerm, var=True):
@@ -322,35 +333,14 @@ def f_reaches(t: FTerm, u: FTerm, budget: int = 10000, log: list | None = None):
 
 
 @dataclass(frozen=True)
-class FDerivation:
-    rule: str  # Ax UnitI ArrI ArrE ProdI ProdEl ProdEr ForallI ForallE
-    ctx: Context
-    term: FTerm
-    ty: FType
-    premises: tuple["FDerivation", ...] = ()
-    binder: str | None = None  # ArrI / ForallI
-    inst_ty: FType | None = None  # ForallE
-
-    def describe(self) -> str:
-        return f"{self.rule}: {self.ctx} |- {show_fterm(self.term)} : {show_ftype(self.ty)}"
-
-
-class FRuleViolation(Exception):
-    def __init__(self, path, message):
-        self.path = path
-        self.message = message
-        at = ".".join(map(str, path)) or "root"
-        super().__init__(f"at {at}: {message}")
-
-
-def _ffail(msg):
-    raise FRuleViolation((), msg)
+class FDerivation(DerivationNode):
+    """A node of an F-derivation: the kernel's node, with F's rules."""
 
 
 def f_ax(ctx: Context, name: str) -> FDerivation:
     ty = ctx.get(name)
     if ty is None:
-        _ffail(f"variable {name} not in context")
+        refuse(f"variable {name} not in context")
     return FDerivation("Ax", ctx, FVar(free_name(name)), ty)
 
 
@@ -361,7 +351,7 @@ def f_unit_i(ctx: Context) -> FDerivation:
 def f_arr_i(d: FDerivation, binder: str) -> FDerivation:
     ty = d.ctx.get(binder)
     if ty is None:
-        _ffail(f"binder {binder} not in premise context")
+        refuse(f"binder {binder} not in premise context")
     return FDerivation(
         "ArrI", d.ctx.remove(binder), FAbs(binder, d.term),
         FArrow(ty, d.ty), (d,), binder=binder,
@@ -370,20 +360,17 @@ def f_arr_i(d: FDerivation, binder: str) -> FDerivation:
 
 def f_arr_e(d1: FDerivation, d2: FDerivation) -> FDerivation:
     if d1.ctx != d2.ctx:
-        _ffail("application premises typed in different contexts")
+        refuse("application premises typed in different contexts")
     if not isinstance(d1.ty, FArrow):
-        _ffail(f"applying a non-arrow of type {show_ftype(d1.ty)}")
+        refuse(f"applying a non-arrow of type {d1.ty}")
     if not f_type_alpha_eq(d1.ty.dom, d2.ty):
-        _ffail(
-            f"argument type {show_ftype(d2.ty)} differs from the domain "
-            f"{show_ftype(d1.ty.dom)}"
-        )
+        refuse(f"argument type {d2.ty} differs from the domain {d1.ty.dom}")
     return FDerivation("ArrE", d1.ctx, FApp(d1.term, d2.term), d1.ty.cod, (d1, d2))
 
 
 def f_prod_i(d1: FDerivation, d2: FDerivation) -> FDerivation:
     if d1.ctx != d2.ctx:
-        _ffail("pair premises typed in different contexts")
+        refuse("pair premises typed in different contexts")
     return FDerivation(
         "ProdI", d1.ctx, FPair(d1.term, d2.term), FProd(d1.ty, d2.ty), (d1, d2)
     )
@@ -391,19 +378,19 @@ def f_prod_i(d1: FDerivation, d2: FDerivation) -> FDerivation:
 
 def f_proj_l(d: FDerivation) -> FDerivation:
     if not isinstance(d.ty, FProd):
-        _ffail(f"projecting from a non-product of type {show_ftype(d.ty)}")
+        refuse(f"projecting from a non-product of type {d.ty}")
     return FDerivation("ProdEl", d.ctx, FProjL(d.term), d.ty.left, (d,))
 
 
 def f_proj_r(d: FDerivation) -> FDerivation:
     if not isinstance(d.ty, FProd):
-        _ffail(f"projecting from a non-product of type {show_ftype(d.ty)}")
+        refuse(f"projecting from a non-product of type {d.ty}")
     return FDerivation("ProdEr", d.ctx, FProjR(d.term), d.ty.right, (d,))
 
 
 def f_forall_i(d: FDerivation, binder: str) -> FDerivation:
     if binder in d.ctx.free_tvars():
-        _ffail(f"{binder} occurs free in the context")
+        refuse(f"{binder} occurs free in the context")
     return FDerivation(
         "ForallI", d.ctx, d.term, FForall(binder, d.ty), (d,), binder=binder
     )
@@ -411,59 +398,35 @@ def f_forall_i(d: FDerivation, binder: str) -> FDerivation:
 
 def f_forall_e(d: FDerivation, ty: FType) -> FDerivation:
     if not isinstance(d.ty, FForall):
-        _ffail(f"instantiating a non-quantified type {show_ftype(d.ty)}")
+        refuse(f"instantiating a non-quantified type {d.ty}")
     return FDerivation(
         "ForallE", d.ctx, d.term, subst(d.ty.body, d.ty.var, ty), (d,),
         inst_ty=ty,
     )
 
 
-# per rule: the number of premises, the other fields, and the constructor
-_F_RULES = {
-    "Ax": (0, (), lambda d: f_ax(d.ctx, d.term.name)),
-    "UnitI": (0, (), lambda d: f_unit_i(d.ctx)),
-    "ArrI": (1, ("binder",), lambda d, p: f_arr_i(p, d.binder)),
-    "ArrE": (2, (), lambda d, p1, p2: f_arr_e(p1, p2)),
-    "ProdI": (2, (), lambda d, p1, p2: f_prod_i(p1, p2)),
-    "ProdEl": (1, (), lambda d, p: f_proj_l(p)),
-    "ProdEr": (1, (), lambda d, p: f_proj_r(p)),
-    "ForallI": (1, ("binder",), lambda d, p: f_forall_i(p, d.binder)),
-    "ForallE": (1, ("inst_ty",), lambda d, p: f_forall_e(p, d.inst_ty)),
-}
+class FSystem(System):
+    """System F with pairs: types are compared up to the renaming of
+    bound variables."""
+
+    eq = staticmethod(f_type_alpha_eq)
+    rules = {
+        "Ax": (0, (), lambda n, ctx: f_ax(ctx, var_name(n.term))),
+        "UnitI": (0, (), lambda n, ctx: f_unit_i(ctx)),
+        "ArrI": (1, ("binder",), lambda n, ctx, p: f_arr_i(p, n.binder)),
+        "ArrE": (2, (), lambda n, ctx, p1, p2: f_arr_e(p1, p2)),
+        "ProdI": (2, (), lambda n, ctx, p1, p2: f_prod_i(p1, p2)),
+        "ProdEl": (1, (), lambda n, ctx, p: f_proj_l(p)),
+        "ProdEr": (1, (), lambda n, ctx, p: f_proj_r(p)),
+        "ForallI": (1, ("binder",), lambda n, ctx, p: f_forall_i(p, n.binder)),
+        "ForallE": (1, ("inst_ty",), lambda n, ctx, p: f_forall_e(p, n.inst_ty)),
+    }
 
 
-def _f_check_node(d: FDerivation, path):
-    """d is valid when its rule's constructor rebuilds its conclusion
-    from its premises and fields: the same context, and the same term and
-    type up to the renaming of bound variables."""
-
-    def bad(msg):
-        raise FRuleViolation(path, msg)
-
-    if d.rule not in _F_RULES:
-        bad(f"unknown rule {d.rule!r}")
-    arity, fields, build = _F_RULES[d.rule]
-    if len(d.premises) != arity:
-        bad(f"{d.rule} takes {arity} premises, not {len(d.premises)}")
-    if d.rule == "Ax" and not isinstance(d.term, FVar):
-        bad("axiom subject is not a variable")
-    for f in fields:
-        if getattr(d, f) is None:
-            bad(f"{d.rule} node lacks its {f}")
-    try:
-        want = build(d, *d.premises)
-    except FRuleViolation as e:
-        bad(e.message)
-    if want.ctx != d.ctx:
-        bad(f"context {d.ctx} is not the rule's {want.ctx}")
-    if not f_alpha_eq(want.term, d.term):
-        bad(f"subject {show_fterm(d.term)} is not the rule's {show_fterm(want.term)}")
-    if not f_type_alpha_eq(want.ty, d.ty):
-        bad(f"type {show_ftype(d.ty)} is not the rule's {show_ftype(want.ty)}")
+F = FSystem(FDerivation)
 
 
 def f_check(d: FDerivation, path: tuple[int, ...] = ()):
-    """Validate every node; raises FRuleViolation at the offending node."""
-    for i, p in enumerate(d.premises):
-        f_check(p, path + (i,))
-    _f_check_node(d, path)
+    """Validate every node of an F-derivation; raises RuleViolation at the
+    offending node."""
+    check_derivation(d, path)

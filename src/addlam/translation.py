@@ -50,6 +50,7 @@ from .sysf import (
     Star,
     f_arr_e,
     f_arr_i,
+    f_alpha_eq,
     f_ax,
     f_canonicalize,
     f_forall_e,
@@ -332,7 +333,7 @@ class Simulation:
         sides to the same term, where the one-vertex path is the witness."""
         if self.path is None or not self.path:
             return False
-        if f_canonicalize(self.source.fterm) != f_canonicalize(self.target.fterm):
+        if not f_alpha_eq(self.source.fterm, self.target.fterm):
             return len(self.path) >= 2
         return True
 

@@ -5,7 +5,9 @@ The checkers accept a node when its rule's constructor rebuilds it from
 its premises.  Reference: the hand-written checkers they replaced, one
 clause per rule, frozen below as ``reference_check_node`` (both source
 systems) and ``reference_f_check_node`` (System F), verbatim but for
-``instantiate``, a ``System`` method that ``forall_e`` has absorbed.  On every
+``instantiate``, a ``System`` method that ``forall_e`` has absorbed, and
+the F checker's exception, now the one ``RuleViolation`` of all three
+systems.  On every
 subject-reduction step of the corpora of seeds 1 and 2 (additive and
 structured), on every F-derivation that the translation, the epsilon
 terms and the identity coercions build from those corpora, and on forged
@@ -51,7 +53,6 @@ from addlam.sysf import (
     FProd,
     FProjL,
     FProjR,
-    FRuleViolation,
     FTVar,
     FUnit,
     FVar,
@@ -158,7 +159,7 @@ def reference_check_node(d, path):
 
 def reference_f_check_node(d, path):
     def bad(msg):
-        raise FRuleViolation(path, msg)
+        raise RuleViolation(path, msg)
 
     ps = d.premises
     if d.rule == "Ax":
@@ -389,13 +390,13 @@ def test_f_checker_agrees_with_the_hand_written_one_on_every_translation(seed):
     a wrong type fails under both at that node."""
     built = forged = 0
     for fd in f_derivations(seed):
-        assert verdict(reference_f_check, fd, FRuleViolation) is None
-        assert verdict(f_check, fd, FRuleViolation) is None
+        assert verdict(reference_f_check, fd, RuleViolation) is None
+        assert verdict(f_check, fd, RuleViolation) is None
         built += 1
         for path, n in nodes(fd):
             bad = replace_at(fd, path, replace(n, ty=F_WRONG))
-            assert verdict(reference_f_check, bad, FRuleViolation) == path
-            assert verdict(f_check, bad, FRuleViolation) == path
+            assert verdict(reference_f_check, bad, RuleViolation) == path
+            assert verdict(f_check, bad, RuleViolation) == path
             forged += 1
     assert built > 300 and forged > 3000
 

@@ -160,6 +160,18 @@ def test_suite_respects_seed_env(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 7
 
 
+def test_a_bad_seed_env_is_a_bad_argument_of_suite_alone(capsys, monkeypatch):
+    monkeypatch.setenv("ADDLAM_SEED", "abc")
+    code, out, _ = run(capsys, "parse", "x")
+    assert code == 0 and out.strip() == "x"
+    with pytest.raises(SystemExit) as e:
+        main(["suite", "ac", "--cases", "10"])
+    assert e.value.code == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    code, _, _ = run(capsys, "suite", "ac", "--cases", "10", "--seed", "3")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--fuel", "5", "--ctx", "a: X", r"(\x: X. x) a"),
     ("parse", "--seed", "2", "x"),

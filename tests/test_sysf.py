@@ -1,12 +1,18 @@
 """The polymorphic pair calculus: reduction, typing, and rigid trees read
 as pairs and projections."""
 
+from dataclasses import replace
+
 import pytest
 
+import addlam.binders as binders
 import addlam.sysf as sysf
-from addlam.binders import Context
+from addlam.binders import Context, RuleViolation
 from addlam.corpus import generate_corpus
-from addlam.structured import fold_tree
+from addlam.derivation import UnsupportedDerivationShape
+from addlam.reduction import StaleRedex, enumerate_redexes
+from addlam.structured import ExcludedRule, fold_tree, step_sadd_derivation
+from addlam.syntax import canonicalize
 from addlam.sysf import (
     FAbs,
     FApp,
@@ -17,7 +23,6 @@ from addlam.sysf import (
     FProd,
     FProjL,
     FProjR,
-    FRuleViolation,
     FTVar,
     FUnit,
     FVar,
@@ -124,21 +129,49 @@ def test_a_free_positional_name_is_refused_where_the_axiom_names_it():
     ctx = Context([("_0", FUnit)])
     with pytest.raises(ValueError, match="'_0'"):
         f_ax(ctx, "_0")
-    with pytest.raises(ValueError, match="'_0'"):
+    with pytest.raises(RuleViolation, match="'_0'") as e:
         f_check(FDerivation("Ax", ctx, FVar("_0"), FUnit))
+    assert e.value.path == ()
 
 
 def test_checking_a_translation_canonicalises_nothing(monkeypatch):
     """Each node's conclusion, rebuilt from its premises, shares its
-    children with the node, so == decides the comparison."""
+    children with the node, so == decides the comparison.  The patch sees
+    the kernel's calls: a subject that differs in a bound name is
+    canonicalised."""
+    fds = [trans_term(sd).fderivation for sd in generate_corpus(1, 20, 100).structured]
     calls = []
-    real = sysf.canonical
-    monkeypatch.setattr(sysf, "canonical", lambda t: calls.append(t) or real(t))
-    checked = 0
-    for sd in generate_corpus(1, 20, 100).structured:
-        f_check(trans_term(sd).fderivation)
-        checked += 1
-    assert checked > 20 and calls == []
+    real = binders.canonical
+    monkeypatch.setattr(binders, "canonical", lambda t: calls.append(t) or real(t))
+    for fd in fds:
+        f_check(fd)
+    assert len(fds) > 20 and calls == []
+    d = f_arr_i(f_ax(Context((("x", A),)), "x"), "x")
+    f_check(replace(d, term=FAbs("y", FVar("y"))))
+    assert calls
+
+
+def test_each_f_node_is_checked_once(monkeypatch):
+    """The translations of a derivation and of its steps share nodes, since
+    a structured node keeps its F-derivation.  f_check marks a node once it
+    and its premises passed, so it checks each distinct node once."""
+    fds = []
+    for sd in generate_corpus(3, 20, 100).structured:
+        fds.append(trans_term(sd).fderivation)
+        for r in sorted(enumerate_redexes(canonicalize(sd.term)), key=repr):
+            try:
+                fds.append(trans_term(step_sadd_derivation(sd, r)).fderivation)
+            except (ExcludedRule, UnsupportedDerivationShape, StaleRedex):
+                continue
+    walked = [n for fd in fds for _, n in nodes(fd)]
+    distinct = {id(n) for n in walked}
+    checked = []  # keeps each checked node alive, so no two share an id
+    real = binders._check_node
+    monkeypatch.setattr(binders, "_check_node", lambda d, path: checked.append(d) or real(d, path))
+    for fd in fds:
+        f_check(fd)
+    assert len(walked) > 2 * len(distinct) > 500
+    assert len(checked) == len(distinct) == len({id(n) for n in checked})
 
 
 def test_a_second_search_from_a_raw_term_computes_no_reduct(monkeypatch):
@@ -210,7 +243,7 @@ def test_typing_of_quantifiers():
 
 def test_generalisation_needs_a_fresh_type_variable():
     ctx = Context((("v", A),))
-    with pytest.raises(FRuleViolation):
+    with pytest.raises(RuleViolation):
         f_forall_i(f_ax(ctx, "v"), "A")
 
 
@@ -218,13 +251,13 @@ def test_checker_rejects_a_forged_projection():
     ctx = Context((("v", A),))
     d = f_ax(ctx, "v")
     forged = type(d)("projL", ctx, FProjL(d.term), A, (d,))
-    with pytest.raises(FRuleViolation):
+    with pytest.raises(RuleViolation):
         f_check(forged)
 
 
 def test_a_malformed_node_fails_at_its_path():
-    """An unknown rule, a wrong number of premises or a lost field is an
-    FRuleViolation at the node, under every rule of F."""
+    """An unknown rule, a wrong number of premises or a lost field is a
+    RuleViolation at the node, under every rule of F."""
     ctx = Context((("v", A),))
     b = FTVar("B")
     poly = f_forall_i(f_arr_i(f_ax(ctx.extend("x", b), "x"), "x"), "B")
@@ -234,7 +267,7 @@ def test_a_malformed_node_fails_at_its_path():
     assert {n.rule for _, n in nodes(d)} == {
         "Ax", "UnitI", "ArrI", "ArrE", "ProdI", "ProdEl", "ProdEr", "ForallI", "ForallE"
     }
-    assert malformed_nodes_fail_at_their_paths(d, f_check, FRuleViolation) == 61
+    assert malformed_nodes_fail_at_their_paths(d, f_check, RuleViolation) == 61
 
 
 def test_projection_path_nests_innermost_first():
