@@ -29,7 +29,8 @@ it builds outside all binders) and returns a marked node at once.
 A reduction step in any language canonicalises only what it builds:
 ``step_at`` replaces the subterm at a path and rebuilds only the nodes
 above it, ``instantiate`` contracts a redex at its own binder depth, and
-``relevel`` moves a canonical subterm to another depth.
+``relevel`` moves a canonical subterm to another depth; ``body_path``
+follows a path under a binder back into the term its body was built from.
 
 ``Context``, the typing context of every language, is defined here too,
 and so is the one derivation kernel of the three type systems (additive,
@@ -482,6 +483,25 @@ def instantiate(body: Node, x: str, v: Node, depth: int) -> Node:
 def relevel(t: Node, old: int, new: int) -> Node:
     """t, canonical at binder depth old, moved to binder depth new."""
     return t if old == new else _move(t, {}, new)
+
+
+def body_path(t: Node, u: Node, x: str, path) -> tuple[int, ...]:
+    """The path in u of the subterm at ``path`` in the body of t, where t
+    is the canonical binder node built over u: u is canonical on its own,
+    with the bound variable named x.  t's body is u moved one binder
+    deeper, and only sums reorder under the move, so at a sum the first
+    part of u that lands on the path's part is taken."""
+    a, depth, ren, out = t.body, 1, {x: t._var(t.var)}, []
+    for i in path:
+        j = i
+        if a._role == _SUM:
+            j = [_move(q, ren, depth) for q in u.parts].index(a.parts[i])
+        elif a._role == _BINDER:
+            ren[u.var] = a._var(a.var)
+            depth += 1
+        out.append(j)
+        a, u = a._kids()[i], u._kids()[j]
+    return tuple(out)
 
 
 def _move(t: Node, ren: dict, depth: int, x=None, v=None, vdepth=0) -> Node:

@@ -29,7 +29,7 @@ from .derivation import (
     plus_i,
     reduce_derivation,
 )
-from .reduction import Redex, StaleRedex
+from .reduction import Redex
 from .syntax import Sum, canonicalize, summands
 from .typesys import (
     TArrow,
@@ -195,8 +195,6 @@ class StructuredSystem(SourceSystem):
     def focus_dist(self, core: SaddDerivation, part: int, side: int) -> SaddDerivation:
         prem, other = core.premises[side], core.premises[1 - side]
         flat = summands(canonicalize(prem.term))
-        if not 0 <= part < len(flat):
-            raise StaleRedex("split component out of range")
         _s_root_split(prem, flat[part])
         if side == 1 and not is_unit(core.premises[0].ty):
             raise UnsupportedDerivationShape(
@@ -217,8 +215,6 @@ class StructuredSystem(SourceSystem):
 
     def descend_sum(self, core: SaddDerivation, head: int, fn) -> SaddDerivation:
         flat = summands(canonicalize(core.term))
-        if not 0 <= head < len(flat):
-            raise StaleRedex("path leaves the sum")
         target = flat[head]
         rank = sum(1 for s in flat[:head] if s == target)
         return _s_replace_piece(core, target, rank, fn)
@@ -270,66 +266,61 @@ def _peel_closure(lab: Type, xs, u: Type) -> Type:
 def add_to_sadd(d: AddDerivation) -> SaddDerivation:
     """Replay a derivation in the structured system. Partial: nodes
     whose types only fit their rule up to equivalence have no direct
-    counterpart and raise ConversionFailure."""
+    counterpart and raise ConversionFailure, with the message of the
+    structured rule that refuses them."""
     if d.rule == "equiv":
         return add_to_sadd(d.premises[0])
+    ps = [add_to_sadd(p) for p in d.premises]
     raw_ctx = d.ctx.map_types(to_raw)
-    if d.rule == "ax":
-        return sax(raw_ctx, d.term.name)
-    if d.rule == "ax0":
-        return sax0(raw_ctx)
-    if d.rule == "arrI":
-        return sarr_i(add_to_sadd(d.premises[0]), d.binder)
-    if d.rule == "plusI":
-        return splus_i(add_to_sadd(d.premises[0]), add_to_sadd(d.premises[1]))
-    if d.rule == "forallI":
-        p = add_to_sadd(d.premises[0])
-        if not is_unit(p.ty):
-            raise ConversionFailure(
-                f"generalisation premise is rigidly non-unit: {show_type(p.ty)}"
-            )
-        return sforall_i(p, d.binder)
-    if d.rule == "forallE":
-        p = add_to_sadd(d.premises[0])
-        if not isinstance(p.ty, TForall):
-            raise ConversionFailure(
-                f"instantiation premise is rigidly non-quantified: {show_type(p.ty)}"
-            )
-        return sforall_e(p, to_raw(d.inst_ty))
-    if d.rule == "arrE":
-        p1 = add_to_sadd(d.premises[0])
-        p2 = add_to_sadd(d.premises[1])
-        xs = d.arr_xs
-        u = to_raw(d.arr_u)
-        try:
-            lab1, lab2 = leaves(p1.ty), leaves(p2.ty)
-        except ValueError as e:
-            raise ConversionFailure(str(e))
-        ts: dict[str, Type] = {}
-        for w, unit in lab1.items():
-            t = _peel_closure(unit, xs, u)
-            if t is None:
-                raise ConversionFailure(
-                    f"function leaf {w or 'e'} does not fit the witness: {show_type(unit)}"
-                )
-            ts[w] = t
-        vs: dict[str, tuple[Type, ...]] = {}
-        pool = [tuple(to_raw(x) for x in vec) for vec in d.arr_vs]
-        for v, unit in lab2.items():
-            for k, vec in enumerate(pool):
-                if vec is not None and raw_alpha_eq(raw_subst_vec(u, xs, vec), unit):
-                    vs[v] = vec
-                    pool[k] = None
-                    break
-            else:
-                raise ConversionFailure(
-                    f"argument leaf {v or 'e'} matches no instantiation vector"
-                )
-        try:
-            return struct_arr_e(p1, p2, u, ts, vs, xs)
-        except RuleViolation as e:
-            raise ConversionFailure(e.message)
+    try:
+        if d.rule == "ax":
+            return sax(raw_ctx, d.term.name)
+        if d.rule == "ax0":
+            return sax0(raw_ctx)
+        if d.rule == "arrI":
+            return sarr_i(ps[0], d.binder)
+        if d.rule == "plusI":
+            return splus_i(ps[0], ps[1])
+        if d.rule == "forallI":
+            return sforall_i(ps[0], d.binder)
+        if d.rule == "forallE":
+            return sforall_e(ps[0], to_raw(d.inst_ty))
+        if d.rule == "arrE":
+            return struct_arr_e(*ps, *_sadd_witness(d, *ps))
+    except RuleViolation as e:
+        raise ConversionFailure(e.message)
     raise ConversionFailure(f"unknown rule {d.rule!r}")
+
+
+def _sadd_witness(d: AddDerivation, p1: SaddDerivation, p2: SaddDerivation):
+    """The witness of d's ``arrE`` node read off the converted premises."""
+    xs = d.arr_xs
+    u = to_raw(d.arr_u)
+    try:
+        lab1, lab2 = leaves(p1.ty), leaves(p2.ty)
+    except ValueError as e:
+        raise ConversionFailure(str(e))
+    ts: dict[str, Type] = {}
+    for w, unit in lab1.items():
+        t = _peel_closure(unit, xs, u)
+        if t is None:
+            raise ConversionFailure(
+                f"function leaf {w or 'e'} does not fit the witness: {show_type(unit)}"
+            )
+        ts[w] = t
+    vs: dict[str, tuple[Type, ...]] = {}
+    pool = [tuple(to_raw(x) for x in vec) for vec in d.arr_vs]
+    for v, unit in lab2.items():
+        for k, vec in enumerate(pool):
+            if vec is not None and raw_alpha_eq(raw_subst_vec(u, xs, vec), unit):
+                vs[v] = vec
+                pool[k] = None
+                break
+        else:
+            raise ConversionFailure(
+                f"argument leaf {v or 'e'} matches no instantiation vector"
+            )
+    return u, ts, vs, xs
 
 
 def sadd_to_add(d: SaddDerivation) -> AddDerivation:

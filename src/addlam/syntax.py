@@ -127,7 +127,8 @@ def _display_names(t: Term) -> dict[int, str]:
 
 
 def show_term(t: Term) -> str:
-    names = _display_names(canonicalize(t))
+    t = canonicalize(t)
+    names = _display_names(t)
 
     def go(u: Term, level: int, env: dict[str, str], d: int) -> str:
         match u:
@@ -147,57 +148,5 @@ def show_term(t: Term) -> str:
                 return f"({s})" if level > 2 else s
         raise TypeError(f"not a term: {u!r}")
 
-    return go(canonicalize(t), 0, {}, 0)
+    return go(t, 0, {}, 0)
 
-
-def alpha_eq_ren(a: Term, b: Term, ren: dict[str, str]) -> bool:
-    """Alpha equivalence where free variables of a are read through ren."""
-    match (a, b):
-        case (Var(x), Var(y)):
-            return ren.get(x, x) == y
-        case (_Zero(), _Zero()):
-            return True
-        case (Abs(x, s), Abs(y, u)):
-            return alpha_eq_ren(s, u, {**ren, x: y})
-        case (App(f, s), App(g, u)):
-            return alpha_eq_ren(f, g, ren) and alpha_eq_ren(s, u, ren)
-        case (Sum(ps), Sum(qs)) if len(ps) == len(qs):
-            used = [False] * len(qs)
-            for p in ps:
-                for j, q in enumerate(qs):
-                    if not used[j] and alpha_eq_ren(p, q, ren):
-                        used[j] = True
-                        break
-                else:
-                    return False
-            return True
-    return False
-
-
-def transfer_path(a: Term, b: Term, path: tuple[int, ...], ren: dict[str, str]) -> tuple[int, ...]:
-    """Translate a subterm path in a to the corresponding path in b,
-    where b is alpha-equal to a through the free-variable renaming ren.
-    Alpha-variants may order sum components differently, so indices
-    into sums are re-matched rather than copied."""
-    out: list[int] = []
-    for i in path:
-        match (a, b):
-            case (App(f, s), App(g, u)):
-                out.append(i)
-                a, b = (f, g) if i == 0 else (s, u)
-            case (Abs(x, s), Abs(y, u)):
-                out.append(0)
-                ren = {**ren, x: y}
-                a, b = s, u
-            case (Sum(ps), Sum(qs)):
-                part = ps[i]
-                for j, q in enumerate(qs):
-                    if alpha_eq_ren(part, q, ren):
-                        out.append(j)
-                        a, b = part, q
-                        break
-                else:
-                    raise ValueError("terms are not alpha-correspondent")
-            case _:
-                raise ValueError("path leaves the term")
-    return tuple(out)

@@ -69,6 +69,20 @@ def test_to_sadd_prints_the_rigid_sequent(capsys):
     assert json.loads(out) == {"term": "a + b + zero", "type": "(X + X) + void"}
 
 
+@pytest.mark.parametrize("ctx,src,message", [
+    # the additive type X + void of the premise is the unit X; the rigid
+    # one is a sum, which the structured rules refuse to quantify over
+    ("a: X", r"gen Y. (\x: X. x) (a + zero) { X | X | [] | }",
+     "generalisation over a non-unit type X + void"),
+    ("f: forall Y. Y -> Y", "inst (f + zero) [X]",
+     "instantiating a non-quantified type (forall X. X -> X) + void"),
+])
+def test_to_sadd_reports_the_structured_rule_that_refuses(capsys, ctx, src, message):
+    code, out, err = run(capsys, "to-sadd", "--ctx", ctx, src)
+    assert code == 1 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_elaborate_prints_every_node_of_the_derivation(capsys):
     want = [
         "arrE: a: X, f: X -> X |- f a : X",

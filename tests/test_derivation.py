@@ -2,6 +2,7 @@
 
 import pytest
 
+from addlam import derivation
 from addlam.corpus import BASE_CTX, generate_corpus
 from addlam.derivation import (
     ADD,
@@ -25,7 +26,7 @@ from addlam.derivation import (
     subst_derivation,
     weaken,
 )
-from addlam.reduction import Redex, StaleRedex, enumerate_redexes
+from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
 from addlam.syntax import Abs, App, Var, canonicalize, show_term
 from addlam.binders import Context
 from addlam.typesys import TArrow, TSum, TVar, TZero, type_equiv
@@ -154,6 +155,27 @@ def test_stepping_a_path_outside_the_derivation_is_stale():
         step_derivation(d, Redex((5,), "beta"))
     with pytest.raises(StaleRedex):
         step_derivation(d, Redex((), "sum-zero"))
+
+
+def test_stepping_under_binders_steps_the_term_once(monkeypatch):
+    # \y1 ... \y20. (\x. x) a: the redex sits under 20 abstractions, and
+    # the derivation is rebuilt along its path without stepping again
+    body = AApp(AAbs("x", X, AVar("x")), AVar("a"))
+    for k in range(20, 0, -1):
+        body = AAbs(f"y{k}", X, body)
+    d = elaborate(body, Context((("a", X),)))
+    (r,) = enumerate_redexes(d.term)
+    calls = []
+
+    def counted(t, r):
+        calls.append(r)
+        return step(t, r)
+
+    monkeypatch.setattr(derivation, "step", counted)
+    d2 = step_derivation(d, r)
+    assert calls == [r]
+    check_add(d2)
+    assert d2.term == step(d.term, r)
 
 
 def test_weakening_adds_an_unused_hypothesis():

@@ -19,7 +19,6 @@ from addlam.syntax import (
     show_term,
     substitute,
     summands,
-    transfer_path,
 )
 
 
@@ -96,21 +95,10 @@ def test_a_free_positional_name_is_refused():
     assert canonicalize(Abs("x", Var("_a"))) == Abs("_0", Var("_a"))
 
 
-def test_transfer_path_tracks_subterms_across_renaming():
+def test_canonical_form_ignores_sum_order_and_binder_names():
     rng = random.Random(13)
     for _ in range(100):
         t = canonicalize(random_term(rng, 3))
         shuffled = canonicalize(_rename_binders(_shuffle_sums(t, rng), rng))
-        assert shuffled == t  # same canonical form, so paths transfer
+        assert shuffled == t
 
-
-def test_transfer_path_across_sum_permutation():
-    a = Sum((App(Var("f"), Var("x")), Var("y")))
-    b = Sum((Var("y"), App(Var("f"), Var("x"))))
-    ca, cb = canonicalize(a), canonicalize(b)
-    assert ca == cb
-    # the app sits at some index; transferring the path to an alpha
-    # variant must land on an equal subterm
-    idx = next(i for i, p in enumerate(ca.parts) if isinstance(p, App))
-    moved = transfer_path(ca, cb, (idx,), {})
-    assert cb.parts[moved[0]] == ca.parts[idx]
