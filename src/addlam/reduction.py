@@ -218,20 +218,79 @@ def _longest(score) -> float:
     return max(z - 1, n)
 
 
-def _split_pairs(p: Term) -> list[Term] | None:
-    """The summand pairs f s of an application F S, when F or S is a sum
-    and every summand of both is non-zero and redex-free; else None.
-    Then the only redexes are splits until all |F|·|S| pairs stand apart,
-    since a sum is not a value: every path takes |F|·|S| − 1 of them."""
+def _root_split(p: Term, rs: list[Redex]) -> list[Term] | None:
+    """The atoms x_i Y when the application p = F S, with redexes rs,
+    has a factor X whose split may go first, Y being the other factor and
+    neither being zero; else None.  Every path of p is then matched by
+    one at least as long that first makes the |X| − 1 splits of X and
+    ends in a normal form of the same kind, so p scores as the atoms
+    x_i Y (each x_i in X's position) combined, plus those splits.
+
+    * X is a redex-free sum: no step of p happens inside X.  A step that
+      Y takes before X is split is taken once per copy of Y after it, and
+      so is a zero-arg or zero-fun step once Y is zero; a split of a sum
+      Y is matched too, since splitting both sums apart takes
+      |X|·|Y| − 1 steps in either order.  So moving the splits of X to
+      the front makes no path shorter.
+    * X is a sum with no zero summand and Y is redex-free (and, as the
+      first case did not apply, not a sum): the split copies no work,
+      and each summand of X lands in exactly one copy.  A zero that X
+      makes later costs one sum-zero step before the split, and a
+      zero-arg or zero-fun step plus the sum-zero step after it."""
     if p.__class__ is not App:
         return None
-    fs, ss = summands(p.fun), summands(p.arg)
-    if len(fs) == len(ss) == 1:
+    f, s = p.fun, p.arg
+    if f is Zero or s is Zero:
         return None
-    for q in fs + ss:
-        if q is Zero or _redexes(q):
-            return None
-    return [App(f, s) for f in fs for s in ss]
+    fsum, ssum = f.__class__ is Sum, s.__class__ is Sum
+    if not (fsum or ssum):
+        return None
+    busy = {r.path[0] for r in rs if r.path}  # the factors with a redex
+    if fsum and 0 not in busy:
+        return [App(x, s) for x in f.parts]
+    if ssum and 1 not in busy:
+        return [App(f, x) for x in s.parts]
+    if fsum and 1 not in busy and Zero not in f.parts:
+        return [App(x, s) for x in f.parts]
+    if ssum and 0 not in busy and Zero not in s.parts:
+        return [App(f, x) for x in s.parts]
+    return None
+
+
+def _waiting_split(p: Term, rs: list[Redex]) -> Redex | None:
+    """The one redex to step in p = f1 (f2 (… u)), with redexes rs,
+    where every f_j is redex-free, not a sum and not zero and u is the
+    first node down that argument spine that is not an f_j applied to an
+    application: the split of G when u = G T with G a redex-free sum and
+    T not zero, or of S when u = g S with g one more such function and S
+    a sum with no zero summand; else None.
+
+    No rule applies at a spine node above u (its function is no sum and
+    no zero, its argument no value, sum or zero), nor inside an f_j, so a
+    path of p is a path of u in a context that waits, until u changes at
+    its root, and ``_root_split``'s argument at u puts the split first.
+    The split leaves a sum with no zero summand as the argument of the
+    f_j above u, which ``_root_split`` splits first in turn, up the
+    spine, and each copy waits as p did.  Every order of these splits
+    ends in the same atoms f1 (… (x_i Y)) after the same number of
+    steps, so taking summand 0 first loses nothing, and p scores one
+    more than that reduct.  The walk stops at a λ, since a function
+    above it may copy the λ with its sum unsplit."""
+    if p.__class__ is not App or p.arg.__class__ is not App:
+        return None
+    k, u = 0, p
+    while u.fun.__class__ is not Sum and u.fun is not Zero and u.arg.__class__ is App:
+        k, u = k + 1, u.arg
+    g, a = u.fun, u.arg
+    if g.__class__ is Sum and a is not Zero:
+        rule = "dist-right"
+    elif g is not Zero and a.__class__ is Sum and Zero not in a.parts:
+        rule = "dist-left"
+    else:
+        return None
+    if any(0 in r.path[:k + 1] for r in rs):
+        return None  # a function down the spine, or u's, has a redex
+    return Redex((1,) * k, rule, 0)
 
 
 def check_sn(t: Term, budget: int = 100000) -> SnResult:
@@ -239,9 +298,11 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
 
     The summands of a sum reduce independently, so a sum's longest path
     combines theirs (``_combine``); λx.b is scored as b one binder deeper;
-    an application of sums of normal forms splits in a known number of
-    steps (``_split_pairs``); any other atom is scored from its reducts,
-    each stepped at the atom's own binder depth.  Scores are memoised per
+    an application with a factor whose split may go first is scored from
+    the split parts (``_root_split``), and one that waits for such a split
+    further down its argument spine from that one reduct
+    (``_waiting_split``); any other atom is scored from its reducts, each
+    stepped at the atom's own binder depth.  Scores are memoised per
     atom and depth, and at most ``budget`` atoms are explored."""
     memo: dict[tuple[Term, int], tuple[float, float]] = {}
     onstack: set[tuple[Term, int]] = set()
@@ -268,12 +329,16 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
         if seen > budget:
             raise _Abort(cycle=False)
         onstack.add(key)
-        pairs = _split_pairs(p)
-        if pairs is not None:
-            z, n = _combine([atom(q, depth) for q in pairs])
-            score = z + len(pairs) - 1, n + len(pairs) - 1
+        rs = _redexes(p)
+        parts = _root_split(p, rs)
+        if parts is not None:
+            z, n = _combine([atom(q, depth) for q in parts])
+            score = z + len(parts) - 1, n + len(parts) - 1
+        elif (first := _waiting_split(p, rs)) is not None:
+            z, n = atom(_step(p, first, depth), depth)
+            score = z + 1, n + 1
         else:
-            scores = [term(u, depth) for u in dict.fromkeys(_step(p, r, depth) for r in _redexes(p))]
+            scores = [term(u, depth) for u in dict.fromkeys(_step(p, r, depth) for r in rs)]
             if scores:
                 score = max(s[0] for s in scores) + 1, max(s[1] for s in scores) + 1
             else:

@@ -222,7 +222,9 @@ def counting(t, r, depth):
 
 reduction._step = counting
 ik = Sum((Abs("x", Var("x")), Abs("y", Abs("z", Var("y")))))
-res = reduction.check_sn(App(ik, App(ik, App(ik, Sum((Var("a"), Var("b")))))), 500)
+chain1 = App(ik, Sum((Var("a"), Var("b"))))
+# both factors reduce, so no split goes first and the search exhausts
+res = reduction.check_sn(App(chain1, App(ik, chain1)), 500)
 assert res.status == "budget-exhausted", res
 print(calls)
 """
