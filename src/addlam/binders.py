@@ -26,11 +26,18 @@ order of its declarations.
 Canonical binder names are positional (``_d`` for the binder at depth d),
 which no parser produces.  ``canonical`` marks what it returns (every node
 it builds outside all binders) and returns a marked node at once.
-A reduction step in any language canonicalises only what it builds:
-``step_at`` replaces the subterm at a path and rebuilds only the nodes
-above it, ``instantiate`` contracts a redex at its own binder depth, and
-``relevel`` moves a canonical subterm to another depth; ``body_path``
-follows a path under a binder back into the term its body was built from.
+
+The one reduction engine of both calculi is here too.  A calculus gives
+two tables: ``tests`` maps a node class to the test that lists the
+redexes at a node of that class, and ``rules`` maps each rule name to its
+contraction.  A redex is a ``Redex(path, rule, part)``; ``redexes`` lists
+them in one left-to-right walk, ``step_at`` contracts one and rebuilds
+only the nodes above it, and ``step`` checks a redex against its node's
+test first, raising ``StaleRedex`` for one the term lacks.  A step
+canonicalises only what it builds: ``instantiate`` contracts a beta redex
+at its own binder depth, and ``relevel`` moves a canonical subterm to
+another depth; ``body_path`` follows a path under a binder back into the
+term its body was built from.
 
 ``Context``, the typing context of every language, is defined here too,
 and so is the one derivation kernel of the three type systems (additive,
@@ -425,7 +432,27 @@ def alpha_eq(a: Node, b: Node) -> bool:
     return go(a, b, {}, {}, 0)
 
 
-# --- steps at a path ---------------------------------------------------------
+# --- reduction: rules at paths ------------------------------------------------
+
+
+class StaleRedex(Exception):
+    """The redex does not address a matching subterm of the given term."""
+
+
+@dataclass(frozen=True)
+class Redex:
+    """The rule named ``rule`` at ``path``; a rule that splits a sum names
+    the summand it splits off as ``part``."""
+
+    path: tuple[int, ...]
+    rule: str
+    part: int | None = None
+
+    def __hash__(self) -> int:
+        # hash(None) is the object's address on CPython before 3.12, so a
+        # redex without a part would hash, and a set of redexes iterate,
+        # differently in every process
+        return hash((self.path, self.rule, -1 if self.part is None else self.part))
 
 
 def kind(u: Node) -> str:
@@ -435,30 +462,55 @@ def kind(u: Node) -> str:
     return f"a {type(u).__name__.lstrip('_')} node"
 
 
-def child(u: Node, i, stale: type[Exception]) -> Node:
-    """The child i of u, counted as ``_kids`` lists them; raises stale
-    when u has no such child."""
-    kids = u._kids()
-    if isinstance(i, int) and 0 <= i < len(kids):
-        return kids[i]
-    raise stale(f"no child {i!r} in {kind(u)}")
+def subterm_at(t: Node, path) -> Node:
+    """The subterm of t at path, where i names the child i of a node as
+    ``_kids`` lists them; raises StaleRedex when the path leaves t."""
+    for i in path:
+        kids = t._kids()
+        if not (isinstance(i, int) and 0 <= i < len(kids)):
+            raise StaleRedex(f"no child {i!r} in {kind(t)}")
+        t = kids[i]
+    return t
 
 
-def step_at(t: Node, path, depth: int, contract, stale: type[Exception]) -> Node:
-    """t, canonical at binder depth ``depth``, with the subterm u at path
-    replaced by ``contract(u, d)``, where d is u's binder depth.  Only the
-    nodes on the path are rebuilt: a sum there is merged again by its
-    language's rule, and every other subterm is shared with t.  A path
-    that leaves t raises stale."""
+def redexes(t: Node, tests: dict) -> list[Redex]:
+    """The redexes of t, a subterm of a canonical term, in the order of
+    one left-to-right walk; paths start at t.  ``tests`` is a calculus's
+    table of where its rules fire: it maps a node class to the test
+    ``test(u, path, out)`` that appends the redexes at a node u of that
+    class to out.  A class without a test has no redex at its root."""
+    out: list[Redex] = []
+    get = tests.get
+
+    def walk(u: Node, path: tuple[int, ...]):
+        test = get(u.__class__)
+        if test is not None:
+            test(u, path, out)
+        i = 0  # a counter: this loop is hot, and enumerate was no faster
+        for c in u._kids():
+            walk(c, path + (i,))
+            i += 1
+
+    walk(t, ())
+    return out
+
+
+def step_at(t: Node, r: Redex, depth: int, rules: dict) -> Node:
+    """t, canonical at binder depth ``depth``, with its redex r contracted
+    by ``rules[r.rule](u, r, d)``, where u is the subterm at r's path and
+    d its binder depth.  r must be a redex the walk finds in t, which
+    ``step`` checks.  Only the nodes on the path are rebuilt: a sum there
+    is merged again by its language's rule, and every other subterm is
+    shared with t."""
     spine = []
     u = t
-    for i in path:
+    for i in r.path:
         spine.append(u)
         if u._role == _BINDER:
             depth += 1
-        u = child(u, i, stale)
-    new = contract(u, depth)
-    for node, i in zip(reversed(spine), reversed(path)):
+        u = u._kids()[i]
+    new = rules[r.rule](u, r, depth)
+    for node, i in zip(reversed(spine), reversed(r.path)):
         role = node._role
         if role == _BINDER:
             new = node.__class__(node.var, new)
@@ -469,6 +521,23 @@ def step_at(t: Node, path, depth: int, contract, stale: type[Exception]) -> Node
             kids[i] = new
             new = node.__class__(*kids)
     return new
+
+
+def step(t: Node, r: Redex, tests: dict, rules: dict) -> Node:
+    """The canonical contractum of the redex r of t, which is
+    canonicalised first (O(1) when it already is), in the calculus with
+    the tables ``tests`` and ``rules`` (see ``redexes`` and ``step_at``).
+    Raises StaleRedex unless the test of the node at r's path finds r
+    there: a path that leaves t, a rule of another calculus or no rule."""
+    t = canonical(t)
+    u = subterm_at(t, r.path)
+    found: list[Redex] = []
+    test = tests.get(u.__class__)
+    if test is not None:
+        test(u, r.path, found)
+    if r not in found:
+        raise StaleRedex(f"{r!r} does not match {kind(u)}")
+    return mark_canonical(step_at(t, r, 0, rules))
 
 
 def instantiate(body: Node, x: str, v: Node, depth: int) -> Node:

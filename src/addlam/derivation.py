@@ -25,6 +25,7 @@ from .binders import (
     DerivationNode,
     RuleViolation,
     System,
+    Redex,
     body_path,
     check_derivation,
     free_vars,
@@ -33,7 +34,7 @@ from .binders import (
     sort_key,
     var_name,
 )
-from .reduction import Redex, step
+from .reduction import step
 from .syntax import (
     Abs,
     App,

@@ -1,11 +1,16 @@
 """Small-step reduction: two distributivity rules, three zero rules and
-call-by-value beta, applied at any position modulo AC of sums."""
+call-by-value beta, applied at any position modulo AC of sums.
+
+The calculus is two tables for the one reduction engine in ``binders``:
+``_TESTS`` finds the redexes at an application or a sum, and
+``_RULES`` contracts each rule by name."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import child, instantiate, kind, mark_canonical, step_at
+from . import binders
+from .binders import Redex, instantiate, redexes, step_at
 from .syntax import (
     Abs,
     App,
@@ -20,114 +25,60 @@ from .syntax import (
 )
 
 
-class StaleRedex(Exception):
-    """The redex does not address a matching subterm of the given term."""
+def _app_redexes(u: App, path: tuple[int, ...], out: list[Redex]):
+    f, a = u.fun, u.arg
+    if f is Zero:
+        out.append(Redex(path, "zero-fun"))
+    if a is Zero:
+        out.append(Redex(path, "zero-arg"))
+    if f.__class__ is Sum:
+        out.extend(Redex(path, "dist-right", i) for i in range(len(f.parts)))
+    if a.__class__ is Sum:
+        out.extend(Redex(path, "dist-left", i) for i in range(len(a.parts)))
+    if f.__class__ is Abs and is_value(a):
+        out.append(Redex(path, "beta"))
 
 
-@dataclass(frozen=True)
-class Redex:
-    path: tuple[int, ...]
-    rule: str
-    part: int | None = None  # summand split off by a dist/sum-zero rule
-
-    def __hash__(self) -> int:
-        # hash(None) is the object's address on CPython before 3.12, so a
-        # redex without a part would hash, and a set of redexes iterate,
-        # differently in every process
-        return hash((self.path, self.rule, -1 if self.part is None else self.part))
+def _sum_redexes(u: Sum, path: tuple[int, ...], out: list[Redex]):
+    for i, p in enumerate(u.parts):
+        if p is Zero:
+            out.append(Redex(path, "sum-zero", i))
+            break  # removing any zero gives the same reduct
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = child(t, i, StaleRedex)
-    return t
+_TESTS = {App: _app_redexes, Sum: _sum_redexes}
 
 
 def enumerate_redexes(t: Term) -> frozenset[Redex]:
     """All rule occurrences in the canonical term, with distributivity
     splits of the form {one summand} vs {rest}."""
-    return frozenset(_redexes(canonicalize(t)))
+    return frozenset(redexes(canonicalize(t), _TESTS))
 
 
-def _redexes(u: Term) -> list[Redex]:
-    """The rule occurrences in u, a subterm of a canonical term, in the
-    order of one left-to-right walk; paths start at u."""
-    out: list[Redex] = []
-
-    def walk(u: Term, path: tuple[int, ...]):
-        match u:
-            case App(f, a):
-                if f is Zero:
-                    out.append(Redex(path, "zero-fun"))
-                if a is Zero:
-                    out.append(Redex(path, "zero-arg"))
-                if isinstance(f, Sum):
-                    for i in range(len(f.parts)):
-                        out.append(Redex(path, "dist-right", i))
-                if isinstance(a, Sum):
-                    for i in range(len(a.parts)):
-                        out.append(Redex(path, "dist-left", i))
-                if isinstance(f, Abs) and is_value(a):
-                    out.append(Redex(path, "beta"))
-                walk(f, path + (0,))
-                walk(a, path + (1,))
-            case Abs(_, b):
-                walk(b, path + (0,))
-            case Sum(ps):
-                for i, p in enumerate(ps):
-                    if p is Zero:
-                        out.append(Redex(path, "sum-zero", i))
-                        break  # removing any zero gives the same reduct
-                for i, p in enumerate(ps):
-                    walk(p, path + (i,))
-
-    walk(u, ())
-    return out
-
-
-def _split(parts: tuple[Term, ...], i: int | None) -> tuple[Term, Term]:
-    if not isinstance(i, int) or not 0 <= i < len(parts):
-        raise StaleRedex(f"no summand {i} in a {len(parts)}-ary sum")
+def _split(parts: tuple[Term, ...], i: int) -> tuple[Term, Term]:
     rest = parts[:i] + parts[i + 1 :]
     return parts[i], rest[0] if len(rest) == 1 else Sum(rest)
 
 
-def _contract(u: Term, r: Redex, depth: int) -> Term:
-    """Canonical contractum of the redex u, which sits at binder depth
-    ``depth`` of a canonical term."""
-    match r.rule, u:
-        case "beta", App(Abs(x, b), v) if is_value(v):
-            return instantiate(b, x, v, depth)
-        case "dist-right", App(Sum(ps), a):
-            one, rest = _split(ps, r.part)
-            return merge_sum((App(one, a), App(rest, a)))
-        case "dist-left", App(f, Sum(ps)):
-            one, rest = _split(ps, r.part)
-            return merge_sum((App(f, one), App(f, rest)))
-        case "zero-fun", App(f, _) if f is Zero:
-            return Zero
-        case "zero-arg", App(_, a) if a is Zero:
-            return Zero
-        case "sum-zero", Sum(ps):
-            zero, rest = _split(ps, r.part)
-            if zero is not Zero:
-                raise StaleRedex("sum-zero split is not a zero summand")
-            return rest
-    raise StaleRedex(f"rule {r.rule} does not match the {kind(u)} at {r.path}")
+# The contraction of each rule: the canonical contractum of the redex r at
+# u, which sits at binder depth ``depth`` of a canonical term.
+_RULES = {
+    "beta": lambda u, r, depth: instantiate(u.fun.body, u.fun.var, u.arg, depth),
+    "dist-right": lambda u, r, depth: merge_sum(
+        [App(x, u.arg) for x in _split(u.fun.parts, r.part)]),
+    "dist-left": lambda u, r, depth: merge_sum(
+        [App(u.fun, x) for x in _split(u.arg.parts, r.part)]),
+    "zero-fun": lambda u, r, depth: Zero,
+    "zero-arg": lambda u, r, depth: Zero,
+    "sum-zero": lambda u, r, depth: _split(u.parts, r.part)[1],
+}
 
 
 def step(t: Term, r: Redex) -> Term:
     """Canonical contractum of one redex.  Only the path from the redex
     to the root is rebuilt: a sum on it is re-flattened and re-sorted by
     its parts' cached keys, and every other subterm is shared with t."""
-    return mark_canonical(_step(canonicalize(t), r, 0))
-
-
-def _step(t: Term, r: Redex, depth: int) -> Term:
-    """The contractum of r in t, where t is canonical at binder depth
-    ``depth`` (a subterm of a canonical term, or one on its own at depth
-    0); the result is canonical at the same depth and is not marked."""
-    return step_at(t, r.path, depth, lambda u, d: _contract(u, r, d), StaleRedex)
+    return binders.step(t, r, _TESTS, _RULES)
 
 
 @dataclass(frozen=True)
@@ -329,16 +280,17 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
         if seen > budget:
             raise _Abort(cycle=False)
         onstack.add(key)
-        rs = _redexes(p)
+        rs = redexes(p, _TESTS)
         parts = _root_split(p, rs)
         if parts is not None:
             z, n = _combine([atom(q, depth) for q in parts])
             score = z + len(parts) - 1, n + len(parts) - 1
         elif (first := _waiting_split(p, rs)) is not None:
-            z, n = atom(_step(p, first, depth), depth)
+            z, n = atom(step_at(p, first, depth, _RULES), depth)
             score = z + 1, n + 1
         else:
-            scores = [term(u, depth) for u in dict.fromkeys(_step(p, r, depth) for r in rs)]
+            reducts = dict.fromkeys(step_at(p, r, depth, _RULES) for r in rs)
+            scores = [term(u, depth) for u in reducts]
             if scores:
                 score = max(s[0] for s in scores) + 1, max(s[1] for s in scores) + 1
             else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import RuleViolation, check_derivation, free_vars, refuse
+from .binders import Redex, RuleViolation, check_derivation, free_vars, refuse
 from .derivation import (
     AddDerivation,
     Derivation,
@@ -29,7 +29,6 @@ from .derivation import (
     plus_i,
     reduce_derivation,
 )
-from .reduction import Redex
 from .syntax import Sum, canonicalize, summands
 from .typesys import (
     TArrow,

@@ -10,10 +10,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
-from .binders import free_vars, fresh_name, rebuild
+from .binders import Redex, free_vars, fresh_name, rebuild, subterm_at
 from .corpus import OMEGA, Corpus, random_term, random_type
 from .derivation import UnsupportedDerivationShape, check_add, step_derivation
-from .reduction import Redex, check_sn, enumerate_redexes, subterm_at
+from .reduction import check_sn, enumerate_redexes
 from .structured import ExcludedRule, check_sadd, fold_tree
 from .syntax import Abs, App, Sum, Term, Var, canonicalize, show_term, substitute
 from .sysf import (

@@ -2,12 +2,15 @@
 typing rules, full (non-deterministic) reduction including both eta
 rules, and bounded reachability search.
 
-Reduction is named steps at paths, as in ``reduction.py``: ``_fredexes``
-lists each redex of a canonical term as (path, rule) in one walk, and
-``f_step`` contracts one at its own binder depth, rebuilding only the
-spine above it.  A canonical term keeps its reducts on the node, and a
-raw term its canonical form, so the reducts of each term are computed
-once however many searches pass through it.
+Reduction is two tables for the one reduction engine in ``binders``, as
+in ``reduction.py``: ``_TESTS`` finds the redexes at each of the five
+node classes where a rule may fire (an application, an abstraction, a
+pair and the two projections), and ``_RULES`` contracts each of the five
+rules (beta, proj-l, proj-r, eta and surjective pairing) by name, at the
+redex's own binder depth, rebuilding only the spine above it.  A
+canonical term keeps its reducts on the node, and a raw term its
+canonical form, so the reducts of each term are computed once however
+many searches pass through it.
 
 Each typing rule is defined once, by the constructor of its derivation
 nodes (``f_ax`` ... ``f_forall_e``), and ``F``'s rule table names them.
@@ -27,6 +30,7 @@ from .binders import (
     Context,
     DerivationNode,
     Node,
+    Redex,
     System,
     alpha_eq,
     canonical,
@@ -34,11 +38,10 @@ from .binders import (
     free_name,
     free_vars,
     instantiate,
-    kind,
-    mark_canonical,
+    redexes,
     refuse,
     relevel,
-    step_at,
+    step,
     subst,
     var_name,
 )
@@ -201,85 +204,48 @@ def show_ftype(t: FType) -> str:
 # --- reduction ---------------------------------------------------------------
 
 
-class StaleFRedex(Exception):
-    """The F-redex does not address a matching subterm of the given term."""
+def _app_redexes(u: FApp, path: tuple[int, ...], out: list[Redex]):
+    if u.fun.__class__ is FAbs:
+        out.append(Redex(path, "beta"))
 
 
-def _eta_body(u: FAbs) -> FTerm | None:
-    """f when u is \\x. f x with x not free in f, else None."""
-    b = u.body
+def _abs_redexes(u: FAbs, path: tuple[int, ...], out: list[Redex]):
+    b = u.body  # eta: \x. f x with x not free in f
     if b.__class__ is FApp and b.arg.__class__ is FVar and b.arg.name == u.var \
             and u.var not in free_vars(b.fun):
-        return b.fun
-    return None
+        out.append(Redex(path, "eta"))
 
 
-def _fredexes(t: FTerm) -> list[tuple[tuple[int, ...], str]]:
-    """The redexes of t, a subterm of a canonical term, as (path, rule)
-    in the order of one left-to-right walk; paths start at t.  The rules
-    are beta, proj-l, proj-r, eta and surjective pairing (surj)."""
-    out = []
-
-    def walk(u: FTerm, path: tuple[int, ...]):
-        match u:
-            case FApp(f, a):
-                if f.__class__ is FAbs:
-                    out.append((path, "beta"))
-                walk(f, path + (0,))
-                walk(a, path + (1,))
-            case FAbs(_, b):
-                if _eta_body(u) is not None:
-                    out.append((path, "eta"))
-                walk(b, path + (0,))
-            case FPair(f, s):
-                if f.__class__ is FProjL and s.__class__ is FProjR and f.body == s.body:
-                    # p and q sit at one binder depth of a canonical term,
-                    # so they are alpha-equivalent iff they are equal;
-                    # canonicalising them on their own would capture the
-                    # binders above them
-                    out.append((path, "surj"))
-                walk(f, path + (0,))
-                walk(s, path + (1,))
-            case FProjL(b) | FProjR(b):
-                if b.__class__ is FPair:
-                    out.append((path, "proj-l" if u.__class__ is FProjL else "proj-r"))
-                walk(b, path + (0,))
-
-    walk(t, ())
-    return out
+def _pair_redexes(u: FPair, path: tuple[int, ...], out: list[Redex]):
+    f, s = u.fst, u.snd
+    if f.__class__ is FProjL and s.__class__ is FProjR and f.body == s.body:
+        # p and q sit at one binder depth of a canonical term, so they are
+        # alpha-equivalent iff they are equal; canonicalising them on
+        # their own would capture the binders above them
+        out.append(Redex(path, "surj"))
 
 
-def _fcontract(u: FTerm, rule: str, depth: int) -> FTerm:
-    """Canonical contractum of the redex u, which sits at binder depth
-    ``depth`` of a canonical term: beta moves the body's binders up one
-    level and puts the argument, moved to where it lands, for the bound
-    variable; eta moves f up one level; a projection and surjective
-    pairing return the subterm they keep."""
-    match rule, u:
-        case "beta", FApp(FAbs(x, b), a):
-            return instantiate(b, x, a, depth)
-        case "proj-l", FProjL(FPair(f, _)):
-            return f
-        case "proj-r", FProjR(FPair(_, s)):
-            return s
-        case "eta", FAbs():
-            f = _eta_body(u)
-            if f is not None:
-                return relevel(f, depth + 1, depth)
-        case "surj", FPair(FProjL(p), FProjR(q)) if p == q:
-            return p
-    raise StaleFRedex(f"rule {rule!r} does not match {kind(u)}")
+def _proj_redexes(u: FProjL | FProjR, path: tuple[int, ...], out: list[Redex]):
+    if u.body.__class__ is FPair:
+        out.append(Redex(path, "proj-l" if u.__class__ is FProjL else "proj-r"))
 
 
-def f_step(t: FTerm, r: tuple[tuple[int, ...], str]) -> FTerm:
-    """Canonical contractum of the redex r = (path, rule) of t, which is
-    canonicalised first (O(1) when it already is).  Only the path from
-    the redex to the root is rebuilt; every other subterm is shared with
-    t.  A path that leaves t, or a rule that does not match the node it
-    reaches, raises StaleFRedex."""
-    path, rule = r
-    return mark_canonical(step_at(f_canonicalize(t), path, 0,
-                                  lambda u, depth: _fcontract(u, rule, depth), StaleFRedex))
+_TESTS = {FApp: _app_redexes, FAbs: _abs_redexes, FPair: _pair_redexes,
+          FProjL: _proj_redexes, FProjR: _proj_redexes}
+
+
+# The contraction of each rule: the canonical contractum of the redex r at
+# u, which sits at binder depth ``depth`` of a canonical term.  beta moves
+# the body's binders up one level and puts the argument, moved to where it
+# lands, for the bound variable; eta moves f up one level; a projection
+# and surjective pairing return the subterm they keep.
+_RULES = {
+    "beta": lambda u, r, depth: instantiate(u.fun.body, u.fun.var, u.arg, depth),
+    "proj-l": lambda u, r, depth: u.body.fst,
+    "proj-r": lambda u, r, depth: u.body.snd,
+    "eta": lambda u, r, depth: relevel(u.body.fun, depth + 1, depth),
+    "surj": lambda u, r, depth: u.fst.body,
+}
 
 
 def _freducts(t: FTerm) -> tuple[FTerm, ...]:
@@ -288,7 +254,8 @@ def _freducts(t: FTerm) -> tuple[FTerm, ...]:
     try:
         return t._reducts
     except AttributeError:
-        out = t._reducts = tuple(sorted({f_step(t, r) for r in _fredexes(t)}, key=repr))
+        rs = redexes(t, _TESTS)
+        out = t._reducts = tuple(sorted({step(t, r, _TESTS, _RULES) for r in rs}, key=repr))
         return out
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import Context
-from .reduction import Redex
+from .binders import Context, Redex
 from .structured import (
     ExcludedRule,
     SaddDerivation,

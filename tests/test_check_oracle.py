@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import pytest
 
-from addlam.binders import subst
+from addlam.binders import StaleRedex, subst
 from addlam.corpus import generate_corpus
 from addlam.derivation import (
     ADD,
@@ -35,7 +35,7 @@ from addlam.derivation import (
     check_add,
     step_derivation,
 )
-from addlam.reduction import StaleRedex, enumerate_redexes
+from addlam.reduction import enumerate_redexes
 from addlam.structured import (
     SADD,
     ExcludedRule,

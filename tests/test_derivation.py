@@ -26,9 +26,9 @@ from addlam.derivation import (
     subst_derivation,
     weaken,
 )
-from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
+from addlam.reduction import enumerate_redexes, step
 from addlam.syntax import Abs, App, Var, canonicalize, show_term
-from addlam.binders import Context
+from addlam.binders import Context, Redex, StaleRedex
 from addlam.typesys import TArrow, TSum, TVar, TZero, type_equiv
 from test_check_oracle import malformed_nodes_fail_at_their_paths, nodes
 

@@ -1,8 +1,8 @@
 """Named F-steps against the reduct walk they replaced.
 
-``f_reducts`` lists the redexes of a canonical F-term as (path, rule) and
-contracts each with ``f_step`` at its own binder depth, rebuilding only the
-spine.  Reference: the walk of the commit before, which rebuilt every
+``f_reducts`` lists the redexes of a canonical F-term with the reduction
+engine's walk and contracts each with its ``step`` at its own binder depth,
+rebuilding only the spine.  Reference: the walk of the commit before, which rebuilt every
 reduct raw and canonicalised it whole, frozen below as ``reference_reducts``
 so that the oracle does not run the code it checks.  Both must give the
 same reducts on every F-term that ``f_reaches`` visits in the ``trans-red``
@@ -16,7 +16,7 @@ from functools import lru_cache
 import pytest
 
 import addlam.sysf as sysf
-from addlam.binders import free_vars, rebuild, subst
+from addlam.binders import free_vars, rebuild, redexes, step, subst
 from addlam.corpus import generate_corpus
 from addlam.suites import run_suite
 from addlam.sysf import (
@@ -28,10 +28,8 @@ from addlam.sysf import (
     FTerm,
     FVar,
     Star,
-    _fredexes,
     f_canonicalize,
     f_reducts,
-    f_step,
 )
 
 
@@ -105,8 +103,8 @@ def assert_named_steps_agree(t: FTerm, kept: tuple[FTerm, ...]):
     want = reference_reducts(t)
     assert len(set(kept)) == len(kept)
     assert list(kept) == sorted(want, key=repr)
-    for r in _fredexes(t):
-        u = f_step(t, r)
+    for r in redexes(t, sysf._TESTS):
+        u = step(t, r, sysf._TESTS, sysf._RULES)
         assert u._canonical and u == f_canonicalize(rebuild(u)) and u in want
 
 
@@ -114,12 +112,12 @@ def assert_named_steps_agree(t: FTerm, kept: tuple[FTerm, ...]):
 def test_reducts_agree_on_every_term_the_searches_visit(monkeypatch, seed):
     seen = visited(monkeypatch, seed)
     assert len(seen) > 150
-    redexes = 0
+    count = 0
     for t, kept in seen.values():
         assert_named_steps_agree(t, kept)
         assert f_reducts(t) == reference_reducts(t)
-        redexes += len(_fredexes(t))
-    assert redexes > 300
+        count += len(redexes(t, sysf._TESTS))
+    assert count > 300
 
 
 I, K = FAbs("x", FVar("x")), FAbs("x", FAbs("y", FVar("x")))
@@ -167,5 +165,5 @@ def test_the_hand_written_terms_reach_every_rule_in_every_context():
     rules = set()
     for raw in HAND_WRITTEN.values():
         t = f_canonicalize(raw)
-        rules |= {(rule, len(path) > 0) for path, rule in _fredexes(t)}
+        rules |= {(r.rule, len(r.path) > 0) for r in redexes(t, sysf._TESTS)}
     assert rules >= {(r, True) for r in ("beta", "proj-l", "proj-r", "eta", "surj")}

@@ -11,13 +11,11 @@ import pytest
 
 import addlam
 from addlam import syntax
-from addlam.binders import Context
+from addlam.binders import Context, Redex, StaleRedex
 from addlam.corpus import OMEGA, generate_corpus, random_term
 from addlam.derivation import AAbs, AApp, AVar, elaborate, step_derivation
 from addlam.parser import parse_term
 from addlam.reduction import (
-    Redex,
-    StaleRedex,
     check_sn,
     enumerate_redexes,
     normalize,
@@ -63,6 +61,7 @@ def test_sum_with_zero_drops_the_zero():
 
 
 def test_stale_redex_is_rejected():
+    # every case raises StaleRedex, never a KeyError or the like
     # a path index past the children, or negative, is stale, not an IndexError
     ident = canonicalize(App(Abs("x", Var("x")), Var("y")))
     s = canonicalize(Sum((Var("a"), Zero)))
@@ -77,6 +76,9 @@ def test_stale_redex_is_rejected():
     asum = canonicalize(App(Var("a"), Sum((Var("f"), Var("g")))))
     cases += [(fsum, Redex((), "dist-right")), (asum, Redex((), "dist-left"))]
     cases += [(s, Redex((), "sum-zero"))]
+    # a rule of System F is no rule here, even at a node of its shape
+    eta = canonicalize(Abs("x", App(Var("f"), Var("x"))))
+    cases += [(eta, Redex((), "eta")), (app, Redex((), "proj-l")), (s, Redex((), "surj"))]
     for t, r in cases:
         with pytest.raises(StaleRedex):
             step(t, r)
@@ -211,16 +213,16 @@ from addlam import reduction
 from addlam.syntax import Abs, App, Sum, Var
 
 calls = 0
-real = reduction._step
+real = reduction.step_at
 
 
-def counting(t, r, depth):
+def counting(t, r, depth, rules):
     global calls
     calls += 1
-    return real(t, r, depth)
+    return real(t, r, depth, rules)
 
 
-reduction._step = counting
+reduction.step_at = counting
 ik = Sum((Abs("x", Var("x")), Abs("y", Abs("z", Var("y")))))
 chain1 = App(ik, Sum((Var("a"), Var("b"))))
 # both factors reduce, so no split goes first and the search exhausts

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import pytest
 
-from addlam.binders import Context
+from addlam.binders import Context, Redex, StaleRedex
 from addlam.corpus import generate_corpus
 from addlam.derivation import (
     UnsupportedDerivationShape,
@@ -32,7 +32,7 @@ from addlam.derivation import (
     strip_wrappers,
 )
 from addlam.parser import parse_aterm, parse_context
-from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
+from addlam.reduction import enumerate_redexes, step
 from addlam.structured import ConversionFailure, add_to_sadd, sarr_i
 from addlam.suites import _context
 from addlam.syntax import Abs, App, Sum, Term, Var, _Zero, canonicalize, show_term

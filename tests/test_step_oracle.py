@@ -6,7 +6,8 @@ import random
 import pytest
 
 from addlam.corpus import generate_corpus, random_term
-from addlam.reduction import Redex, enumerate_redexes, step, subterm_at
+from addlam.binders import Redex, subterm_at
+from addlam.reduction import enumerate_redexes, step
 from addlam.syntax import Abs, App, Sum, Term, Var, Zero, _Zero, canonicalize
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from addlam.binders import Context
+from addlam.binders import Context, Redex, StaleRedex
 from addlam.corpus import (
     BASE_CTX,
     example_pair_tree,
@@ -18,7 +18,7 @@ from addlam.derivation import (
     subst_derivation,
     weaken,
 )
-from addlam.reduction import Redex, StaleRedex, enumerate_redexes, step
+from addlam.reduction import enumerate_redexes, step
 from addlam.structured import (
     SADD,
     ExcludedRule,

@@ -7,10 +7,10 @@ import pytest
 
 import addlam.binders as binders
 import addlam.sysf as sysf
-from addlam.binders import Context, RuleViolation
+from addlam.binders import Context, Redex, RuleViolation, StaleRedex, redexes, step
 from addlam.corpus import generate_corpus
 from addlam.derivation import UnsupportedDerivationShape
-from addlam.reduction import StaleRedex, enumerate_redexes
+from addlam.reduction import enumerate_redexes
 from addlam.structured import ExcludedRule, fold_tree, step_sadd_derivation
 from addlam.syntax import canonicalize
 from addlam.sysf import (
@@ -26,9 +26,7 @@ from addlam.sysf import (
     FTVar,
     FUnit,
     FVar,
-    StaleFRedex,
     Star,
-    _fredexes,
     f_arr_e,
     f_arr_i,
     f_ax,
@@ -41,7 +39,6 @@ from addlam.sysf import (
     f_proj_r,
     f_reaches,
     f_reducts,
-    f_step,
     f_type_alpha_eq,
     f_unit_i,
 )
@@ -102,26 +99,32 @@ def test_a_free_positional_name_is_refused():
 
 
 def test_a_stale_redex_is_refused_by_name():
-    """A path that leaves the term, or a rule that does not match the node
-    the path reaches, raises StaleFRedex, never an IndexError or the like."""
+    """A path that leaves the term, a rule that does not match the node the
+    path reaches, or a rule of the source calculus raises StaleRedex, never
+    an IndexError, a KeyError or the like."""
     t = f_canonicalize(FAbs("a", FPair(FApp(FAbs("x", FVar("x")), FVar("a")),
                                        FProjL(FPair(FVar("a"), Star)))))
-    assert set(_fredexes(t)) == {((0, 0), "beta"), ((0, 1), "proj-l")}
-    for path, rule in (
-        ((1,), "beta"),  # an abstraction has one child
-        ((0, 2), "beta"),  # a pair has two
-        ((0, 0, 0, 0, 0), "beta"),  # a variable has none
-        ((0, 1, 0, 1, 0), "beta"),  # nor has star
-        ((0, "0"), "beta"),  # a child is named by an int
-        ((0, 0), "proj-l"),  # the rule of another redex
-        ((0, 1), "proj-r"),
-        ((), "eta"),  # \a.<...> is no eta redex
-        ((0,), "surj"),  # the projected terms differ
-        ((0, 0), "gamma"),  # no such rule
+    assert redexes(t, sysf._TESTS) == [Redex((0, 0), "beta"), Redex((0, 1), "proj-l")]
+    for r in (
+        Redex((1,), "beta"),  # an abstraction has one child
+        Redex((0, 2), "beta"),  # a pair has two
+        Redex((0, 0, 0, 0, 0), "beta"),  # a variable has none
+        Redex((0, 1, 0, 1, 0), "beta"),  # nor has star
+        Redex((0, "0"), "beta"),  # a child is named by an int
+        Redex((0, 0), "proj-l"),  # the rule of another redex
+        Redex((0, 1), "proj-r"),
+        Redex((), "eta"),  # \a.<...> is no eta redex
+        Redex((0,), "surj"),  # the projected terms differ
+        Redex((0, 0), "gamma"),  # no such rule
+        # rules of the source calculus
+        Redex((0, 0), "dist-left", 0),
+        Redex((0, 0), "zero-fun"),
+        Redex((0, 0), "zero-arg"),
+        Redex((0,), "sum-zero", 0),
     ):
-        with pytest.raises(StaleFRedex):
-            f_step(t, (path, rule))
-    assert f_step(t, ((0, 0), "beta")) == f_canonicalize(
+        with pytest.raises(StaleRedex):
+            step(t, r, sysf._TESTS, sysf._RULES)
+    assert step(t, Redex((0, 0), "beta"), sysf._TESTS, sysf._RULES) == f_canonicalize(
         FAbs("a", FPair(FVar("a"), FProjL(FPair(FVar("a"), Star)))))
 
 
@@ -178,8 +181,8 @@ def test_a_second_search_from_a_raw_term_computes_no_reduct(monkeypatch):
     """A raw term keeps its canonical form, and each canonical term the
     first search expanded keeps its reducts."""
     calls = []
-    real = sysf._fredexes
-    monkeypatch.setattr(sysf, "_fredexes", lambda t: calls.append(t) or real(t))
+    real = sysf.redexes
+    monkeypatch.setattr(sysf, "redexes", lambda t, tests: calls.append(t) or real(t, tests))
     src = FApp(FAbs("x", FPair(FProjL(FPair(FVar("x"), Star)), FVar("x"))), FVar("v"))
     tgt = FPair(FVar("v"), FVar("v"))
     first = f_reaches(src, tgt)

@@ -6,13 +6,14 @@ from dataclasses import replace
 import pytest
 from behaviour_dump import f_nodes
 
+from addlam.binders import StaleRedex
 from addlam.corpus import (
     BASE_CTX,
     example_pair_tree,
     generate_corpus,
 )
 from addlam.derivation import UnsupportedDerivationShape
-from addlam.reduction import StaleRedex, enumerate_redexes
+from addlam.reduction import enumerate_redexes
 from addlam.structured import ExcludedRule, sax, sax0, splus_i, step_sadd_derivation
 from addlam.suites import _has_empty_elim
 from addlam.syntax import App, Sum, Var, Zero, canonicalize
