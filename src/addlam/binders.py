@@ -18,10 +18,10 @@ and says what it is with one class keyword:
 From that declaration the base writes ``__init__``, ``__eq__``, ``__repr__``
 and ``__match_args__`` once, when the class is created.  Nothing changes a
 node once it is built, apart from its caches: its hash is computed once
-from its children's cached hashes, and its sort key and repr are cached on
-first use.  The hash and the sort key start with the class's position
-among its language's classes, so a language fixes their order by the
-order of its declarations.
+from its children's cached hashes, and its sort key, repr and redexes are
+cached on first use.  The hash and the sort key start with the class's
+position among its language's classes, so a language fixes their order
+by the order of its declarations.
 
 Canonical binder names are positional (``_d`` for the binder at depth d),
 which no parser produces.  ``canonical`` marks what it returns (every node
@@ -29,15 +29,19 @@ it builds outside all binders) and returns a marked node at once.
 
 The one reduction engine of both calculi is here too.  A calculus gives
 two tables: ``tests`` maps a node class to the test that lists the
-redexes at a node of that class, and ``rules`` maps each rule name to its
-contraction.  A redex is a ``Redex(path, rule, part)``; ``redexes`` lists
-them in one left-to-right walk, ``step_at`` contracts one and rebuilds
-only the nodes above it, and ``step`` checks a redex against its node's
-test first, raising ``StaleRedex`` for one the term lacks.  A step
-canonicalises only what it builds: ``instantiate`` contracts a beta redex
-at its own binder depth, and ``relevel`` moves a canonical subterm to
-another depth; ``body_path`` follows a path under a binder back into the
-term its body was built from.
+redexes at the root of a node of that class, and ``rules`` maps each rule
+name to its contraction.  A redex is a ``Redex(path, rule, part)``;
+``redexes`` lists them in the order of one left-to-right walk, ``step_at``
+contracts one and rebuilds only the nodes above it, and ``step`` checks a
+redex against its node's test first, raising ``StaleRedex`` for one the
+term lacks.  Each node keeps its redex tuple, with paths relative to
+itself, beside the table it was found for, and builds it from its
+children's; so a walk after a step computes only on the nodes the step
+built, and one table never reads another's tuple.  A step canonicalises
+only what it builds: ``instantiate`` contracts a beta redex at its own
+binder depth, and ``relevel`` moves a canonical subterm to another depth;
+``body_path`` follows a path under a binder back into the term its body
+was built from.
 
 ``Context``, the typing context of every language, is defined here too,
 and so is the one derivation kernel of the three type systems (additive,
@@ -65,7 +69,8 @@ def _define(cls, src: str):
 
 
 class Node:
-    __slots__ = ("_hash", "_key", "_repr", "_canonical")
+    # _repr and _redexes are left unset until first use
+    __slots__ = ("_hash", "_key", "_repr", "_canonical", "_redexes")
 
     def __init_subclass__(cls, var=False, binds=None, merge=None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -439,7 +444,7 @@ class StaleRedex(Exception):
     """The redex does not address a matching subterm of the given term."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Redex:
     """The rule named ``rule`` at ``path``; a rule that splits a sum names
     the summand it splits off as ``part``."""
@@ -473,26 +478,40 @@ def subterm_at(t: Node, path) -> Node:
     return t
 
 
-def redexes(t: Node, tests: dict) -> list[Redex]:
+# the entry of every node without redexes, one per table; it keeps its
+# table alive, so the table's id is never reused
+_NO_REDEXES: dict[int, tuple] = {}
+
+
+def redexes(t: Node, tests: dict) -> tuple[Redex, ...]:
     """The redexes of t, a subterm of a canonical term, in the order of
     one left-to-right walk; paths start at t.  ``tests`` is a calculus's
     table of where its rules fire: it maps a node class to the test
-    ``test(u, path, out)`` that appends the redexes at a node u of that
-    class to out.  A class without a test has no redex at its root."""
+    ``test(u, out)`` that appends the redexes at the root of a node u of
+    that class, each with the path ``()``, to out.  A class without a
+    test has no redex at its root.
+
+    The tuple is kept on t with the table it was found for, and t builds
+    it from its own test and its children's kept tuples, each path put
+    under the child's index.  So after a step only the new nodes on the
+    step's path compute theirs, and a table never reads what another
+    table found: a node met with another table computes its tuple again."""
+    entry = getattr(t, "_redexes", None)
+    if entry is not None and entry[0] is tests:
+        return entry[1]
     out: list[Redex] = []
-    get = tests.get
-
-    def walk(u: Node, path: tuple[int, ...]):
-        test = get(u.__class__)
-        if test is not None:
-            test(u, path, out)
-        i = 0  # a counter: this loop is hot, and enumerate was no faster
-        for c in u._kids():
-            walk(c, path + (i,))
-            i += 1
-
-    walk(t, ())
-    return out
+    test = tests.get(t.__class__)
+    if test is not None:
+        test(t, out)
+    i = 0  # a counter: this loop is hot, and enumerate was no faster
+    for c in t._kids():
+        for r in redexes(c, tests):
+            out.append(Redex((i, *r.path), r.rule, r.part))
+        i += 1
+    rs = tuple(out)
+    # most nodes have no redex and share their table's one empty entry
+    t._redexes = (tests, rs) if rs else _NO_REDEXES.setdefault(id(tests), (tests, ()))
+    return rs
 
 
 def step_at(t: Node, r: Redex, depth: int, rules: dict) -> Node:
@@ -534,8 +553,8 @@ def step(t: Node, r: Redex, tests: dict, rules: dict) -> Node:
     found: list[Redex] = []
     test = tests.get(u.__class__)
     if test is not None:
-        test(u, r.path, found)
-    if r not in found:
+        test(u, found)
+    if Redex((), r.rule, r.part) not in found:
         raise StaleRedex(f"{r!r} does not match {kind(u)}")
     return mark_canonical(step_at(t, r, 0, rules))
 

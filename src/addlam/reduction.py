@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import binders
-from .binders import Redex, instantiate, redexes, step_at
+from .binders import Redex, instantiate, mark_canonical, redexes, step_at
+from .binders import step as _checked_step
 from .syntax import (
     Abs,
     App,
@@ -25,24 +25,37 @@ from .syntax import (
 )
 
 
-def _app_redexes(u: App, path: tuple[int, ...], out: list[Redex]):
+# Redex((), rule, i) for i = 0, 1, … of each split rule, built once and
+# shared: the test of an application over a sum of n parts lists n splits,
+# and it runs on every such application that a step builds
+_SPLITS: dict[str, list[Redex]] = {"dist-right": [], "dist-left": []}
+
+
+def _splits(rule: str, n: int) -> list[Redex]:
+    have = _SPLITS[rule]
+    while len(have) < n:
+        have.append(Redex((), rule, len(have)))
+    return have[:n]
+
+
+def _app_redexes(u: App, out: list[Redex]):
     f, a = u.fun, u.arg
     if f is Zero:
-        out.append(Redex(path, "zero-fun"))
+        out.append(Redex((), "zero-fun"))
     if a is Zero:
-        out.append(Redex(path, "zero-arg"))
+        out.append(Redex((), "zero-arg"))
     if f.__class__ is Sum:
-        out.extend(Redex(path, "dist-right", i) for i in range(len(f.parts)))
+        out.extend(_splits("dist-right", len(f.parts)))
     if a.__class__ is Sum:
-        out.extend(Redex(path, "dist-left", i) for i in range(len(a.parts)))
+        out.extend(_splits("dist-left", len(a.parts)))
     if f.__class__ is Abs and is_value(a):
-        out.append(Redex(path, "beta"))
+        out.append(Redex((), "beta"))
 
 
-def _sum_redexes(u: Sum, path: tuple[int, ...], out: list[Redex]):
+def _sum_redexes(u: Sum, out: list[Redex]):
     for i, p in enumerate(u.parts):
         if p is Zero:
-            out.append(Redex(path, "sum-zero", i))
+            out.append(Redex((), "sum-zero", i))
             break  # removing any zero gives the same reduct
 
 
@@ -78,7 +91,7 @@ def step(t: Term, r: Redex) -> Term:
     """Canonical contractum of one redex.  Only the path from the redex
     to the root is rebuilt: a sum on it is re-flattened and re-sorted by
     its parts' cached keys, and every other subterm is shared with t."""
-    return binders.step(t, r, _TESTS, _RULES)
+    return _checked_step(t, r, _TESTS, _RULES)
 
 
 @dataclass(frozen=True)
@@ -100,23 +113,60 @@ class NormalizeResult:
     exhausted: bool
 
 
-def _strategy_key(r: Redex):
-    # distributivity and zero rules before beta; then innermost-leftmost
-    return (1 if r.rule == "beta" else 0, -len(r.path), r.path, r.rule, r.part or 0)
+_UNSET = object()  # no pick kept yet; None is the pick of a normal form
+
+
+def _pick(t: Term) -> Redex | None:
+    """The redex of t, a subterm of a canonical term, that ``normalize``
+    contracts next, or None when t has none: a rule other than beta before
+    beta, then the deepest, then the leftmost, then by rule and part.
+
+    Kept on t.  t picks from its own redexes and its children's picks:
+    a child's pick is deeper than t's own redexes, so it loses to one of
+    them only when it is a beta and t's is not.  So after a step only the
+    new nodes on the step's path pick again."""
+    best = getattr(t, "_pick", _UNSET)
+    if best is not _UNSET:
+        return best
+    best = None
+    i = 0
+    for c in t._kids():
+        r = getattr(c, "_pick", _UNSET)  # inline: most children have one kept
+        if r is _UNSET:
+            r = _pick(c)
+        if r is not None:
+            key = (r.rule == "beta", -len(r.path))
+            # the leftmost child wins a tie, so only a strictly earlier
+            # pick replaces the best so far
+            if best is None or key < best_key:
+                best, best_key, at = r, key, i
+        i += 1
+    if best is not None:
+        best = Redex((at, *best.path), best.rule, best.part)
+    test = _TESTS.get(t.__class__)
+    if test is not None and (best is None or best.rule == "beta"):
+        own: list[Redex] = []
+        test(t, own)
+        if own:
+            first = min(own, key=lambda r: (r.rule == "beta", r.rule, r.part or 0))
+            if best is None or first.rule != "beta":
+                best = first
+    t._pick = best
+    return best
 
 
 def normalize(t: Term, fuel: int = 10000) -> NormalizeResult:
     """Deterministic normalisation (innermost, non-beta rules first), at
     most fuel steps; exhausted when the term it stops at still has a
-    redex."""
+    redex.  Each step contracts the pick kept on the term (``_pick``), so
+    a step computes only on the nodes it builds."""
     t = canonicalize(t)
     trace: list[TraceStep] = []
     while True:
-        rs = enumerate_redexes(t)
-        if not rs or len(trace) >= fuel:
-            return NormalizeResult(t, tuple(trace), bool(rs))
-        r = min(rs, key=_strategy_key)
-        u = step(t, r)
+        r = _pick(t)
+        if r is None or len(trace) >= fuel:
+            return NormalizeResult(t, tuple(trace), r is not None)
+        u = mark_canonical(step_at(t, r, 0, _RULES))
         trace.append(TraceStep(r.rule, r.path, t, u))
         t = u
 
@@ -254,7 +304,14 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
     further down its argument spine from that one reduct
     (``_waiting_split``); any other atom is scored from its reducts, each
     stepped at the atom's own binder depth.  Scores are memoised per
-    atom and depth, and at most ``budget`` atoms are explored."""
+    atom and depth, and at most ``budget`` atoms are explored.
+
+    A ``terminates`` or ``cycle`` verdict is kept on the canonical term
+    with its ``states``, and a later call with a budget of at least that
+    many states returns it: the search is deterministic until it explores
+    more atoms than its budget, so it would find the same verdict again.
+    A smaller budget, a ``budget-exhausted`` verdict and a
+    ``recursion-limit`` verdict are computed afresh each time."""
     memo: dict[tuple[Term, int], tuple[float, float]] = {}
     onstack: set[tuple[Term, int]] = set()
     seen = 0
@@ -300,9 +357,16 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
         return score
 
     try:
-        d = _longest(term(canonicalize(t), 0))
+        t = canonicalize(t)  # a deep term can hit the limit here already
+        kept = getattr(t, "_sn", None)
+        if kept is not None and budget >= kept.states:
+            return kept
+        res = SnResult("terminates", int(_longest(term(t, 0))), seen, False)
     except _Abort as a:
-        return SnResult("cycle" if a.cycle else "budget-exhausted", 0, seen, a.cycle)
+        if not a.cycle:
+            return SnResult("budget-exhausted", 0, seen, False)
+        res = SnResult("cycle", 0, seen, True)
     except RecursionError:
         return SnResult("recursion-limit", 0, seen, False)
-    return SnResult("terminates", int(d), seen, False)
+    t._sn = res
+    return res

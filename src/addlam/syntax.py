@@ -16,7 +16,12 @@ from .binders import Node, canonical, fresh_name, free_vars, sort_key, subst
 
 
 class Term(Node):
-    __slots__ = ()
+    """A term keeps two results of ``reduction`` once they are computed:
+    the redex ``normalize`` contracts next (``_pick``) and, on a canonical
+    term, the verdict of ``check_sn`` (``_sn``).  Both are unset until
+    then."""
+
+    __slots__ = ("_pick", "_sn")
 
     def __str__(self) -> str:
         return show_term(self)

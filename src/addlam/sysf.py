@@ -38,10 +38,11 @@ from .binders import (
     free_name,
     free_vars,
     instantiate,
+    mark_canonical,
     redexes,
     refuse,
     relevel,
-    step,
+    step_at,
     subst,
     var_name,
 )
@@ -204,30 +205,30 @@ def show_ftype(t: FType) -> str:
 # --- reduction ---------------------------------------------------------------
 
 
-def _app_redexes(u: FApp, path: tuple[int, ...], out: list[Redex]):
+def _app_redexes(u: FApp, out: list[Redex]):
     if u.fun.__class__ is FAbs:
-        out.append(Redex(path, "beta"))
+        out.append(Redex((), "beta"))
 
 
-def _abs_redexes(u: FAbs, path: tuple[int, ...], out: list[Redex]):
+def _abs_redexes(u: FAbs, out: list[Redex]):
     b = u.body  # eta: \x. f x with x not free in f
     if b.__class__ is FApp and b.arg.__class__ is FVar and b.arg.name == u.var \
             and u.var not in free_vars(b.fun):
-        out.append(Redex(path, "eta"))
+        out.append(Redex((), "eta"))
 
 
-def _pair_redexes(u: FPair, path: tuple[int, ...], out: list[Redex]):
+def _pair_redexes(u: FPair, out: list[Redex]):
     f, s = u.fst, u.snd
     if f.__class__ is FProjL and s.__class__ is FProjR and f.body == s.body:
         # p and q sit at one binder depth of a canonical term, so they are
         # alpha-equivalent iff they are equal; canonicalising them on
         # their own would capture the binders above them
-        out.append(Redex(path, "surj"))
+        out.append(Redex((), "surj"))
 
 
-def _proj_redexes(u: FProjL | FProjR, path: tuple[int, ...], out: list[Redex]):
+def _proj_redexes(u: FProjL | FProjR, out: list[Redex]):
     if u.body.__class__ is FPair:
-        out.append(Redex(path, "proj-l" if u.__class__ is FProjL else "proj-r"))
+        out.append(Redex((), "proj-l" if u.__class__ is FProjL else "proj-r"))
 
 
 _TESTS = {FApp: _app_redexes, FAbs: _abs_redexes, FPair: _pair_redexes,
@@ -255,7 +256,9 @@ def _freducts(t: FTerm) -> tuple[FTerm, ...]:
         return t._reducts
     except AttributeError:
         rs = redexes(t, _TESTS)
-        out = t._reducts = tuple(sorted({step(t, r, _TESTS, _RULES) for r in rs}, key=repr))
+        # each redex comes from the walk, so it needs no check
+        out = t._reducts = tuple(sorted({mark_canonical(step_at(t, r, 0, _RULES)) for r in rs},
+                                        key=repr))
         return out
 
 

@@ -202,6 +202,8 @@ def test_deep_nesting_reports_the_recursion_limit():
 
     res = check_sn(nested(500), 100)
     assert res.status == "terminates" and res.max_depth == 1
+    with pytest.raises(RecursionError):
+        canonicalize(nested(1000))  # so check_sn must guard its canonicalisation
     res = check_sn(nested(1000), 100)
     assert res.status == "recursion-limit"
     assert not res.terminates and not res.cycle

@@ -1,19 +1,21 @@
 """The one redex walk of both calculi against the two walks it replaced.
 
-``binders.redexes`` walks a term once, left to right, and asks each
-calculus's table for the test of each node's class.  Reference: the two
-walks before it, ``reduction._redexes`` and ``sysf._fredexes``, each a
-match on the node with its own recursion, frozen below under new names
+``binders.redexes`` lists a term's redexes in the order of one left-to-
+right walk, built from the tuples kept on the term's children, and asks
+each calculus's table for the test of each node's class.  Reference: the
+two walks before it, ``reduction._redexes`` and ``sysf._fredexes``, each
+a match on the node with its own recursion, frozen below under new names
 so that the oracle does not run the code it checks; the old F-walk gave
 (path, rule) pairs.
 
-The new walk must return an equal list, in the same order: ``check_sn``
-explores the reducts of an atom in the order of its redexes, so a budget-
-bound search visits its states in that order.  Inputs: every atom that
-``check_sn`` visits on ``chain(2..5)``, ``wide(2..5)``, the seed-1 corpus
-and random terms, and every F-term that the ``trans-red`` and ``epsilon``
-searches expand on seed 1, with the hand-written F-terms of
-``test_fstep_oracle``, which reach eta and surjective pairing."""
+The new walk must return the same redexes as a tuple, in the same order:
+``check_sn`` explores the reducts of an atom in the order of its redexes,
+so a budget-bound search visits its states in that order.  Inputs:
+every atom that ``check_sn`` visits on ``chain(2..5)``, ``wide(2..5)``,
+the seed-1 corpus and random terms, and every F-term that the
+``trans-red`` and ``epsilon`` searches expand on seed 1, with the
+hand-written F-terms of ``test_fstep_oracle``, which reach eta and
+surjective pairing."""
 
 import random
 
@@ -103,7 +105,7 @@ def test_the_walk_keeps_the_order_on_every_atom_the_explorer_visits(monkeypatch)
 
     def compared(p, tests):
         out = real(p, tests)
-        assert out == reference_redexes(p), p
+        assert out == tuple(reference_redexes(p)), p
         atoms.append(p)
         found.extend(out)
         return out
@@ -130,7 +132,7 @@ def test_the_walk_keeps_the_order_on_every_f_term_the_searches_expand(monkeypatc
     found = []
     for t in terms:
         out = sysf.redexes(t, sysf._TESTS)
-        assert out == [Redex(path, rule) for path, rule in reference_fredexes(t)], t
+        assert out == tuple(Redex(path, rule) for path, rule in reference_fredexes(t)), t
         found.extend(out)
     assert sum(len(sysf.redexes(t, sysf._TESTS)) > 1 for t in terms) > 250
     assert {r.rule for r in found} == set(sysf._RULES)
