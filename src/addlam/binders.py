@@ -18,10 +18,10 @@ and says what it is with one class keyword:
 From that declaration the base writes ``__init__``, ``__eq__``, ``__repr__``
 and ``__match_args__`` once, when the class is created.  Nothing changes a
 node once it is built, apart from its caches: its hash is computed once
-from its children's cached hashes, and its sort key, repr and redexes are
-cached on first use.  The hash and the sort key start with the class's
-position among its language's classes, so a language fixes their order
-by the order of its declarations.
+from its children's cached hashes, and its sort key and repr are cached on
+first use.  The hash and the sort key start with the class's position
+among its language's classes, so a language fixes their order by the
+order of its declarations.
 
 Canonical binder names are positional (``_d`` for the binder at depth d),
 which no parser produces.  ``canonical`` marks what it returns (every node
@@ -34,14 +34,14 @@ name to its contraction.  A redex is a ``Redex(path, rule, part)``;
 ``redexes`` lists them in the order of one left-to-right walk, ``step_at``
 contracts one and rebuilds only the nodes above it, and ``step`` checks a
 redex against its node's test first, raising ``StaleRedex`` for one the
-term lacks.  Each node keeps its redex tuple, with paths relative to
-itself, beside the table it was found for, and builds it from its
-children's; so a walk after a step computes only on the nodes the step
-built, and one table never reads another's tuple.  A step canonicalises
-only what it builds: ``instantiate`` contracts a beta redex at its own
-binder depth, and ``relevel`` moves a canonical subterm to another depth;
-``body_path`` follows a path under a binder back into the term its body
-was built from.
+term lacks.  The walk keeps on each node the redexes at its root, beside
+the table they were found for, and on each node whose subterm has none
+the table alone, and it never enters such a node again; so a walk after
+a step tests only the nodes the step built, and one table never reads
+another's entries.  A step canonicalises only what it builds: ``instantiate``
+contracts a beta redex at its own binder depth, and ``relevel`` moves a
+canonical subterm to another depth; ``body_path`` follows a path under a
+binder back into the term its body was built from.
 
 ``Context``, the typing context of every language, is defined here too,
 and so is the one derivation kernel of the three type systems (additive,
@@ -69,8 +69,7 @@ def _define(cls, src: str):
 
 
 class Node:
-    # _repr and _redexes are left unset until first use
-    __slots__ = ("_hash", "_key", "_repr", "_canonical", "_redexes")
+    __slots__ = ("_hash", "_key", "_repr", "_canonical")
 
     def __init_subclass__(cls, var=False, binds=None, merge=None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -478,11 +477,6 @@ def subterm_at(t: Node, path) -> Node:
     return t
 
 
-# the entry of every node without redexes, one per table; it keeps its
-# table alive, so the table's id is never reused
-_NO_REDEXES: dict[int, tuple] = {}
-
-
 def redexes(t: Node, tests: dict) -> tuple[Redex, ...]:
     """The redexes of t, a subterm of a canonical term, in the order of
     one left-to-right walk; paths start at t.  ``tests`` is a calculus's
@@ -491,27 +485,44 @@ def redexes(t: Node, tests: dict) -> tuple[Redex, ...]:
     that class, each with the path ``()``, to out.  A class without a
     test has no redex at its root.
 
-    The tuple is kept on t with the table it was found for, and t builds
-    it from its own test and its children's kept tuples, each path put
-    under the child's index.  So after a step only the new nodes on the
-    step's path compute theirs, and a table never reads what another
-    table found: a node met with another table computes its tuple again."""
-    entry = getattr(t, "_redexes", None)
-    if entry is not None and entry[0] is tests:
-        return entry[1]
+    The walk keeps on each node it tests an entry for the table: the
+    table itself when the node's whole subterm has no redex, which the
+    walk then passes over without going in, and else the pair of the
+    table and the redexes at the node's root.  So a walk after a step
+    tests only the nodes the step built and enters only subterms that
+    hold a redex, and a table never reads what another table found: a
+    node met with another table is tested again."""
     out: list[Redex] = []
-    test = tests.get(t.__class__)
-    if test is not None:
-        test(t, out)
+    entry = getattr(t, "_redexes", None)
+    if entry is not tests:
+        _walk(t, entry, (), tests, out)
+    return tuple(out)
+
+
+def _walk(u: Node, entry, path: tuple[int, ...], tests: dict, out: list[Redex]):
+    # entry, u's, is not the table alone, so u's subterm may hold a redex
+    if entry.__class__ is tuple and entry[0] is tests:
+        own = entry[1]
+    else:
+        test = tests.get(u.__class__)
+        if test is None:
+            own = ()
+        else:
+            found: list[Redex] = []
+            test(u, found)
+            own = tuple(found)
+        entry = None
+    start = len(out)
+    if own:
+        out.extend([Redex(path, r.rule, r.part) for r in own] if path else own)
     i = 0  # a counter: this loop is hot, and enumerate was no faster
-    for c in t._kids():
-        for r in redexes(c, tests):
-            out.append(Redex((i, *r.path), r.rule, r.part))
+    for c in u._kids():
+        e = getattr(c, "_redexes", None)
+        if e is not tests:
+            _walk(c, e, path + (i,), tests, out)
         i += 1
-    rs = tuple(out)
-    # most nodes have no redex and share their table's one empty entry
-    t._redexes = (tests, rs) if rs else _NO_REDEXES.setdefault(id(tests), (tests, ()))
-    return rs
+    if entry is None:
+        u._redexes = (tests, own) if len(out) > start else tests
 
 
 def step_at(t: Node, r: Redex, depth: int, rules: dict) -> Node:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binders import Redex, instantiate, mark_canonical, redexes, step_at
-from .binders import step as _checked_step
+from .binders import step as _checked_step  # by name, which the reachability test follows
 from .syntax import (
     Abs,
     App,
@@ -21,13 +21,13 @@ from .syntax import (
     is_value,
     merge_sum,
     show_term,
-    summands,
 )
 
 
 # Redex((), rule, i) for i = 0, 1, … of each split rule, built once and
-# shared: the test of an application over a sum of n parts lists n splits,
-# and it runs on every such application that a step builds
+# shared: the test of an application over a sum of n parts lists n
+# splits, and it runs on every such application that a step builds, as
+# each step of normalize on (\x.x)(a0+…+a(n−1)) builds one
 _SPLITS: dict[str, list[Redex]] = {"dist-right": [], "dist-left": []}
 
 
@@ -126,14 +126,17 @@ def _pick(t: Term) -> Redex | None:
     them only when it is a beta and t's is not.  So after a step only the
     new nodes on the step's path pick again."""
     best = getattr(t, "_pick", _UNSET)
-    if best is not _UNSET:
-        return best
+    return _choose(t) if best is _UNSET else best
+
+
+def _choose(t: Term) -> Redex | None:
+    """The pick of t, which has none kept yet, kept on t."""
     best = None
     i = 0
     for c in t._kids():
-        r = getattr(c, "_pick", _UNSET)  # inline: most children have one kept
+        r = getattr(c, "_pick", _UNSET)
         if r is _UNSET:
-            r = _pick(c)
+            r = _choose(c)
         if r is not None:
             key = (r.rule == "beta", -len(r.path))
             # the leftmost child wins a tie, so only a strictly earlier
@@ -304,20 +307,17 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
     further down its argument spine from that one reduct
     (``_waiting_split``); any other atom is scored from its reducts, each
     stepped at the atom's own binder depth.  Scores are memoised per
-    atom and depth, and at most ``budget`` atoms are explored.
-
-    A ``terminates`` or ``cycle`` verdict is kept on the canonical term
-    with its ``states``, and a later call with a budget of at least that
-    many states returns it: the search is deterministic until it explores
-    more atoms than its budget, so it would find the same verdict again.
-    A smaller budget, a ``budget-exhausted`` verdict and a
-    ``recursion-limit`` verdict are computed afresh each time."""
+    atom and depth, and at most ``budget`` atoms are explored.  An atom's
+    redexes come from ``binders.redexes``, whose entries kept on the nodes
+    let it test only the nodes that the step to the atom built."""
     memo: dict[tuple[Term, int], tuple[float, float]] = {}
     onstack: set[tuple[Term, int]] = set()
     seen = 0
 
     def term(u: Term, depth: int) -> tuple[float, float]:
-        return _combine([atom(p, depth) for p in summands(u)])
+        if u.__class__ is not Sum:
+            return atom(u, depth)  # what _combine gives for one summand
+        return _combine([atom(p, depth) for p in u.parts])
 
     def atom(p: Term, depth: int) -> tuple[float, float]:
         nonlocal seen
@@ -357,16 +357,9 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
         return score
 
     try:
-        t = canonicalize(t)  # a deep term can hit the limit here already
-        kept = getattr(t, "_sn", None)
-        if kept is not None and budget >= kept.states:
-            return kept
-        res = SnResult("terminates", int(_longest(term(t, 0))), seen, False)
+        d = _longest(term(canonicalize(t), 0))
     except _Abort as a:
-        if not a.cycle:
-            return SnResult("budget-exhausted", 0, seen, False)
-        res = SnResult("cycle", 0, seen, True)
+        return SnResult("cycle" if a.cycle else "budget-exhausted", 0, seen, a.cycle)
     except RecursionError:
         return SnResult("recursion-limit", 0, seen, False)
-    t._sn = res
-    return res
+    return SnResult("terminates", int(d), seen, False)

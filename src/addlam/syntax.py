@@ -16,12 +16,11 @@ from .binders import Node, canonical, fresh_name, free_vars, sort_key, subst
 
 
 class Term(Node):
-    """A term keeps two results of ``reduction`` once they are computed:
-    the redex ``normalize`` contracts next (``_pick``) and, on a canonical
-    term, the verdict of ``check_sn`` (``_sn``).  Both are unset until
-    then."""
+    """A term keeps the entry of ``binders.redexes`` (``_redexes``) and
+    the redex ``normalize`` contracts next (``_pick``) once they are
+    computed; both are unset until then."""
 
-    __slots__ = ("_pick", "_sn")
+    __slots__ = ("_redexes", "_pick")
 
     def __str__(self) -> str:
         return show_term(self)

@@ -88,9 +88,10 @@ class FTerm(Node):
     """The repr keeps the dataclass form ``FAbs(var='x', body=FVar(name='x'))``,
     because ``f_reaches`` orders reducts by it.  A canonical term keeps
     its one-step reducts, in that order, once they are computed, and a
-    raw term its canonical form."""
+    raw term its canonical form.  ``binders.redexes`` keeps its entry on
+    the term as well."""
 
-    __slots__ = ("_reducts", "_cform")
+    __slots__ = ("_reducts", "_cform", "_redexes")
 
     def __str__(self) -> str:
         return show_fterm(self)

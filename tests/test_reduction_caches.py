@@ -1,6 +1,5 @@
-"""The reduction work kept on canonical nodes: the redex tuple of
-``binders.redexes``, the pick of ``normalize`` and the verdict of
-``check_sn``.
+"""The reduction work kept on canonical nodes: the entries that
+``binders.redexes`` keeps for its walk, and the pick of ``normalize``.
 
 Each cache is checked against a computation that cannot read it: the
 same call on ``rebuild(t)``, a fresh copy of t with nothing kept on it,
@@ -11,7 +10,7 @@ import sys
 
 import addlam.reduction as reduction
 import addlam.sysf as sysf
-from addlam.binders import Redex, rebuild, redexes
+from addlam.binders import Redex, rebuild, redexes, step_at
 from addlam.corpus import OMEGA, generate_corpus
 from addlam.reduction import check_sn, enumerate_redexes, normalize
 from addlam.syntax import Abs, App, Sum, Var, canonicalize
@@ -36,7 +35,7 @@ def _fresh(t, budget: int):
     return check_sn(rebuild(t), budget)
 
 
-# --- redex tuples --------------------------------------------------------------
+# --- the walk's entries ---------------------------------------------------------
 
 
 def test_one_calculus_never_reads_the_others_redexes():
@@ -51,36 +50,80 @@ def test_one_calculus_never_reads_the_others_redexes():
     assert redexes(f, sysf._TESTS) == redexes(rebuild(f), sysf._TESTS)
 
 
-def test_a_kept_tuple_cannot_be_changed():
+def _nodes(t):
+    yield t
+    for c in t._kids():
+        yield from _nodes(c)
+
+
+def test_the_walk_returns_and_keeps_only_tuples():
     t = canonicalize(App(Abs("x", Var("x")), Sum((Var("a"), Var("b")))))
     rs = redexes(t, reduction._TESTS)
-    assert isinstance(rs, tuple) and rs is redexes(t, reduction._TESTS)
+    assert isinstance(rs, tuple) and rs == redexes(t, reduction._TESTS)
+    for u in _nodes(t):
+        entry = u._redexes  # the table alone, or the table and a tuple
+        if entry is not reduction._TESTS:
+            table, own = entry
+            assert table is reduction._TESTS and isinstance(own, tuple)
 
 
-# --- the verdict of check_sn -----------------------------------------------------
+def _deep_spine(depth: int, width: int):
+    # (\y.y) (f (f (... f (a0 + ... + a(width-1))))): the only redexes are
+    # the splits of the sum at the bottom
+    t = Sum(tuple(Var(f"a{i}") for i in range(width)))
+    for _ in range(depth):
+        t = App(Var("f"), t)
+    return canonicalize(App(Abs("y", Var("y")), t))
+
+
+def test_a_walk_after_each_step_matches_a_fresh_walk():
+    t = _deep_spine(40, 6)
+    steps = 0
+    while True:
+        rs = redexes(t, reduction._TESTS)
+        assert rs == redexes(rebuild(t), reduction._TESTS), t
+        if not rs:
+            break
+        t = reduction.step(t, min(rs, key=strategy_key))
+        steps += 1
+    assert steps == 5 * 41  # five splits at each of the 41 applications
+
+
+def test_the_walk_passes_over_a_redex_free_subterm():
+    t = _deep_spine(3, 3)
+    redexes(t, reduction._TESTS)
+    f = t.fun
+    assert all(v._redexes is reduction._TESTS for v in _nodes(f))  # \y.y has no redex
+    u = step_at(t, Redex((1, 1, 1), "dist-left", 0), 0, reduction._RULES)
+    assert u.fun is f  # the step shares \y.y, which the walk does not enter
+    assert redexes(u, reduction._TESTS) == redexes(rebuild(u), reduction._TESTS)
+    assert u._redexes[0] is reduction._TESTS
+
+
+# --- check_sn over nodes that keep entries ------------------------------------------
 
 
 def _sn_inputs() -> list:
     return [*_corpus_terms(), *map(chain, range(2, 6)), *map(wide, range(2, 6)), OMEGA]
 
 
-def test_a_kept_verdict_is_the_one_a_fresh_search_finds():
+def test_check_sn_on_a_walked_term_is_what_a_fresh_search_finds():
     for t in _sn_inputs():
         full = _fresh(t, 100000)
         assert full.terminates or full.cycle, t
         budgets = (full.states - 1, full.states, 100000)
         for order in (budgets, budgets[::-1]):
-            kept = canonicalize(rebuild(t))  # a new node, so nothing is kept yet
+            walked = canonicalize(rebuild(t))  # a new node, so nothing is kept yet
             for b in order:
-                assert check_sn(kept, b) == _fresh(t, b), (t, b)
+                assert check_sn(walked, b) == _fresh(t, b), (t, b)
 
 
-def test_an_exhausted_budget_is_not_kept():
+def test_an_exhausted_search_leaves_nothing_wrong_behind():
     t = canonicalize(chain(2))
     assert check_sn(t, 10).status == "budget-exhausted"
     res = check_sn(t, 500)
     assert (res.status, res.max_depth) == ("terminates", 29)
-    assert check_sn(t, 500) is res
+    assert res == _fresh(t, 500)
 
 
 def _spine(depth: int):
@@ -99,7 +142,7 @@ def _stack_depth() -> int:
     return n
 
 
-def test_a_recursion_limit_verdict_is_not_kept():
+def test_a_walk_cut_by_the_recursion_limit_leaves_nothing_wrong_behind():
     t = canonicalize(_spine(300))  # at the usual limit, so t is marked
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)

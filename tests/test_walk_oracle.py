@@ -1,7 +1,7 @@
 """The one redex walk of both calculi against the two walks it replaced.
 
-``binders.redexes`` lists a term's redexes in the order of one left-to-
-right walk, built from the tuples kept on the term's children, and asks
+``binders.redexes`` lists a term's redexes in one left-to-right walk,
+which passes over every subterm it found redex-free before and asks
 each calculus's table for the test of each node's class.  Reference: the
 two walks before it, ``reduction._redexes`` and ``sysf._fredexes``, each
 a match on the node with its own recursion, frozen below under new names
