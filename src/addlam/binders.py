@@ -27,6 +27,11 @@ Canonical binder names are positional (``_d`` for the binder at depth d),
 which no parser produces.  ``canonical`` marks what it returns (every node
 it builds outside all binders) and returns a marked node at once.
 
+The one printer, ``show``, walks a node of any language and reads the
+concrete syntax from the language's table of forms.  It prints a
+positional binder name as a fresh name from the language's letters, so
+a canonical node prints as text its parser reads back.
+
 The one reduction engine of both calculi is here too.  A calculus gives
 two tables: ``tests`` maps a node class to the test that lists the
 redexes at the root of a node of that class, and ``rules`` maps each rule
@@ -155,6 +160,60 @@ def free_vars(t: Node) -> frozenset[str]:
     for c in t._kids():
         out |= free_vars(c)
     return out
+
+
+# --- printing ------------------------------------------------------------------
+
+
+def show(t: Node, forms: dict, letters: str) -> str:
+    """t as text in its language's concrete syntax.  ``forms`` maps each
+    node class of the language to its form, read by the class's role:
+
+    * a variable: None; it prints as its name;
+    * a constant: its text;
+    * a binder: its keyword, printed before ``name. body``;
+    * a sum: (level, separator, the parts' level);
+    * any other node: (level, template, the children's levels), where the
+      template has one ``{}`` for each child.
+
+    A binder's level is 0.  A node is put in parentheses when the level
+    of its context is above its own; a variable or a constant never is.
+    A binder whose name starts with ``_`` prints as the first fresh name
+    from ``letters`` at its binder depth: the letter for that depth,
+    numbered when a free name of t or an earlier display name holds it.
+    Each such name gets one display name, and every other name prints as
+    written.  A node of another language raises TypeError."""
+    used = set(free_vars(t))
+    shown: dict[str, str] = {}
+
+    def go(u: Node, level: int, env: dict[str, str], depth: int) -> str:
+        try:
+            form = forms[u.__class__]
+        except KeyError:
+            raise TypeError(f"{kind(u)} is not a node of this language") from None
+        role = u._role
+        if role == _VAR:
+            return env.get(u.name, u.name)
+        if role == _CONST:
+            return form
+        if role == _BINDER:
+            x = nm = u.var
+            if x[:1] == "_":
+                nm = shown.get(x)
+                if nm is None:
+                    nm = shown[x] = fresh_name(letters[depth % len(letters)], used)
+                    used.add(nm)
+            s = f"{form}{nm}. {go(u.body, 0, {**env, x: nm}, depth + 1)}"
+            return f"({s})" if level > 0 else s
+        if role == _SUM:
+            own, sep, inner = form
+            s = sep.join([go(p, inner, env, depth) for p in u.parts])
+        else:
+            own, template, inner = form
+            s = template.format(*[go(c, lv, env, depth) for c, lv in zip(u._kids(), inner)])
+        return f"({s})" if level > own else s
+
+    return go(t, 0, {}, 0)
 
 
 # --- typing contexts ----------------------------------------------------------

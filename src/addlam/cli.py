@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .binders import Context
+from .binders import Context, canonical
 from .corpus import generate_corpus
 from .derivation import ElaborationError, RuleViolation, check_add, elaborate
 from .parser import (
@@ -24,10 +24,10 @@ from .parser import (
 from .reduction import normalize
 from .structured import ConversionFailure, add_to_sadd, check_sadd
 from .suites import SUITES, run_suite
-from .sysf import f_check, show_fterm, show_ftype
+from .sysf import f_canonicalize, f_check, show_fterm, show_ftype
 from .syntax import show_term
 from .translation import rev_term, rev_type, trans_term
-from .typesys import show_type
+from .typesys import show_type, type_canonicalize
 
 
 def _read_input(args) -> str:
@@ -53,11 +53,11 @@ def _cmd_parse(args) -> int:
         case "term":
             shown = show_term(parse_term(src))
         case "type":
-            shown = show_type(parse_type(src))
+            shown = show_type(type_canonicalize(parse_type(src)))
         case "fterm":
-            shown = show_fterm(parse_fterm(src))
+            shown = show_fterm(f_canonicalize(parse_fterm(src)))
         case _:
-            shown = show_ftype(parse_ftype(src))
+            shown = show_ftype(canonical(parse_ftype(src)))
     _emit(args, [shown], {"kind": args.kind, "canonical": shown})
     return 0
 

@@ -10,12 +10,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
-from .binders import Redex, free_vars, fresh_name, rebuild, subterm_at
+from .binders import Redex, free_vars, fresh_name, rebuild, subst, subterm_at
 from .corpus import OMEGA, Corpus, random_term, random_type
 from .derivation import UnsupportedDerivationShape, check_add, step_derivation
 from .reduction import check_sn, enumerate_redexes
 from .structured import ExcludedRule, check_sadd, fold_tree
-from .syntax import Abs, App, Sum, Term, Var, canonicalize, show_term, substitute
+from .syntax import Abs, App, Sum, Term, Var, canonicalize, show_term
 from .sysf import (
     FApp,
     FProd,
@@ -148,7 +148,7 @@ def _rename_binders(t: Term, rng: random.Random) -> Term:
     match t:
         case Abs(x, b):
             nx = fresh_name(f"v{rng.randrange(10000)}", free_vars(b) | {x})
-            return Abs(nx, _rename_binders(substitute(b, x, Var(nx)), rng))
+            return Abs(nx, _rename_binders(subst(b, x, Var(nx)), rng))
         case App(f, a):
             return App(_rename_binders(f, rng), _rename_binders(a, rng))
         case Sum(ps):

@@ -5,14 +5,14 @@ the impossible computation ``zero``.  Sums are flattened multisets held
 in a deterministic, alpha-invariant order, so alpha-AC-equivalent terms
 have one representation and can be compared with ``==``.
 
-The nodes, their caches, canonical forms, substitution and the
-contraction of a redex at its own binder depth come from ``binders``;
-this module adds the term rule that sums keep ``zero``.
+The nodes, their caches, canonical forms, the contraction of a redex at
+its own binder depth and the printer come from ``binders``; this module
+adds the term rule that sums keep ``zero`` and the terms' table of forms.
 """
 
 from __future__ import annotations
 
-from .binders import Node, canonical, fresh_name, free_vars, sort_key, subst
+from .binders import Node, canonical, show, sort_key
 
 
 class Term(Node):
@@ -88,11 +88,6 @@ def summands(t: Term) -> tuple[Term, ...]:
     return t.parts if isinstance(t, Sum) else (t,)
 
 
-def substitute(t: Term, x: str, v: Term) -> Term:
-    """Capture-avoiding substitution of v for x; result canonical."""
-    return canonicalize(subst(t, x, v))
-
-
 def is_value(t: Term) -> bool:
     """Values are variables and abstractions."""
     return isinstance(t, (Var, Abs))
@@ -100,57 +95,9 @@ def is_value(t: Term) -> bool:
 
 # --- printing ------------------------------------------------------------
 
-_NICE = "xyzwuvst"
-
-
-def _display_names(t: Term) -> dict[int, str]:
-    """Readable names for positional binders, avoiding free variables."""
-    taken = set(free_vars(t))
-    names: dict[int, str] = {}
-
-    def depth_of(u: Term, d: int, maxd: list[int]):
-        match u:
-            case Abs(_, b):
-                maxd[0] = max(maxd[0], d + 1)
-                depth_of(b, d + 1, maxd)
-            case App(f, a):
-                depth_of(f, d, maxd)
-                depth_of(a, d, maxd)
-            case Sum(ps):
-                for p in ps:
-                    depth_of(p, d, maxd)
-
-    maxd = [0]
-    depth_of(t, 0, maxd)
-    for d in range(maxd[0]):
-        base = _NICE[d % len(_NICE)]
-        nm = fresh_name(base, taken)
-        taken.add(nm)
-        names[d] = nm
-    return names
+# the concrete syntax of each term node, for ``binders.show``
+_FORMS = {Var: None, _Zero: "zero", Abs: "\\", Sum: (1, " + ", 2), App: (2, "{} {}", (2, 3))}
 
 
 def show_term(t: Term) -> str:
-    t = canonicalize(t)
-    names = _display_names(t)
-
-    def go(u: Term, level: int, env: dict[str, str], d: int) -> str:
-        match u:
-            case Var(x):
-                return env.get(x, x)
-            case _Zero():
-                return "zero"
-            case Abs(x, b):
-                nm = names.get(d, x)
-                s = f"\\{nm}. {go(b, 0, {**env, x: nm}, d + 1)}"
-                return f"({s})" if level > 0 else s
-            case Sum(ps):
-                s = " + ".join(go(p, 2, env, d) for p in ps)
-                return f"({s})" if level > 1 else s
-            case App(f, a):
-                s = f"{go(f, 2, env, d)} {go(a, 3, env, d)}"
-                return f"({s})" if level > 2 else s
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(t, 0, {}, 0)
-
+    return show(canonicalize(t), _FORMS, "xyzwuvst")

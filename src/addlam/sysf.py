@@ -10,7 +10,8 @@ rules (beta, proj-l, proj-r, eta and surjective pairing) by name, at the
 redex's own binder depth, rebuilding only the spine above it.  A
 canonical term keeps its reducts on the node, and a raw term its
 canonical form, so the reducts of each term are computed once however
-many searches pass through it.
+many searches pass through it.  Terms and types print through the one
+printer in ``binders``, by this module's two tables of forms.
 
 Each typing rule is defined once, by the constructor of its derivation
 nodes (``f_ax`` ... ``f_forall_e``), and ``F``'s rule table names them.
@@ -42,6 +43,7 @@ from .binders import (
     redexes,
     refuse,
     relevel,
+    show,
     step_at,
     subst,
     var_name,
@@ -156,51 +158,21 @@ def f_alpha_eq(a: FTerm, b: FTerm) -> bool:
 f_type_alpha_eq = alpha_eq
 
 
-def show_fterm(t: FTerm) -> str:
-    def go(t: FTerm, level: int) -> str:
-        match t:
-            case FVar(x):
-                return x
-            case _Star():
-                return "star"
-            case FPair(f, s):
-                return f"<{go(f, 0)}, {go(s, 0)}>"
-            case FAbs(x, b):
-                s = f"\\{x}. {go(b, 0)}"
-                return f"({s})" if level > 0 else s
-            case FApp(f, a):
-                s = f"{go(f, 1)} {go(a, 2)}"
-                return f"({s})" if level > 1 else s
-            case FProjL(b):
-                s = f"proj_l {go(b, 2)}"
-                return f"({s})" if level > 1 else s
-            case FProjR(b):
-                s = f"proj_r {go(b, 2)}"
-                return f"({s})" if level > 1 else s
-        raise TypeError(f"not a term: {t!r}")
+# the concrete syntax of each F-term and F-type node, for ``binders.show``; a pair is
+# bracketed, so it takes the top level and is never put in parentheses
+_FORMS = {FVar: None, _Star: "star", FAbs: "\\", FApp: (1, "{} {}", (1, 2)),
+          FPair: (2, "<{}, {}>", (0, 0)), FProjL: (1, "proj_l {}", (2,)),
+          FProjR: (1, "proj_r {}", (2,))}
+_TFORMS = {FTVar: None, _FUnit: "1", FForall: "forall ", FArrow: (1, "{} -> {}", (2, 1)),
+           FProd: (1, "{} * {}", (2, 2))}
 
-    return go(t, 0)
+
+def show_fterm(t: FTerm) -> str:
+    return show(t, _FORMS, "xyzwuvst")
 
 
 def show_ftype(t: FType) -> str:
-    def go(t: FType, level: int) -> str:
-        match t:
-            case FTVar(x):
-                return x
-            case _FUnit():
-                return "1"
-            case FForall(x, b):
-                s = f"forall {x}. {go(b, 0)}"
-                return f"({s})" if level > 0 else s
-            case FArrow(a, b):
-                s = f"{go(a, 2)} -> {go(b, 1)}"
-                return f"({s})" if level > 1 else s
-            case FProd(a, b):
-                s = f"{go(a, 2)} * {go(b, 2)}"
-                return f"({s})" if level > 1 else s
-        raise TypeError(f"not a type: {t!r}")
-
-    return go(t, 0)
+    return show(t, _TFORMS, "XYZWVU")
 
 
 # --- reduction ---------------------------------------------------------------

@@ -9,14 +9,15 @@ zero type.  Two layers coexist:
 * raw types: binary, order-preserving sums, used by the structured
   system where no equivalence is available.
 
-The nodes, canonical forms, substitution and the alpha test on raw types
-come from ``binders``; this module adds the type rules: sums drop the zero
-type, and only unit types substitute for type variables.
+The nodes, canonical forms, substitution, the alpha test on raw types and
+the printer come from ``binders``; this module adds the type rules (sums
+drop the zero type, and only unit types substitute for type variables)
+and the types' table of forms.
 """
 
 from __future__ import annotations
 
-from .binders import Node, alpha_eq, canonical, fresh_name, free_vars, sort_key, subst
+from .binders import Node, alpha_eq, canonical, show, sort_key, subst
 
 
 class Type(Node):
@@ -156,39 +157,10 @@ def to_raw(t: Type) -> Type:
 
 # --- printing ---------------------------------------------------------------
 
-_TNICE = "XYZWVU"
+# the concrete syntax of each type node, for ``binders.show``
+_FORMS = {TVar: None, _TZero: "void", TForall: "forall ", TSum: (1, " + ", 2),
+          TArrow: (2, "{} -> {}", (3, 2))}
 
 
 def show_type(t: Type) -> str:
-    used = set(free_vars(t))
-    fresh: dict[str, str] = {}
-
-    def disp(x: str, d: int) -> str:
-        if not x.startswith("_"):
-            return x
-        if x not in fresh:
-            base = _TNICE[d % len(_TNICE)]
-            nm = fresh_name(base, used)
-            used.add(nm)
-            fresh[x] = nm
-        return fresh[x]
-
-    def go(u: Type, level: int, env: dict[str, str], d: int) -> str:
-        match u:
-            case TVar(x):
-                return env.get(x, x)
-            case _TZero():
-                return "void"
-            case TForall(x, b):
-                nm = disp(x, d)
-                s = f"forall {nm}. {go(b, 0, {**env, x: nm}, d + 1)}"
-                return f"({s})" if level > 0 else s
-            case TSum(ps):
-                s = " + ".join(go(p, 2, env, d) for p in ps)
-                return f"({s})" if level > 1 else s
-            case TArrow(dom, cod):
-                s = f"{go(dom, 3, env, d)} -> {go(cod, 2, env, d)}"
-                return f"({s})" if level > 2 else s
-        raise TypeError(f"not a type: {u!r}")
-
-    return go(t, 0, {}, 0)
+    return show(t, _FORMS, "XYZWVU")

@@ -24,8 +24,9 @@ lines of that section only, for diffing one section:
 
     python tests/behaviour_dump.py --seeds 1 --section trans | sha256sum
 
-``tests/golden/behaviour.json`` holds the sha256 of that output for seed 1
-and every section; ``test_behaviour_golden.py`` recomputes it.
+``tests/golden/behaviour.json`` holds the sha256 of that output for every
+section of each seed of ``--seeds 1-5``, as ``digests`` computes it;
+``test_behaviour_golden.py`` recomputes them.
 """
 
 from __future__ import annotations

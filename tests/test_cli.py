@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+from addlam.binders import canonical
 from addlam.cli import main
 from addlam.corpus import generate_corpus
+from addlam.parser import parse_fterm, parse_ftype, parse_term, parse_type
 from addlam.reduction import enumerate_redexes
+from addlam.sysf import f_canonicalize
+from addlam.syntax import canonicalize
+from addlam.typesys import type_canonicalize
 
 
 def run(capsys, *argv):
@@ -19,6 +24,23 @@ def test_parse_pretty_prints(capsys):
     code, out, _ = run(capsys, "parse", r"(\x. x) (a+b)")
     assert code == 0
     assert out.strip() == r"(\x. x) (a + b)"
+
+
+@pytest.mark.parametrize("kind, src, want", [
+    ("term", r"(\b. b) (b + a) + zero", r"(\x. x) (a + b) + zero"),
+    ("type", "Y + X + void", "X + Y"),
+    ("type", "(forall A. A -> A) + B", "B + (forall X. X -> X)"),
+    ("fterm", r"\f. \a. <f a, proj_l f>", r"\x. \y. <x y, proj_l x>"),
+    ("ftype", "forall A. A -> A * 1", "forall X. X -> X * 1"),
+])
+def test_parse_prints_the_canonical_form_which_parses_back(capsys, kind, src, want):
+    parse, canon = {"term": (parse_term, canonicalize), "type": (parse_type, type_canonicalize),
+                    "fterm": (parse_fterm, f_canonicalize), "ftype": (parse_ftype, canonical)}[kind]
+    code, out, _ = run(capsys, "parse", "--kind", kind, "--format", "json", src)
+    assert code == 0 and json.loads(out) == {"kind": kind, "canonical": want}
+    assert canon(parse(want)) == canon(parse(src))
+    code, out, _ = run(capsys, "parse", "--kind", kind, want)
+    assert code == 0 and out.strip() == want
 
 
 def test_parse_error_exits_two(capsys):

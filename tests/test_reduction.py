@@ -11,7 +11,7 @@ import pytest
 
 import addlam
 from addlam import syntax
-from addlam.binders import Context, Redex, StaleRedex
+from addlam.binders import Context, Redex, StaleRedex, free_vars
 from addlam.corpus import OMEGA, generate_corpus, random_term
 from addlam.derivation import AAbs, AApp, AVar, elaborate, step_derivation
 from addlam.parser import parse_term
@@ -21,7 +21,7 @@ from addlam.reduction import (
     normalize,
     step,
 )
-from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, free_vars, show_term
+from addlam.syntax import Abs, App, Sum, Var, Zero, canonicalize, show_term
 from addlam.typesys import TVar
 from test_sn_oracle import reducts
 

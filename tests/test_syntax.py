@@ -5,7 +5,7 @@ import random
 import pytest
 
 from addlam.corpus import random_term
-from addlam.binders import rebuild
+from addlam.binders import free_vars, rebuild, subst
 from addlam.suites import _rename_binders, _shuffle_sums
 from addlam.syntax import (
     Abs,
@@ -14,10 +14,8 @@ from addlam.syntax import (
     Var,
     Zero,
     canonicalize,
-    free_vars,
     is_value,
     show_term,
-    substitute,
     summands,
 )
 
@@ -60,7 +58,7 @@ def test_alpha_respects_free_variables():
 
 def test_substitute_avoids_capture():
     t = Abs("y", App(Var("x"), Var("y")))
-    r = substitute(t, "x", Var("y"))
+    r = subst(t, "x", Var("y"))
     assert isinstance(r, Abs)
     assert r.var != "y"
     assert free_vars(r) == {"y"}
@@ -70,7 +68,7 @@ def test_substitution_on_random_terms_never_captures():
     rng = random.Random(11)
     for _ in range(200):
         t = random_term(rng, 3)
-        r = substitute(t, "x", Abs("k", Var("y")))
+        r = subst(t, "x", Abs("k", Var("y")))
         assert "x" not in free_vars(r), show_term(t)
         assert free_vars(r) <= (free_vars(t) - {"x"}) | {"y"}
 
