@@ -180,10 +180,16 @@ def show(t: Node, forms: dict, letters: str) -> str:
     of its context is above its own; a variable or a constant never is.
     A binder whose name starts with ``_`` prints as the first fresh name
     from ``letters`` at its binder depth: the letter for that depth,
-    numbered when a free name of t or an earlier display name holds it.
-    Each such name gets one display name, and every other name prints as
-    written.  A node of another language raises TypeError."""
-    used = set(free_vars(t))
+    numbered when a name written in t (a free name or a named binder's)
+    or an earlier display name holds it, so that neither captures the
+    other.  Each such name gets one display name, and every other name
+    prints as written.  A node of another language raises TypeError."""
+    used, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if u._role in (_VAR, _BINDER):
+            used.add(u.var if u._role == _BINDER else u.name)
+        todo.extend(u._kids())
     shown: dict[str, str] = {}
 
     def go(u: Node, level: int, env: dict[str, str], depth: int) -> str:

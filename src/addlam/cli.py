@@ -140,7 +140,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    corpus = generate_corpus(args.seed, args.corpus_budget, args.count)
+    corpus = generate_corpus(args.seed, count=args.count)
     report = run_suite(args.name, corpus, cases=args.cases, budget=args.budget)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -199,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=os.environ.get("ADDLAM_SEED", "1"))
     ps.add_argument("--cases", type=positive, default=10000)
     ps.add_argument("--count", type=positive, default=500, help="corpus size")
-    ps.add_argument("--corpus-budget", type=int, default=20)
     return top
 
 

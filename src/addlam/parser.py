@@ -2,33 +2,25 @@
 terms and types. Rigid sum trees have no syntax of their own: a rigid
 type is written as a type. Application binds tighter than +, arrows are
 right-associative and bind tighter than +, and binders extend to the
-right as far as possible."""
+right as far as possible.
+
+Terms, types, F-terms and F-types are read by one reader, ``_Parser.node``,
+by precedence climbing (Pratt's method) over each language's table of
+forms, the table its printer reads, so each syntax is declared once.
+Annotated terms and contexts keep a grammar of their own, which reads its
+types through that reader."""
 
 from __future__ import annotations
 
 import re
 from typing import NamedTuple
 
-from .binders import free_name
+from . import syntax, sysf, typesys
+from .binders import _BINDER, _CONST, _SUM, _VAR, free_name
 from .derivation import AAbs, AApp, AGen, AInst, ASum, ATerm, AVar, AZero, AppWitness
-from .syntax import Abs, App, Sum, Term, Var, Zero
-from .sysf import (
-    FAbs,
-    FApp,
-    FArrow,
-    FForall,
-    FPair,
-    FProd,
-    FProjL,
-    FProjR,
-    FTVar,
-    FTerm,
-    FType,
-    FUnit,
-    FVar,
-    Star,
-)
-from .typesys import TArrow, TForall, TSum, TVar, TZero, Type
+from .syntax import Term, Zero
+from .sysf import FTerm, FType, FUnit, Star
+from .typesys import TZero, Type
 
 
 class ParseError(Exception):
@@ -78,6 +70,52 @@ def tokenize(src: str) -> list[Token]:
     return toks
 
 
+# the one instance of each constant node class
+_CONSTANTS = {c.__class__: c for c in (Zero, TZero, Star, FUnit)}
+
+
+class _Grammar:
+    """A language's syntax for ``_Parser.node``, compiled from its table of
+    forms, the one ``binders.show`` prints by, and the nouns its errors
+    name a node and a bound name by.  ``heads`` maps the first token of a
+    node to its constructor and the steps that read its children (see
+    ``_Parser.read``): ``(``, a constant's text, a binder's keyword (then
+    ``name . body``, the body at level 0) and a template's leading
+    literal.  ``infix`` maps the token after a node's first child to
+    (level, class, steps): a sum's separator, whose step is its parts'
+    level, or the literal after a template's leading ``{}``.  ``juxt`` is
+    the template ``{} {}``, whose second child follows with no token
+    between; it is taken when the next token starts a node."""
+
+    def __init__(self, forms: dict, noun: str, var_noun: str):
+        self.noun, self.var_noun = noun, var_noun
+        self.heads = {"(": (lambda t: t, (0, ")"))}
+        self.infix, self.juxt = {}, None
+        for cls, form in forms.items():
+            role = cls._role
+            if role == _VAR:
+                self.var = cls
+            elif role == _CONST:
+                self.heads[form] = (lambda one=_CONSTANTS[cls]: one, ())
+            elif role == _BINDER:
+                self.heads[form.strip()] = (cls, (None, ".", 0))
+            elif role == _SUM:
+                own, sep, inner = form
+                self.infix[sep.strip()] = (own, cls, inner)
+            else:
+                own, template, inner = form
+                lits = [f.split() for f in template.split("{}")]
+                steps = [*lits[0]]
+                for lv, lit in zip(inner, lits[1:]):
+                    steps += [lv, *lit]
+                if steps[0].__class__ is str:
+                    self.heads[steps[0]] = (cls, steps[1:])
+                elif steps[1:] and steps[1].__class__ is str:
+                    self.infix[steps[1]] = (own, cls, steps[2:])
+                else:
+                    self.juxt = (own, cls, steps[1:])
+
+
 class _Parser:
     def __init__(self, src: str):
         self.toks = tokenize(src)
@@ -124,63 +162,53 @@ class _Parser:
         if self.peek().kind != "eof":
             self.fail("unexpected trailing input")
 
-    # --- source terms ---
+    # --- the four languages ---
 
-    def term(self) -> Term:
-        parts = [self.term_app()]
-        while self.eat("+"):
-            parts.append(self.term_app())
-        return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+    def node(self, g: _Grammar, level: int):
+        """A node of g's language read from here: a head (a variable, a
+        parenthesised node or a form its first token starts), then each
+        infix form, sum or juxtaposition whose own level is at least
+        ``level``, with what is read so far as its first child.  Neither
+        the head nor that first child is checked against a level, so
+        binders and prefix forms stand wherever an atom can and
+        ``A * B * C`` is read left-associated."""
+        head = g.heads.get(self.peek().text)
+        if head is None:
+            left = g.var(self.ident(g.noun))
+        else:
+            self.next()
+            make, steps = head
+            left = make(*self.read(g, steps))
+        while True:
+            t = self.peek()
+            op = g.infix.get(t.text)
+            if op is None and g.juxt and (t.kind == "ident" or t.text in g.heads):
+                op = g.juxt
+            if op is None or op[0] < level:
+                return left
+            _, cls, steps = op
+            if cls._role == _SUM:
+                parts = [left]
+                while self.eat(t.text):
+                    parts.append(self.node(g, steps))
+                left = cls(tuple(parts))
+            else:
+                if op is not g.juxt:
+                    self.next()
+                left = cls(left, *self.read(g, steps))
 
-    def term_app(self) -> Term:
-        t = self.term_atom()
-        while self._at_term_atom():
-            t = App(t, self.term_atom())
-        return t
-
-    def _at_term_atom(self) -> bool:
-        p = self.peek()
-        return p.kind == "ident" or p.text in ("\\", "(")
-
-    def term_atom(self) -> Term:
-        if self.eat("\\"):
-            x = self.ident("a variable")
-            self.expect(".")
-            return Abs(x, self.term())
-        if self.eat("("):
-            t = self.term()
-            self.expect(")")
-            return t
-        name = self.ident("a term")
-        return Zero if name == "zero" else Var(name)
-
-    # --- source types ---
-
-    def type_(self) -> Type:
-        parts = [self.type_arrow()]
-        while self.eat("+"):
-            parts.append(self.type_arrow())
-        return parts[0] if len(parts) == 1 else TSum(tuple(parts))
-
-    def type_arrow(self) -> Type:
-        t = self.type_atom()
-        if self.eat("->"):
-            return TArrow(t, self.type_arrow())
-        return t
-
-    def type_atom(self) -> Type:
-        if self.eat("("):
-            t = self.type_()
-            self.expect(")")
-            return t
-        name = self.ident("a type")
-        if name == "void":
-            return TZero
-        if name == "forall":
-            x = self.ident("a type variable")
-            self.expect(".")
-            return TForall(x, self.type_())
-        return TVar(name)
+    def read(self, g: _Grammar, steps) -> list:
+        """The children a form's steps read: an int is a child read at that
+        level, None a bound name, and a string a token to expect."""
+        kids = []
+        for s in steps:
+            if s is None:
+                kids.append(self.ident(g.var_noun))
+            elif s.__class__ is int:
+                kids.append(self.node(g, s))
+            else:
+                self.expect(s)
+        return kids
 
     # --- annotated terms ---
 
@@ -206,7 +234,7 @@ class _Parser:
         if self.eat("\\"):
             x = self.ident("a variable")
             self.expect(":")
-            ann = self.type_arrow()
+            ann = self.node(_TYPES, 2)  # at the arrow's level: a sum needs parentheses
             self.expect(".")
             return AAbs(x, ann, self.aterm())
         if self.eat("("):
@@ -223,7 +251,7 @@ class _Parser:
         if name == "inst":
             body = self.aterm_atom()
             self.expect("[")
-            ty = self.type_()
+            ty = self.node(_TYPES, 0)
             self.expect("]")
             return AInst(body, ty)
         return AVar(name)
@@ -231,11 +259,11 @@ class _Parser:
     def witness(self) -> AppWitness:
         """{ U | T1, T2 | [V11, V12], [V21] | X, Y }"""
         self.expect("{")
-        u = self.type_()
+        u = self.node(_TYPES, 0)
         self.expect("|")
-        ts = [self.type_()]
+        ts = [self.node(_TYPES, 0)]
         while self.eat(","):
-            ts.append(self.type_())
+            ts.append(self.node(_TYPES, 0))
         self.expect("|")
         vs = [self._type_vec()]
         while self.eat(","):
@@ -253,103 +281,45 @@ class _Parser:
         self.expect("[")
         vec: list[Type] = []
         if not self.at("]"):
-            vec.append(self.type_())
+            vec.append(self.node(_TYPES, 0))
             while self.eat(","):
-                vec.append(self.type_())
+                vec.append(self.node(_TYPES, 0))
         self.expect("]")
         return tuple(vec)
 
-    # --- target-calculus terms ---
 
-    def fterm(self) -> FTerm:
-        t = self.fterm_atom()
-        while self._at_fterm_atom():
-            t = FApp(t, self.fterm_atom())
-        return t
-
-    def _at_fterm_atom(self) -> bool:
-        p = self.peek()
-        return p.kind == "ident" or p.text in ("\\", "(", "<")
-
-    def fterm_atom(self) -> FTerm:
-        if self.eat("\\"):
-            x = self.ident("a variable")
-            self.expect(".")
-            return FAbs(x, self.fterm())
-        if self.eat("("):
-            t = self.fterm()
-            self.expect(")")
-            return t
-        if self.eat("<"):
-            a = self.fterm()
-            self.expect(",")
-            b = self.fterm()
-            self.expect(">")
-            return FPair(a, b)
-        name = self.ident("a term")
-        if name == "star":
-            return Star
-        if name == "proj_l":
-            return FProjL(self.fterm_atom())
-        if name == "proj_r":
-            return FProjR(self.fterm_atom())
-        return FVar(name)
-
-    # --- target-calculus types ---
-
-    def ftype(self) -> FType:
-        t = self.ftype_prod()
-        if self.eat("->"):
-            return FArrow(t, self.ftype())
-        return t
-
-    def ftype_prod(self) -> FType:
-        t = self.ftype_atom()
-        while self.eat("*"):
-            t = FProd(t, self.ftype_atom())
-        return t
-
-    def ftype_atom(self) -> FType:
-        if self.eat("("):
-            t = self.ftype()
-            self.expect(")")
-            return t
-        name = self.ident("a type")
-        if name == "1":
-            return FUnit
-        if name == "forall":
-            x = self.ident("a type variable")
-            self.expect(".")
-            return FForall(x, self.ftype())
-        return FTVar(name)
+_TERMS = _Grammar(syntax._FORMS, "a term", "a variable")
+_TYPES = _Grammar(typesys._FORMS, "a type", "a type variable")
+_FTERMS = _Grammar(sysf._FORMS, "a term", "a variable")
+_FTYPES = _Grammar(sysf._TFORMS, "a type", "a type variable")
 
 
-def _run(src: str, method: str):
+def _run(src: str, read, *args):
     p = _Parser(src)
-    out = getattr(p, method)()
+    out = read(p, *args)
     p.done()
     return out
 
 
 def parse_term(src: str) -> Term:
-    return _run(src, "term")
+    return _run(src, _Parser.node, _TERMS, 0)
 
 
 def parse_type(src: str) -> Type:
-    return _run(src, "type_")
+    return _run(src, _Parser.node, _TYPES, 0)
 
 
 def parse_aterm(src: str) -> ATerm:
     """An annotation-carrying term, elaborated elsewhere to a derivation."""
-    return _run(src, "aterm")
+    return _run(src, _Parser.aterm)
 
 
 def parse_fterm(src: str) -> FTerm:
-    return _run(src, "fterm")
+    return _run(src, _Parser.node, _FTERMS, 0)
 
 
 def parse_ftype(src: str) -> FType:
-    return _run(src, "ftype")
+    return _run(src, _Parser.node, _FTYPES, 0)
 
 
 def parse_context(src: str) -> list[tuple[str, Type]]:
@@ -366,7 +336,7 @@ def parse_context(src: str) -> list[tuple[str, Type]]:
                 raise ParseError(f"variable {x} is already in the context", t.line, t.col)
             seen.add(x)
             p.expect(":")
-            out.append((x, p.type_()))
+            out.append((x, p.node(_TYPES, 0)))
             if not p.eat(","):
                 break
     p.done()

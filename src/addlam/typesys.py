@@ -36,7 +36,7 @@ class TArrow(Type):
 
 
 class TForall(Type, binds=TVar):
-    __slots__ = ("var", "body")  # body is always a unit type
+    __slots__ = ("var", "body")  # a unit type only when its body is one (is_unit)
 
 
 def _merge_types(parts) -> Type:
@@ -67,7 +67,10 @@ TZero = _TZero()
 
 
 def is_unit(t: Type) -> bool:
-    return isinstance(t, (TVar, TArrow, TForall))
+    """Unit types are variables, arrows and ``forall X. U`` for a unit U."""
+    while isinstance(t, TForall):
+        t = t.body
+    return isinstance(t, (TVar, TArrow))
 
 
 def type_canonicalize(t: Type) -> Type:

@@ -427,7 +427,8 @@ def forgeries(system, args):
 @pytest.mark.parametrize("seed,structured", CASES)
 def test_memoised_witness_agrees_with_a_fresh_call_on_every_application(seed, structured):
     system = SADD if structured else ADD
-    seen, kinds = set(), set()
+    # by id, holding each node so that no later node reuses a freed one's id
+    seen, kinds = {}, set()
     for d, d2 in stepped(seed, structured):
         # the constructors computed every witness of the new nodes, so
         # checking them is a lookup that adds no entry
@@ -437,7 +438,7 @@ def test_memoised_witness_agrees_with_a_fresh_call_on_every_application(seed, st
         for _, n in (*nodes(d), *nodes(d2)):
             if n.rule != "arrE" or id(n) in seen:
                 continue
-            seen.add(id(n))
+            seen[id(n)] = n
             args = witness_args(n)
             want = system.app_witness(*args)
             assert system.witness(*args) == want

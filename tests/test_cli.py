@@ -277,6 +277,6 @@ def test_suite_counts_must_be_positive(capsys, flag, value):
 
 
 def test_deep_input_ends_in_a_documented_error(capsys):
-    code, out, err = run(capsys, "parse", "(" * 400 + "x" + ")" * 400)
+    code, out, err = run(capsys, "parse", "(" * 1000 + "x" + ")" * 1000)
     assert code == 3
     assert out == "" and err.strip() == "error: input nested too deeply"

@@ -11,6 +11,7 @@ from addlam.derivation import (
     AVar,
     AddDerivation,
     AppWitness,
+    ElaborationError,
     RuleViolation,
     arr_e,
     arr_i,
@@ -26,6 +27,7 @@ from addlam.derivation import (
     subst_derivation,
     weaken,
 )
+from addlam.parser import parse_aterm, parse_type
 from addlam.reduction import enumerate_redexes, step
 from addlam.syntax import Abs, App, Var, canonicalize, show_term
 from addlam.binders import Context, Redex, StaleRedex
@@ -58,6 +60,17 @@ def test_generalisation_rejects_sum_types():
     d = plus_i(ax(ctx, "a"), ax(ctx, "b"))
     with pytest.raises(RuleViolation):
         forall_i(d, "Z")
+
+
+def test_a_forall_over_a_sum_is_not_a_unit_type():
+    # the additive ax takes any hypothesis, so only the rules that need a
+    # unit refuse it
+    ctx = Context((("a", parse_type("forall A. A + B")),))
+    d = ax(ctx, "a")
+    with pytest.raises(RuleViolation, match="generalisation over a non-unit type"):
+        forall_i(d, "Z")
+    with pytest.raises(ElaborationError, match="is not a unit type"):
+        elaborate(parse_aterm(r"\x: forall A. A + B. x"), Context())
 
 
 def test_generalisation_rejects_captured_variables():
@@ -126,7 +139,7 @@ def test_elaboration_of_an_annotated_application():
 
 def test_elaboration_requires_a_witness_for_sums():
     ctx = Context((("a", X), ("b", X)))
-    from addlam.derivation import ASum, ElaborationError
+    from addlam.derivation import ASum
     bad = AApp(AAbs("x", X, AVar("x")), ASum((AVar("a"), AVar("b"))))
     with pytest.raises(ElaborationError):
         elaborate(bad, ctx)

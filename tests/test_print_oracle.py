@@ -16,7 +16,9 @@ The old F printers printed every name as written, so a canonical F-term
 printed positional names (``\\_0. _0``) that the parser refuses.  The new
 one names them as the term and type printers do, so the canonical form
 of every seed-1 translation, term and type, prints as text that parses
-back to it."""
+back to it.  A positional binder's display name keeps away from the
+names of the named binders below it as well as from the free names, so
+a node that mixes the two prints as text that parses back alpha-equal."""
 
 import random
 
@@ -287,3 +289,13 @@ def test_positional_binders_take_the_language_letters():
 def test_a_node_of_another_language_is_a_type_error(show, node):
     with pytest.raises(TypeError):
         show(node)
+
+
+def test_positional_names_keep_away_from_named_binders_below():
+    # a positional binder above a named one of its display name
+    t = FAbs("_0", FAbs("x", FVar("_0")))
+    assert show_fterm(t) == r"\x1. \x. x1"
+    assert f_canonicalize(parse_fterm(show_fterm(t))) == f_canonicalize(t)
+    ty = TForall("_0", TForall("X", TVar("_0")))
+    assert show_type(ty) == "forall X1. forall X. X1"
+    assert type_canonicalize(parse_type(show_type(ty))) == type_canonicalize(ty)

@@ -61,6 +61,9 @@ def test_units_are_not_sums():
     assert is_unit(X)
     assert is_unit(TArrow(X, TSum((X, Y))))
     assert is_unit(TForall("X", X))
+    assert is_unit(TForall("X", TForall("Y", TArrow(X, Y))))
+    assert not is_unit(TForall("X", TSum((X, Y))))
+    assert not is_unit(TForall("X", TZero))
     assert not is_unit(TSum((X, Y)))
     assert not is_unit(TZero)
 
