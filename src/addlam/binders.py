@@ -5,12 +5,13 @@ A language declares its node classes on a base class of its own that
 derives from ``Node``.  Each node class lists its fields in ``__slots__``
 and says what it is with one class keyword:
 
-* ``var=True``: a variable, whose one field ``name`` is a string;
+* ``var=True``: a variable, whose one field ``name`` is a string, or an
+  int index in a canonical node;
 * ``binds=V``: a binder of a variable of class ``V``, with the fields
   ``var`` (the bound name) and ``body`` (its scope);
 * ``merge=f``: an AC sum, whose one field ``parts`` is a tuple of nodes;
-  ``f`` merges parts that are canonical at one binder depth into the
-  canonical sum, which is the language's own rule;
+  ``f`` merges canonical parts into the canonical sum, which is the
+  language's own rule;
 * none: a constructor whose fields are all nodes.  A class without fields
   is a constant; its one instance prints as the class name without the
   leading underscore.
@@ -23,13 +24,18 @@ first use.  The hash and the sort key start with the class's position
 among its language's classes, so a language fixes their order by the
 order of its declarations.
 
-Canonical binder names are positional (``_d`` for the binder at depth d),
-which no parser produces.  ``canonical`` marks what it returns (every node
-it builds outside all binders) and returns a marked node at once.
+In a canonical node a bound variable is an index, the number of binders
+between it and its own counted from the inside (de Bruijn), a binder is
+nameless (its ``var`` is ``""``) and free variables keep their names, so
+a canonical subterm is canonical wherever it sits.  ``canonical`` marks
+every node it returns and returns a marked node at once; a raw node where
+its walk started keeps the form it found.  A node's free variables are
+cached on it, so a walk that closes or opens a body passes over each
+subterm that does not mention the binder.
 
 The one printer, ``show``, walks a node of any language and reads the
-concrete syntax from the language's table of forms.  It prints a
-positional binder name as a fresh name from the language's letters, so
+concrete syntax from the language's table of forms.  It names an index by
+the depth of its binder, with a fresh name from the language's letters, so
 a canonical node prints as text its parser reads back.
 
 The one reduction engine of both calculi is here too.  A calculus gives
@@ -43,10 +49,10 @@ term lacks.  The walk keeps on each node the redexes at its root, beside
 the table they were found for, and on each node whose subterm has none
 the table alone, and it never enters such a node again; so a walk after
 a step tests only the nodes the step built, and one table never reads
-another's entries.  A step canonicalises only what it builds: ``instantiate``
-contracts a beta redex at its own binder depth, and ``relevel`` moves a
-canonical subterm to another depth; ``body_path`` follows a path under a
-binder back into the term its body was built from.
+another's entries.  A contraction builds only canonical nodes:
+``instantiate`` opens a binder's body with an argument, shifting only a
+subterm that has an index past its own root; ``body_path`` follows a path
+under a binder back into the term its body was closed from.
 
 ``Context``, the typing context of every language, is defined here too,
 and so is the one derivation kernel of the three type systems (additive,
@@ -74,7 +80,7 @@ def _define(cls, src: str):
 
 
 class Node:
-    __slots__ = ("_hash", "_key", "_repr", "_canonical")
+    __slots__ = ("_hash", "_key", "_repr", "_canonical", "_free")
 
     def __init_subclass__(cls, var=False, binds=None, merge=None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -112,6 +118,7 @@ class Node:
                      + f"    self._hash = hash(({tag}, {', '.join(hashed)}))\n"
                      f"    self._key = None\n"
                      f"    self._canonical = False\n"
+                     f"    self._free = None\n"
                      f"def __eq__(self, other):\n"
                      f"    return self is other or (other.__class__ is cls\n"
                      f"        and self._hash == other._hash{same})\n"
@@ -131,15 +138,6 @@ class Node:
 # --- names -------------------------------------------------------------------
 
 
-def free_name(x: str) -> str:
-    """x, the name of a variable that no enclosing binder maps.  A free
-    name of the positional form ``_<digits>`` would be captured by the
-    binder of that depth, so it is refused with ValueError."""
-    if x[:1] == "_" and x[1:].isdigit() and x[1:].isascii():
-        raise ValueError(f"free variable {x!r} has the form of a positional binder name")
-    return x
-
-
 def fresh_name(base: str, avoid) -> str:
     """base, or base followed by the least number that avoid lacks."""
     if base not in avoid:
@@ -150,16 +148,30 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{i}"
 
 
-def free_vars(t: Node) -> frozenset[str]:
-    role = t._role
-    if role == _VAR:
-        return frozenset((t.name,))
-    if role == _BINDER:
-        return free_vars(t.body) - {t.var}
-    out = frozenset()
-    for c in t._kids():
-        out |= free_vars(c)
-    return out
+def free_vars(t: Node) -> frozenset:
+    """The free variables of t: its free names and, when t is an open
+    subterm of a canonical node, the indices that point past its root,
+    counted from it.  Computed once and kept on t (one shared empty set
+    for a closed node).  A binder binds its name and the index 0 of its
+    body, named or not."""
+    s = t._free
+    if s is None:
+        role = t._role
+        if role == _VAR:
+            s = frozenset((t.name,))
+        elif role == _BINDER:
+            s, x = free_vars(t.body), t.var
+            if x in s or any(i.__class__ is int for i in s):
+                s = frozenset([i - 1 if i.__class__ is int else i for i in s
+                               if i != 0 and i != x])
+        else:
+            s = frozenset()
+            for c in t._kids():
+                f = free_vars(c)
+                if not f <= s:
+                    s = s | f if s else f
+        t._free = s
+    return s
 
 
 # --- printing ------------------------------------------------------------------
@@ -178,48 +190,56 @@ def show(t: Node, forms: dict, letters: str) -> str:
 
     A binder's level is 0.  A node is put in parentheses when the level
     of its context is above its own; a variable or a constant never is.
-    A binder whose name starts with ``_`` prints as the first fresh name
-    from ``letters`` at its binder depth: the letter for that depth,
-    numbered when a name written in t (a free name or a named binder's)
-    or an earlier display name holds it, so that neither captures the
-    other.  Each such name gets one display name, and every other name
-    prints as written.  A node of another language raises TypeError."""
+    A nameless binder prints as the first fresh name from ``letters`` at
+    its binder depth: the letter for that depth, numbered when a name
+    written in t (a free name or a named binder's) or an earlier display
+    name holds it, so that neither captures the other; an index prints as
+    its binder's name.  Each depth gets one display name, and every name
+    prints as written.  A node of another language raises TypeError, and
+    an index past the root of t raises ValueError."""
     used, todo = set(), [t]
     while todo:
         u = todo.pop()
         if u._role in (_VAR, _BINDER):
             used.add(u.var if u._role == _BINDER else u.name)
         todo.extend(u._kids())
-    shown: dict[str, str] = {}
+    shown: dict[int, str] = {}
 
-    def go(u: Node, level: int, env: dict[str, str], depth: int) -> str:
+    def go(u: Node, level: int, names: tuple[str, ...]) -> str:
+        # names: the display names of the binders above u, outermost first
         try:
             form = forms[u.__class__]
         except KeyError:
             raise TypeError(f"{kind(u)} is not a node of this language") from None
         role = u._role
         if role == _VAR:
-            return env.get(u.name, u.name)
+            x = u.name
+            if x.__class__ is not int:
+                return x
+            if x >= len(names):
+                raise ValueError(f"index {x} points past the root of the printed node")
+            return names[-1 - x]
         if role == _CONST:
             return form
         if role == _BINDER:
-            x = nm = u.var
-            if x[:1] == "_":
-                nm = shown.get(x)
+            nm = u.var
+            if not nm:
+                d = len(names)
+                nm = shown.get(d)
                 if nm is None:
-                    nm = shown[x] = fresh_name(letters[depth % len(letters)], used)
+                    nm = shown[d] = fresh_name(letters[d % len(letters)], used)
                     used.add(nm)
-            s = f"{form}{nm}. {go(u.body, 0, {**env, x: nm}, depth + 1)}"
+            s = f"{form}{nm}. {go(u.body, 0, (*names, nm))}"
             return f"({s})" if level > 0 else s
         if role == _SUM:
             own, sep, inner = form
-            s = sep.join([go(p, inner, env, depth) for p in u.parts])
+            s = sep.join([go(p, inner, names) for p in u.parts])
         else:
             own, template, inner = form
-            s = template.format(*[go(c, lv, env, depth) for c, lv in zip(u._kids(), inner)])
+            s = template.format(*[go(c, lv, names) for c, lv in zip(u._kids(), inner)])
         return f"({s})" if level > own else s
 
-    return go(t, 0, {}, 0)
+    return go(t, 0, ())
 
 
 # --- typing contexts ----------------------------------------------------------
@@ -400,13 +420,16 @@ def check_derivation(d: DerivationNode, path: tuple[int, ...] = ()):
 
 def sort_key(t: Node):
     """Structural key, ordered first by node class, then by the children's
-    keys; binder names are left out.  Cached on the node, so only nodes
-    built since the last sort compute theirs."""
+    keys; binder names are left out.  An index sorts as the name ``_``
+    and then outside-in, the order that the names of its binder's level
+    would give.  Cached on the node, so only nodes built since the last
+    sort compute theirs."""
     k = t._key
     if k is None:
         role = t._role
         if role == _VAR:
-            k = (t._tag, t.name)
+            x = t.name
+            k = (t._tag, "_", -x) if x.__class__ is int else (t._tag, x)
         elif role == _BINDER:
             k = (t._tag, sort_key(t.body))
         elif role == _SUM:
@@ -417,88 +440,71 @@ def sort_key(t: Node):
     return k
 
 
-# the positional binder names; a walk reaches depth d only from depth
-# d - 1, so it extends the table one name at a time
-_POSITIONAL = [f"_{d}" for d in range(64)]
-
-
-def _canon(t: Node, env: dict[str, str], depth: int) -> Node:
-    """The canonical form of t at binder depth ``depth``, where env maps
-    the names of the binders above to their positional names.  env is
-    one dict for the whole walk: a binder sets its name and puts back
-    what it hid.  A node whose canonical form is itself comes back as it
-    is, so only the nodes that change are built again."""
-    if t._canonical and not depth:
-        return t
+def _canon(t: Node, bound: tuple[str, ...]) -> Node:
+    """The canonical form of t under binders named by bound, innermost
+    first (``""`` for a nameless one): each name bound there becomes the
+    index of its binder.  bound is () when no named binder is above t,
+    since then no name in t is bound.  A node whose canonical form is
+    itself comes back as it is, so only the nodes that change are built
+    again, and every node returned is marked."""
+    c = t._canonical
+    if c is True:
+        if not bound or free_vars(t).isdisjoint(bound):
+            return t
+    elif c and not bound:
+        return c
     role = t._role
     if role == _VAR:
-        name = t.name
-        nx = env.get(name)
-        if nx is None:
-            free_name(name)
-            out = t
-        else:
-            out = t if nx == name else t.__class__(nx)
+        x = t.name
+        out = t.__class__(bound.index(x)) if x in bound else t
     elif role == _BINDER:
-        if depth == len(_POSITIONAL):
-            _POSITIONAL.append(f"_{depth}")
-        nx = _POSITIONAL[depth]
         x = t.var
-        hidden = env.get(x)
-        env[x] = nx
-        body = _canon(t.body, env, depth + 1)
-        if hidden is None:
-            del env[x]
-        else:
-            env[x] = hidden
-        out = t if x == nx and body is t.body else t.__class__(nx, body)
+        body = _canon(t.body, (x, *bound) if x or bound else ())
+        out = t if not x and body is t.body else t.__class__("", body)
     elif role == _SUM:
-        out = t._merge([_canon(p, env, depth) for p in t.parts])
-    elif role == _NODE:
-        kids = t._kids()
-        new = [_canon(c, env, depth) for c in kids]
-        out = t if all(map(_is, new, kids)) else t.__class__(*new)
+        out = t._merge([_canon(p, bound) for p in t.parts])
     else:
-        return t
-    if not depth:
-        out._canonical = True  # no binder above it, so canonical on its own
+        kids = t._kids()
+        new = [_canon(c, bound) for c in kids]
+        out = t if all(map(_is, new, kids)) else t.__class__(*new)
+    out._canonical = True
     return out
 
 
 def canonical(t: Node) -> Node:
     """The unique representative of t up to the renaming of bound
     variables and the language's sum rule.  Idempotent, and O(1) on a node
-    it returned before; a node built from such nodes walks nothing below
-    them outside a binder."""
-    return t if t._canonical else _canon(t, {}, 0)
-
-
-def mark_canonical(t: Node) -> Node:
-    """Record that t, built from canonical parts at binder depth 0, is
-    canonical, so ``canonical`` returns it as it is."""
-    t._canonical = True
-    return t
+    it returned before, wherever that node sits, and on a raw node it was
+    given before, which keeps its form; a node built from canonical nodes
+    walks only what mentions a name that a binder of its own binds."""
+    out = _canon(t, ())
+    if not t._canonical:
+        t._canonical = out  # a raw node keeps the form its walk produced
+    return out
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
-    """Equality up to the renaming of bound variables.  Sums are compared
-    part by part in order, so this is structural on raw sums."""
+    """Equality up to the renaming of bound variables, names and indices
+    alike.  Sums are compared part by part in order, so this is structural
+    on raw sums."""
     if a == b:  # O(1) when they share their children
         return True
 
-    def go(a, b, ea, eb, d):
+    def go(a, b, ea, eb):
+        # ea, eb: the names of the binders above, innermost first, so a
+        # name bound there stands for its position, as an index does
         if a.__class__ is not b.__class__:
             return False
         role = a._role
         if role == _VAR:
-            return ea.get(a.name, a.name) == eb.get(b.name, b.name)
+            x, y = a.name, b.name
+            return (ea.index(x) if x in ea else x) == (eb.index(y) if y in eb else y)
         if role == _BINDER:
-            m = f"#{d}"
-            return go(a.body, b.body, {**ea, a.var: m}, {**eb, b.var: m}, d + 1)
+            return go(a.body, b.body, (a.var, *ea), (b.var, *eb))
         ka, kb = a._kids(), b._kids()
-        return len(ka) == len(kb) and all(go(p, q, ea, eb, d) for p, q in zip(ka, kb))
+        return len(ka) == len(kb) and all(go(p, q, ea, eb) for p, q in zip(ka, kb))
 
-    return go(a, b, {}, {}, 0)
+    return go(a, b, (), ())
 
 
 # --- reduction: rules at paths ------------------------------------------------
@@ -526,8 +532,8 @@ class Redex:
 
 def kind(u: Node) -> str:
     """What u is, for a message; it names the node, not the subterm: an
-    open subterm of a canonical node would print with its free binders
-    captured."""
+    open subterm of a canonical node has indices that no binder of its
+    own names, so it does not print."""
     return f"a {type(u).__name__.lstrip('_')} node"
 
 
@@ -590,21 +596,18 @@ def _walk(u: Node, entry, path: tuple[int, ...], tests: dict, out: list[Redex]):
         u._redexes = (tests, own) if len(out) > start else tests
 
 
-def step_at(t: Node, r: Redex, depth: int, rules: dict) -> Node:
-    """t, canonical at binder depth ``depth``, with its redex r contracted
-    by ``rules[r.rule](u, r, d)``, where u is the subterm at r's path and
-    d its binder depth.  r must be a redex the walk finds in t, which
-    ``step`` checks.  Only the nodes on the path are rebuilt: a sum there
-    is merged again by its language's rule, and every other subterm is
-    shared with t."""
+def step_at(t: Node, r: Redex, rules: dict) -> Node:
+    """t, canonical, with its redex r contracted by ``rules[r.rule](u, r)``,
+    where u is the subterm at r's path: canonical, and marked so.  r must
+    be a redex the walk finds in t, which ``step`` checks.  Only the nodes
+    on the path are rebuilt: a sum there is merged again by its language's
+    rule, and every other subterm is shared with t."""
     spine = []
     u = t
     for i in r.path:
         spine.append(u)
-        if u._role == _BINDER:
-            depth += 1
         u = u._kids()[i]
-    new = rules[r.rule](u, r, depth)
+    new = rules[r.rule](u, r)
     for node, i in zip(reversed(spine), reversed(r.path)):
         role = node._role
         if role == _BINDER:
@@ -615,6 +618,7 @@ def step_at(t: Node, r: Redex, depth: int, rules: dict) -> Node:
             kids = list(node._kids())
             kids[i] = new
             new = node.__class__(*kids)
+    new._canonical = True
     return new
 
 
@@ -632,67 +636,75 @@ def step(t: Node, r: Redex, tests: dict, rules: dict) -> Node:
         test(u, found)
     if Redex((), r.rule, r.part) not in found:
         raise StaleRedex(f"{r!r} does not match {kind(u)}")
-    return mark_canonical(step_at(t, r, 0, rules))
+    return step_at(t, r, rules)
 
 
-def instantiate(body: Node, x: str, v: Node, depth: int) -> Node:
-    """The canonical contractum of the redex (binder x. body) v sitting at
-    binder depth ``depth`` of a canonical node: body's binders move up one
-    level and each x becomes v, moved to where it lands.  Neither part is
-    canonicalised on its own, so variables bound above the redex are never
-    captured."""
-    return _move(body, {}, depth, x, v, depth)
+def instantiate(body: Node, v: Node) -> Node:
+    """The canonical contractum of the redex (binder. body) v of a
+    canonical node: body opened with v, canonical, for the index of its
+    binder, and the sums that change merged again."""
+    return _open(body, v, True)
 
 
-def relevel(t: Node, old: int, new: int) -> Node:
-    """t, canonical at binder depth old, moved to binder depth new."""
-    return t if old == new else _move(t, {}, new)
+def open_binder(t: Node, v: Node) -> Node:
+    """The body of the binder node t with the closed v for the variable t
+    binds: by name for a named binder, by index for a nameless one.  Sums
+    keep their parts in order, as in ``subst``."""
+    return subst(t.body, t.var, v) if t.var else _open(t.body, v, False)
+
+
+def _open(body: Node, v: Node, merge: bool) -> Node:
+    """body with v for the index of its binder and the indices past that
+    binder lowered by one, as it is gone.  Under k binders of body, v's
+    own indices past its root are raised by k; that keeps the order of
+    every sum in v, since those indices stay above the ones bound inside."""
+    def at(x, k):
+        if x.name > k:
+            return x.__class__(x.name - 1)
+        return _reindex(v, 0, lambda y, c: y.__class__(y.name + k), False)
+
+    return _reindex(body, 0, at, merge)
+
+
+def _reindex(t: Node, k: int, at, merge: bool) -> Node:
+    """t with ``at(x, k)`` for each variable x whose index is k or above,
+    k counting the binders of t above x: x points past t's root.  Every
+    subterm without such a variable is shared, and a sum with one is
+    merged again when ``merge`` is set (a part's key changes where a
+    variable becomes another term), else rebuilt in order."""
+    if not any(i.__class__ is int and i >= k for i in free_vars(t)):
+        return t
+    role = t._role
+    cls = t.__class__
+    if role == _VAR:
+        return at(t, k)
+    if role == _BINDER:
+        return cls(t.var, _reindex(t.body, k + 1, at, merge))
+    kids = [_reindex(c, k, at, merge) for c in t._kids()]
+    if role == _SUM:
+        return t._merge(kids) if merge else cls(tuple(kids))
+    return cls(*kids)
 
 
 def body_path(t: Node, u: Node, x: str, path) -> tuple[int, ...]:
     """The path in u of the subterm at ``path`` in the body of t, where t
     is the canonical binder node built over u: u is canonical on its own,
-    with the bound variable named x.  t's body is u moved one binder
-    deeper, and only sums reorder under the move, so at a sum the first
-    part of u that lands on the path's part is taken."""
-    a, depth, ren, out = t.body, 1, {x: t._var(t.var)}, []
+    with the bound variable free under the name x.  t's body is u with x
+    closed, and only a sum may order its parts differently under that, so
+    at a sum the first part of u that closes to the path's part is taken.
+    Closing shares every subterm of u that does not mention x, so below
+    such a subterm no part is closed again."""
+    a, bound, out = t.body, (x,), []
     for i in path:
         j = i
         if a._role == _SUM:
-            j = [_move(q, ren, depth) for q in u.parts].index(a.parts[i])
+            parts = u.parts if a == u else [_canon(q, bound) for q in u.parts]
+            j = parts.index(a.parts[i])
         elif a._role == _BINDER:
-            ren[u.var] = a._var(a.var)
-            depth += 1
+            bound = ("", *bound)
         out.append(j)
         a, u = a._kids()[i], u._kids()[j]
     return tuple(out)
-
-
-def _move(t: Node, ren: dict, depth: int, x=None, v=None, vdepth=0) -> Node:
-    """Copy of the canonical subterm t landing at binder depth ``depth``:
-    its binders take their new positional names, the sums they reach are
-    merged again, and each variable x becomes v, moved from depth vdepth.
-    ren maps the old names of the binders met so far to their new
-    variables; a name stands for one level, so the map is never undone.
-    Variables bound above t keep their names."""
-    role = t._role
-    if role == _VAR:
-        y = t.name
-        if y == x:
-            return relevel(v, vdepth, depth)
-        return ren.get(y, t)
-    if role == _BINDER:
-        if depth == len(_POSITIONAL):
-            _POSITIONAL.append(f"_{depth}")
-        nx = _POSITIONAL[depth]
-        cls = t.__class__
-        ren[t.var] = cls._var(nx)
-        return cls(nx, _move(t.body, ren, depth + 1, x, v, vdepth))
-    if role == _SUM:
-        return t._merge([_move(p, ren, depth, x, v, vdepth) for p in t.parts])
-    if role == _NODE:
-        return t.__class__(*[_move(c, ren, depth, x, v, vdepth) for c in t._kids()])
-    return t
 
 
 # --- rebuilding ----------------------------------------------------------------

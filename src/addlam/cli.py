@@ -198,7 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # runs, so a bad ADDLAM_SEED is a bad argument of suite alone
     ps.add_argument("--seed", type=int, default=os.environ.get("ADDLAM_SEED", "1"))
     ps.add_argument("--cases", type=positive, default=10000)
-    ps.add_argument("--count", type=positive, default=500, help="corpus size")
+    ps.add_argument("--count", type=positive, default=500,
+                    help="additive derivations in the corpus, its 10 fixed ones included "
+                         "(so at least 10); the structured part has max(60, COUNT // 5)")
     return top
 
 

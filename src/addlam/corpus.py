@@ -310,8 +310,12 @@ class Corpus:
 
 
 def generate_corpus(seed: int, budget: int = 20, count: int = 500) -> Corpus:
-    """A reproducible corpus of checked derivations. The budget bounds
-    the size of each generated derivation; count sets how many."""
+    """A reproducible corpus of checked derivations: max(count, 10)
+    additive derivations, the 10 fixed ones of ``_simple_fixtures``
+    first, and max(60, count // 5) structured ones, the two fixed
+    examples first.  budget only caps the width of the random
+    applications, at min(3, max(1, budget // 7)), which is 2 at the
+    default 20; it bounds nothing else of a derivation's size."""
     rng = random.Random(seed)
     ctx = BASE_CTX
     out = _simple_fixtures(ctx)

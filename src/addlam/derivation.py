@@ -30,6 +30,7 @@ from .binders import (
     check_derivation,
     free_vars,
     fresh_name,
+    open_binder,
     refuse,
     sort_key,
     var_name,
@@ -100,7 +101,8 @@ class SourceSystem(System):
     * the ``equiv`` rule, if it has one, and ``unit_hypotheses`` (must an
       axiom's hypothesis be a unit type);
     * ``norm``, ``eq``, ``subst``: normal form, equality and unit
-      substitution of types;
+      substitution of types (an instantiation opens the quantifier's body
+      and takes its normal form);
     * ``retype(d, ty)``: d re-derived at an equal type ``ty``;
     * ``fail(msg)``: reject the premises of a transformation;
     * ``wit_values``/``wit_map``: read and rewrite an ``arrE`` witness map;
@@ -181,7 +183,7 @@ class SourceSystem(System):
         c = self.norm(d.ty)
         if not isinstance(c, TForall):
             refuse(f"instantiating a non-quantified type {show_type(d.ty)}")
-        return self.cls("forallE", d.ctx, d.term, self.subst(c.body, c.var, v), (d,), inst_ty=v)
+        return self.cls("forallE", d.ctx, d.term, self.norm(open_binder(c, v)), (d,), inst_ty=v)
 
     def arr_e(self, d1, d2, u: Type, ts, vs, xs=()):
         xs = tuple(xs)

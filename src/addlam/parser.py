@@ -16,7 +16,7 @@ import re
 from typing import NamedTuple
 
 from . import syntax, sysf, typesys
-from .binders import _BINDER, _CONST, _SUM, _VAR, free_name
+from .binders import _BINDER, _CONST, _SUM, _VAR
 from .derivation import AAbs, AApp, AGen, AInst, ASum, ATerm, AVar, AZero, AppWitness
 from .syntax import Term, Zero
 from .sysf import FTerm, FType, FUnit, Star
@@ -152,10 +152,6 @@ class _Parser:
         t = self.peek()
         if t.kind != "ident":
             self.fail(f"expected {what}")
-        try:
-            free_name(t.text)
-        except ValueError:
-            self.fail(f"{t.text!r} is reserved for positional binder names")
         return self.next().text
 
     def done(self):

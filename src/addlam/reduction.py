@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import Redex, instantiate, mark_canonical, redexes, step_at
+from .binders import Redex, instantiate, redexes, step_at
 from .binders import step as _checked_step  # by name, which the reachability test follows
 from .syntax import (
     Abs,
@@ -74,16 +74,14 @@ def _split(parts: tuple[Term, ...], i: int) -> tuple[Term, Term]:
 
 
 # The contraction of each rule: the canonical contractum of the redex r at
-# u, which sits at binder depth ``depth`` of a canonical term.
+# u, a subterm of a canonical term.
 _RULES = {
-    "beta": lambda u, r, depth: instantiate(u.fun.body, u.fun.var, u.arg, depth),
-    "dist-right": lambda u, r, depth: merge_sum(
-        [App(x, u.arg) for x in _split(u.fun.parts, r.part)]),
-    "dist-left": lambda u, r, depth: merge_sum(
-        [App(u.fun, x) for x in _split(u.arg.parts, r.part)]),
-    "zero-fun": lambda u, r, depth: Zero,
-    "zero-arg": lambda u, r, depth: Zero,
-    "sum-zero": lambda u, r, depth: _split(u.parts, r.part)[1],
+    "beta": lambda u, r: instantiate(u.fun.body, u.arg),
+    "dist-right": lambda u, r: merge_sum([App(x, u.arg) for x in _split(u.fun.parts, r.part)]),
+    "dist-left": lambda u, r: merge_sum([App(u.fun, x) for x in _split(u.arg.parts, r.part)]),
+    "zero-fun": lambda u, r: Zero,
+    "zero-arg": lambda u, r: Zero,
+    "sum-zero": lambda u, r: _split(u.parts, r.part)[1],
 }
 
 
@@ -169,7 +167,7 @@ def normalize(t: Term, fuel: int = 10000) -> NormalizeResult:
         r = _pick(t)
         if r is None or len(trace) >= fuel:
             return NormalizeResult(t, tuple(trace), r is not None)
-        u = mark_canonical(step_at(t, r, 0, _RULES))
+        u = step_at(t, r, _RULES)
         trace.append(TraceStep(r.rule, r.path, t, u))
         t = u
 
@@ -182,8 +180,8 @@ class SnResult:
     # reducts, a witness of an infinite reduction (cycle is then True);
     # "recursion-limit": the term or a path of its reduction graph is
     # too deep for the recursive search, so nothing was decided.
-    # states counts the distinct atoms (summands that are not sums, each
-    # at its binder depth, λs peeled off) that were explored
+    # states counts the distinct atoms (summands that are not sums, λs
+    # peeled off) that were explored
     status: str
     max_depth: int = 0
     states: int = 0
@@ -301,63 +299,63 @@ def check_sn(t: Term, budget: int = 100000) -> SnResult:
     """The longest reduction path of t, found one summand at a time.
 
     The summands of a sum reduce independently, so a sum's longest path
-    combines theirs (``_combine``); λx.b is scored as b one binder deeper;
+    combines theirs (``_combine``); λx.b is scored as b, which reduces
+    as it does under the binder;
     an application with a factor whose split may go first is scored from
     the split parts (``_root_split``), and one that waits for such a split
     further down its argument spine from that one reduct
-    (``_waiting_split``); any other atom is scored from its reducts, each
-    stepped at the atom's own binder depth.  Scores are memoised per
-    atom and depth, and at most ``budget`` atoms are explored.  An atom's
+    (``_waiting_split``); any other atom is scored from its reducts.
+    Scores are memoised per atom, which is canonical wherever it sits, and
+    at most ``budget`` atoms are explored.  An atom's
     redexes come from ``binders.redexes``, whose entries kept on the nodes
     let it test only the nodes that the step to the atom built."""
-    memo: dict[tuple[Term, int], tuple[float, float]] = {}
-    onstack: set[tuple[Term, int]] = set()
+    memo: dict[Term, tuple[float, float]] = {}
+    onstack: set[Term] = set()
     seen = 0
 
-    def term(u: Term, depth: int) -> tuple[float, float]:
+    def term(u: Term) -> tuple[float, float]:
         if u.__class__ is not Sum:
-            return atom(u, depth)  # what _combine gives for one summand
-        return _combine([atom(p, depth) for p in u.parts])
+            return atom(u)  # what _combine gives for one summand
+        return _combine([atom(p) for p in u.parts])
 
-    def atom(p: Term, depth: int) -> tuple[float, float]:
+    def atom(p: Term) -> tuple[float, float]:
         nonlocal seen
         if p is Zero:
             return 1, _NONE
         if p.__class__ is Abs:
             while p.__class__ is Abs:
-                p, depth = p.body, depth + 1
-            return _NONE, _longest(term(p, depth))
-        key = (p, depth)
-        score = memo.get(key)
+                p = p.body
+            return _NONE, _longest(term(p))
+        score = memo.get(p)
         if score is not None:
             return score
-        if key in onstack:
+        if p in onstack:
             raise _Abort(cycle=True)
         seen += 1
         if seen > budget:
             raise _Abort(cycle=False)
-        onstack.add(key)
+        onstack.add(p)
         rs = redexes(p, _TESTS)
         parts = _root_split(p, rs)
         if parts is not None:
-            z, n = _combine([atom(q, depth) for q in parts])
+            z, n = _combine([atom(q) for q in parts])
             score = z + len(parts) - 1, n + len(parts) - 1
         elif (first := _waiting_split(p, rs)) is not None:
-            z, n = atom(step_at(p, first, depth, _RULES), depth)
+            z, n = atom(step_at(p, first, _RULES))
             score = z + 1, n + 1
         else:
-            reducts = dict.fromkeys(step_at(p, r, depth, _RULES) for r in rs)
-            scores = [term(u, depth) for u in reducts]
+            reducts = dict.fromkeys(step_at(p, r, _RULES) for r in rs)
+            scores = [term(u) for u in reducts]
             if scores:
                 score = max(s[0] for s in scores) + 1, max(s[1] for s in scores) + 1
             else:
                 score = _NONE, 0  # a normal form other than zero
-        onstack.discard(key)
-        memo[key] = score
+        onstack.discard(p)
+        memo[p] = score
         return score
 
     try:
-        d = _longest(term(canonicalize(t), 0))
+        d = _longest(term(canonicalize(t)))
     except _Abort as a:
         return SnResult("cycle" if a.cycle else "budget-exhausted", 0, seen, a.cycle)
     except RecursionError:

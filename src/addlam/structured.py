@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binders import Redex, RuleViolation, check_derivation, free_vars, refuse
+from .binders import Redex, RuleViolation, check_derivation, free_vars, open_binder, refuse
 from .derivation import (
     AddDerivation,
     Derivation,
@@ -249,14 +249,9 @@ def _peel_closure(lab: Type, xs, u: Type) -> Type:
     variables of lab to xs; None when the shapes disagree."""
     cur = lab
     for x in xs:
-        if not isinstance(cur, TForall):
+        if not isinstance(cur, TForall) or cur.var != x and x in free_vars(cur.body):
             return None
-        if cur.var == x:
-            cur = cur.body
-        else:
-            if x in free_vars(cur.body):
-                return None
-            cur = raw_subst(cur.body, cur.var, TVar(x))
+        cur = open_binder(cur, TVar(x))
     if not isinstance(cur, TArrow) or not raw_alpha_eq(cur.dom, u):
         return None
     return cur.cod

@@ -5,9 +5,9 @@ the impossible computation ``zero``.  Sums are flattened multisets held
 in a deterministic, alpha-invariant order, so alpha-AC-equivalent terms
 have one representation and can be compared with ``==``.
 
-The nodes, their caches, canonical forms, the contraction of a redex at
-its own binder depth and the printer come from ``binders``; this module
-adds the term rule that sums keep ``zero`` and the terms' table of forms.
+The nodes, their caches, canonical forms, the contraction of a redex and
+the printer come from ``binders``; this module adds the term rule that
+sums keep ``zero`` and the terms' table of forms.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class App(Term):
 
 
 def merge_sum(parts) -> Term:
-    """Canonical sum of terms that are canonical at one binder depth:
-    flattens nested sums and sorts by the cached keys, without
-    re-canonicalising the parts, so it is safe on open subterms.  A unary
+    """Canonical sum of canonical terms: flattens nested sums and sorts by
+    the cached keys, without re-canonicalising the parts, so it is safe on
+    open subterms.  A unary
     sum collapses.  Zero summands are kept: ``t + 0 -> t`` is a reduction
     step, not a term equivalence."""
     flat: list[Term] = []

@@ -6,11 +6,11 @@ Reduction is two tables for the one reduction engine in ``binders``, as
 in ``reduction.py``: ``_TESTS`` finds the redexes at each of the five
 node classes where a rule may fire (an application, an abstraction, a
 pair and the two projections), and ``_RULES`` contracts each of the five
-rules (beta, proj-l, proj-r, eta and surjective pairing) by name, at the
-redex's own binder depth, rebuilding only the spine above it.  A
-canonical term keeps its reducts on the node, and a raw term its
-canonical form, so the reducts of each term are computed once however
-many searches pass through it.  Terms and types print through the one
+rules (beta, proj-l, proj-r, eta and surjective pairing) by name,
+rebuilding only the spine above it.  A canonical term keeps its reducts
+on the node, and a raw term its canonical form (``binders.canonical``),
+so the reducts of each term are computed once however many searches pass
+through it.  Terms and types print through the one
 printer in ``binders``, by this module's two tables of forms.
 
 Each typing rule is defined once, by the constructor of its derivation
@@ -36,16 +36,13 @@ from .binders import (
     alpha_eq,
     canonical,
     check_derivation,
-    free_name,
     free_vars,
     instantiate,
-    mark_canonical,
+    open_binder,
     redexes,
     refuse,
-    relevel,
     show,
     step_at,
-    subst,
     var_name,
 )
 
@@ -89,11 +86,10 @@ FUnit = _FUnit()
 class FTerm(Node):
     """The repr keeps the dataclass form ``FAbs(var='x', body=FVar(name='x'))``,
     because ``f_reaches`` orders reducts by it.  A canonical term keeps
-    its one-step reducts, in that order, once they are computed, and a
-    raw term its canonical form.  ``binders.redexes`` keeps its entry on
-    the term as well."""
+    its one-step reducts, in that order, once they are computed.
+    ``binders.redexes`` keeps its entry on the term as well."""
 
-    __slots__ = ("_reducts", "_cform", "_redexes")
+    __slots__ = ("_reducts", "_redexes")
 
     def __str__(self) -> str:
         return show_fterm(self)
@@ -131,20 +127,12 @@ Star = _Star()
 
 
 def f_canonicalize(t: FTerm) -> FTerm:
-    """Positional renaming of binders; canonical forms are equal iff the
+    """Bound variables as indices; canonical forms are equal iff the
     terms are alpha-equivalent.  Idempotent, and O(1) on a term it
     returned or was given before: a raw term keeps its canonical form, so
     every search from it starts at one node and finds the reducts kept
     there."""
-    if t._canonical:
-        return t
-    try:
-        return t._cform
-    except AttributeError:
-        out = canonical(t)
-        if out is not t:  # a raw term that was canonical is marked instead
-            t._cform = out
-        return out
+    return canonical(t)
 
 
 def f_alpha_eq(a: FTerm, b: FTerm) -> bool:
@@ -184,18 +172,16 @@ def _app_redexes(u: FApp, out: list[Redex]):
 
 
 def _abs_redexes(u: FAbs, out: list[Redex]):
-    b = u.body  # eta: \x. f x with x not free in f
-    if b.__class__ is FApp and b.arg.__class__ is FVar and b.arg.name == u.var \
-            and u.var not in free_vars(b.fun):
+    b = u.body  # eta: \x. f x with x, the index 0, not free in f
+    if b.__class__ is FApp and b.arg.__class__ is FVar and b.arg.name == 0 \
+            and 0 not in free_vars(b.fun):
         out.append(Redex((), "eta"))
 
 
 def _pair_redexes(u: FPair, out: list[Redex]):
     f, s = u.fst, u.snd
     if f.__class__ is FProjL and s.__class__ is FProjR and f.body == s.body:
-        # p and q sit at one binder depth of a canonical term, so they are
-        # alpha-equivalent iff they are equal; canonicalising them on
-        # their own would capture the binders above them
+        # p and q are canonical, so they are alpha-equivalent iff equal
         out.append(Redex((), "surj"))
 
 
@@ -209,16 +195,16 @@ _TESTS = {FApp: _app_redexes, FAbs: _abs_redexes, FPair: _pair_redexes,
 
 
 # The contraction of each rule: the canonical contractum of the redex r at
-# u, which sits at binder depth ``depth`` of a canonical term.  beta moves
-# the body's binders up one level and puts the argument, moved to where it
-# lands, for the bound variable; eta moves f up one level; a projection
-# and surjective pairing return the subterm they keep.
+# u, a subterm of a canonical term.  beta opens the body with the
+# argument; eta opens f too, which does not mention the binder, so any
+# argument only lowers its indices past the binder; a projection and
+# surjective pairing return the subterm they keep.
 _RULES = {
-    "beta": lambda u, r, depth: instantiate(u.fun.body, u.fun.var, u.arg, depth),
-    "proj-l": lambda u, r, depth: u.body.fst,
-    "proj-r": lambda u, r, depth: u.body.snd,
-    "eta": lambda u, r, depth: relevel(u.body.fun, depth + 1, depth),
-    "surj": lambda u, r, depth: u.fst.body,
+    "beta": lambda u, r: instantiate(u.fun.body, u.arg),
+    "proj-l": lambda u, r: u.body.fst,
+    "proj-r": lambda u, r: u.body.snd,
+    "eta": lambda u, r: instantiate(u.body.fun, Star),
+    "surj": lambda u, r: u.fst.body,
 }
 
 
@@ -230,8 +216,7 @@ def _freducts(t: FTerm) -> tuple[FTerm, ...]:
     except AttributeError:
         rs = redexes(t, _TESTS)
         # each redex comes from the walk, so it needs no check
-        out = t._reducts = tuple(sorted({mark_canonical(step_at(t, r, 0, _RULES)) for r in rs},
-                                        key=repr))
+        out = t._reducts = tuple(sorted({step_at(t, r, _RULES) for r in rs}, key=repr))
         return out
 
 
@@ -284,7 +269,7 @@ def f_ax(ctx: Context, name: str) -> FDerivation:
     ty = ctx.get(name)
     if ty is None:
         refuse(f"variable {name} not in context")
-    return FDerivation("Ax", ctx, FVar(free_name(name)), ty)
+    return FDerivation("Ax", ctx, FVar(name), ty)
 
 
 def f_unit_i(ctx: Context) -> FDerivation:
@@ -343,7 +328,7 @@ def f_forall_e(d: FDerivation, ty: FType) -> FDerivation:
     if not isinstance(d.ty, FForall):
         refuse(f"instantiating a non-quantified type {d.ty}")
     return FDerivation(
-        "ForallE", d.ctx, d.term, subst(d.ty.body, d.ty.var, ty), (d,),
+        "ForallE", d.ctx, d.term, open_binder(d.ty, ty), (d,),
         inst_ty=ty,
     )
 

@@ -218,8 +218,8 @@ def _match_app_tree(t: FTerm) -> tuple[FTerm, FTerm] | None:
         if t0 is None:
             t0, u0 = pl, pr
         elif pl != t0 or pr != u0:
-            # t is a subterm of a canonical term, so the parts sit at one
-            # binder depth and are alpha-equivalent iff they are equal
+            # t is a subterm of a canonical term, so the parts are
+            # canonical and alpha-equivalent iff they are equal
             return None
     return t0, u0
 
@@ -227,8 +227,8 @@ def _match_app_tree(t: FTerm) -> tuple[FTerm, FTerm] | None:
 def rev_term(t: FTerm) -> Term | None:
     """Partial inverse on terms. A pair is read back as an application
     when it is a consistent tree of projected applications, and as a
-    sum otherwise.  t is canonicalised once, first: canonicalising an
-    open subterm on its own would capture the binders above it."""
+    sum otherwise.  t is canonicalised once, first, so every subterm the
+    walk compares is canonical."""
     return _rev(f_canonicalize(t))
 
 

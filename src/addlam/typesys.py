@@ -4,8 +4,8 @@ Types are sums of *unit types* (variables, arrows, foralls) plus the
 zero type.  Two layers coexist:
 
 * canonical types: sums flattened, sorted and zero-free, bound
-  variables renamed positionally -- the unique representative of an
-  equivalence class;
+  variables as indices -- the unique representative of an equivalence
+  class;
 * raw types: binary, order-preserving sums, used by the structured
   system where no equivalence is available.
 
@@ -40,9 +40,8 @@ class TForall(Type, binds=TVar):
 
 
 def _merge_types(parts) -> Type:
-    """Canonical sum of types that are canonical at one binder depth:
-    flattened, sorted and zero-free, since zero is neutral for + under the
-    equivalence."""
+    """Canonical sum of canonical types: flattened, sorted and zero-free,
+    since zero is neutral for + under the equivalence."""
     flat: list[Type] = []
     for p in parts:
         if p.__class__ is TSum:

@@ -46,31 +46,50 @@ def test_rebuild_gives_an_equal_unmarked_copy():
     c = canonical(TForall("X", TSum((TVar("X"), TVar("Y")))))
     r = rebuild(c)
     assert r == c and r is not c and not r._canonical
-    assert canonical(r) == c
+    out = canonical(r)
+    # the raw copy keeps, in the slot that marks canonical nodes, the form
+    # its walk produced, so a second call walks nothing
+    assert out == c and r._canonical is out and canonical(r) is out
 
 
 def test_the_walk_puts_back_the_names_a_binder_hid():
     # (\x.x) x: the argument is the free x, outside the binder's scope
-    assert canonical(parse_term(r"(\x.x) x")) == App(Abs("_0", Var("_0")), Var("x"))
+    assert canonical(parse_term(r"(\x.x) x")) == App(Abs("", Var(0)), Var("x"))
     # \x.(\x.x) x: the inner binder hides the outer x, the argument sees it again
     assert canonical(parse_term(r"\x.(\x.x) x")) == Abs(
-        "_0", App(Abs("_1", Var("_1")), Var("_0")))
+        "", App(Abs("", Var(0)), Var(0)))
     # a binder's scope ends at its summand: the sibling x is free
     assert canonical(Sum((Abs("x", Sum((Var("x"), Var("x")))), Var("x")))) == Sum(
-        (Var("x"), Abs("_0", Sum((Var("_0"), Var("_0"))))))
+        (Var("x"), Abs("", Sum((Var(0), Var(0))))))
     assert canonical(parse_type("forall A. (forall A. A) -> A")) == TForall(
-        "_0", TArrow(TForall("_1", TVar("_1")), TVar("_0")))
+        "", TArrow(TForall("", TVar(0)), TVar(0)))
+    # an index counts the binders between a variable and its own
+    assert canonical(parse_term(r"\x.\y. x (\z. y)")) == Abs("", Abs("", App(
+        Var(1), Abs("", Var(1)))))
 
 
-def test_positional_names_reach_past_any_fixed_depth():
+def test_indices_reach_past_any_fixed_depth():
     t = TVar("A")
     for _ in range(200):
         t = TForall("A", TArrow(TVar("A"), t))
     c = canonical(t)
-    for d in range(200):
-        assert c.var == f"_{d}" and c.body.dom == TVar(f"_{d}")
+    for _ in range(200):
+        assert c.var == "" and c.body.dom == TVar(0)
+        # every node of the canonical form is canonical where it sits
+        assert canonical(c.body) is c.body and c.body._canonical is True
         c = c.body.cod
-    assert c == TVar("_199")
+    assert c == TVar(0)
+
+
+def test_a_binder_over_canonical_parts_walks_only_what_mentions_its_name():
+    body = canonical(parse_term(r"x (\z. z) (a + b)"))
+    shared = body.fun.arg, body.arg
+    c = canonical(Abs("x", body))
+    assert c.body.fun.fun == Var(0)
+    assert c.body.fun.arg is shared[0] and c.body.arg is shared[1]
+    # a body that does not mention the binder is shared whole
+    closed = canonical(parse_term(r"(\z. z) a"))
+    assert canonical(Abs("y", closed)).body is closed
 
 
 def test_canonicalising_a_rebuilt_copy_runs_the_full_walk():
@@ -92,8 +111,8 @@ def test_the_walk_returns_the_nodes_it_does_not_change():
     free = TArrow(TVar("B"), TVar("C"))  # binder-free: its canonical form is itself
     t = TForall("A", TArrow(TVar("A"), free))
     c = canonical(t)
-    assert c is not t and c.body.cod is free and not free._canonical
+    assert c is not t and c.body.cod is free and free._canonical is True
     f = FApp(FVar("f"), FVar("a"))
     assert canonical(FAbs("x", FApp(FVar("x"), f))).body.arg is f
-    named = TForall("_0", TArrow(TVar("_0"), free))  # already positional
-    assert canonical(named) is named and named._canonical
+    nameless = TForall("", TArrow(TVar(0), free))  # already canonical
+    assert canonical(nameless) is nameless and nameless._canonical is True

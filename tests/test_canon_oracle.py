@@ -1,15 +1,23 @@
 """The marking canonicalisers of terms, types and F-terms against
 whole-walk references, the alpha tests of raw types and F-types against
 the pairwise walks they replaced, and the F-term repr that ``f_reaches``
-orders reducts by."""
+orders reducts by.
+
+The references name a bound variable by its binder's level (``_d`` at
+depth d), the form canonical nodes had before they held indices.  So
+they are compared as equivalences, on the same inputs: the reference's
+form of t reads back to t's canonical form, and two inputs have one
+reference form iff they have one canonical form."""
 
 import random
 from dataclasses import make_dataclass
 
 import pytest
+from level_names import levels
 
 from addlam.binders import canonical, free_vars
 from addlam.corpus import generate_corpus, random_term, random_type
+from addlam.suites import _rename_binders, _shuffle_sums
 from addlam.syntax import Abs, App, Sum, Term, Var, Zero, _Zero, canonicalize
 from addlam.sysf import (
     FAbs,
@@ -145,28 +153,50 @@ def ref_fcanon(t: FTerm, env: dict[str, str], d: int) -> FTerm:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _agree(t, canon, ref):
+    """(ref's form, canon's form) of t, after checking that the first is
+    in t's class and that the second is a fixed point."""
+    c, r = canon(t), ref(levels(t), {}, 0)
+    assert canon(r) == c, repr(t)
+    assert canon(c) is c
+    return r, c
+
+
+def _same_classes(pairs: set):
+    """The reference forms and the canonical forms of a set of inputs
+    split them into the same classes: the pairs are a bijection."""
+    assert len({r for r, _ in pairs}) == len(pairs) == len({c for _, c in pairs})
+
+
 def _agree_term(t: Term):
-    c = canonicalize(t)
-    assert c == ref_canon(t, {}, 0), repr(t)
-    assert canonicalize(c) is c
+    return _agree(t, canonicalize, ref_canon)
+
+
+def _with_variants(ts, rng):
+    """Each input, with its sums shuffled and its binders renamed, as the
+    ``ac`` suite draws them, so that the classes hold more than one."""
+    out = []
+    for t in ts:
+        out += [t, _shuffle_sums(t, rng), _rename_binders(t, rng)]
+    return out
 
 
 def test_random_terms_agree_with_the_whole_walk():
     rng = random.Random(10)
-    for _ in range(500):
-        _agree_term(random_term(rng))
+    ts = _with_variants([random_term(rng) for _ in range(500)], rng)
+    _same_classes({_agree_term(t) for t in ts})
 
 
 def test_corpus_terms_agree_with_the_whole_walk():
     corpus = generate_corpus(seed=1, count=500)
-    for d in corpus.derivations:
-        _agree_term(d.term)
+    _same_classes({_agree_term(d.term) for d in corpus.derivations})
 
 
 def test_terms_built_from_canonical_parts_agree_with_the_whole_walk():
     # as for types below: a canonical part is kept as it is outside all
     # binders, and walked again under a lambda
     rng = random.Random(13)
+    pairs = set()
     for _ in range(300):
         a, b = canonicalize(random_term(rng)), canonicalize(random_term(rng))
         app = App(a, b)
@@ -182,31 +212,29 @@ def test_terms_built_from_canonical_parts_agree_with_the_whole_walk():
             Abs("x", App(a, b)),
             Abs("y", Abs("x", Sum((App(a, Var("y")), b)))),
         ):
-            _agree_term(t)
+            pairs.add(_agree_term(t))
+    _same_classes(pairs)
 
 
 def _agree_type(t: Type):
-    c = type_canonicalize(t)
-    assert c == ref_tcanon(t, {}, 0), repr(t)
-    assert type_canonicalize(c) is c
+    return _agree(t, type_canonicalize, ref_tcanon)
 
 
 def _agree_fterm(t: FTerm):
-    c = f_canonicalize(t)
-    assert c == ref_fcanon(t, {}, 0), repr(t)
-    assert f_canonicalize(c) is c
+    return _agree(t, f_canonicalize, ref_fcanon)
 
 
 def test_random_types_agree_with_the_whole_walk():
     rng = random.Random(11)
-    for _ in range(500):
-        _agree_type(random_type(rng))
+    ts = _with_variants([random_type(rng) for _ in range(500)], rng)
+    _same_classes({_agree_type(t) for t in ts})
 
 
 def test_types_built_from_canonical_parts_agree_with_the_whole_walk():
-    # the short-cut returns a canonical part at depth 0 as it is; under a
-    # forall the part is walked again, since its binders move down a level
+    # the short-cut returns a canonical part as it is, under a forall too
+    # when the part does not mention the forall's name
     rng = random.Random(12)
+    pairs = set()
     for _ in range(300):
         a, b = type_canonicalize(random_type(rng)), type_canonicalize(random_type(rng))
         u = a if is_unit(a) else TVar("X")
@@ -220,7 +248,8 @@ def test_types_built_from_canonical_parts_agree_with_the_whole_walk():
             TForall("X", TArrow(u, b)),
             TForall("Y", TForall("X", TSum((TArrow(u, TVar("Y")), b)))),
         ):
-            _agree_type(t)
+            pairs.add(_agree_type(t))
+    _same_classes(pairs)
 
 
 @pytest.fixture(scope="module")
@@ -232,13 +261,15 @@ def corpus_fterms():
 def test_corpus_fterms_agree_with_the_whole_walk(corpus_fterms):
     fterms = corpus_fterms
     assert len(fterms) == 100
+    pairs = set()
     for ft, other in zip(fterms, fterms[1:] + fterms[:1]):
         cf, co = f_canonicalize(ft), f_canonicalize(other)
         wrapped = [ft, FPair(cf, co), FPair(ft, cf), FAbs("q", cf), FAbs("q", FPair(cf, ft))]
         # binding a free variable of a canonical part renames it
         wrapped += [FAbs(x, FApp(cf, FVar(x))) for x in sorted(free_vars(ft))]
         for t in wrapped:
-            _agree_fterm(t)
+            pairs.add(_agree_fterm(t))
+    _same_classes(pairs)
 
 
 # the dataclasses F-terms were before they cached their repr; f_reaches
@@ -253,7 +284,8 @@ def _as_dataclass(t: FTerm):
     if t is Star:
         return t
     args = [getattr(t, f) for f in t.__match_args__]
-    return _DATACLASS[type(t)](*(a if isinstance(a, str) else _as_dataclass(a) for a in args))
+    return _DATACLASS[type(t)](*(a if isinstance(a, (str, int)) else _as_dataclass(a)
+                                 for a in args))
 
 
 def test_fterm_repr_keeps_the_dataclass_format(corpus_fterms):

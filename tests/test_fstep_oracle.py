@@ -1,10 +1,12 @@
 """Named F-steps against the reduct walk they replaced.
 
 ``f_reducts`` lists the redexes of a canonical F-term with the reduction
-engine's walk and contracts each with its ``step`` at its own binder depth,
-rebuilding only the spine.  Reference: the walk of the commit before, which rebuilt every
+engine's walk and contracts each with its ``step``, rebuilding only the
+spine.  Reference: the walk of the commit before, which rebuilt every
 reduct raw and canonicalised it whole, frozen below as ``reference_reducts``
-so that the oracle does not run the code it checks.  Both must give the
+so that the oracle does not run the code it checks.  It substitutes by
+name, so it reads the level-named form of the canonical term, in which
+two subterms at one depth are alpha-equivalent iff they are equal.  Both must give the
 same reducts on every F-term that ``f_reaches`` visits in the ``trans-red``
 and ``epsilon`` suites on seeds 1-5, and on hand-written redexes under
 binders, where a contractum canonicalised on its own would capture.  The
@@ -14,6 +16,7 @@ reducts a term keeps are in the order ``f_reaches`` visits them: by repr.
 from functools import lru_cache
 
 import pytest
+from level_names import levels
 
 import addlam.sysf as sysf
 from addlam.binders import free_vars, rebuild, redexes, step, subst
@@ -73,7 +76,7 @@ def _raw_freducts(t: FTerm) -> list[FTerm]:
 
 
 def reference_reducts(t: FTerm) -> frozenset[FTerm]:
-    return frozenset(f_canonicalize(u) for u in _raw_freducts(f_canonicalize(t)))
+    return frozenset(f_canonicalize(u) for u in _raw_freducts(levels(f_canonicalize(t))))
 
 
 @lru_cache(maxsize=None)

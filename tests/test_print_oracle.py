@@ -12,19 +12,27 @@ structured; on 1000 random terms and types, raw and canonical; and on
 every term and type of every node of the seed-1 F-derivations that
 ``trans_term`` builds.
 
+Canonical nodes held level names then (``_d`` for the binder at depth
+d) and hold indices now, so the frozen term and type printers read the
+level-named form of their input (``level_names.levels``), which they print as they
+did; the new printer must print the canonical node the same.
+
 The old F printers printed every name as written, so a canonical F-term
-printed positional names (``\\_0. _0``) that the parser refuses.  The new
-one names them as the term and type printers do, so the canonical form
-of every seed-1 translation, term and type, prints as text that parses
-back to it.  A positional binder's display name keeps away from the
-names of the named binders below it as well as from the free names, so
-a node that mixes the two prints as text that parses back alpha-equal."""
+printed positional names (``\\_0. _0``) that the parser refused.  The new
+one names a nameless binder as the term and type printers do, so it
+agrees with the frozen F printers on nodes without one, and every F-term
+and F-type prints as text that parses back alpha-equal; the canonical
+form of every seed-1 translation, term and type, parses back to itself.
+A nameless binder's display name keeps away from the names of the named
+binders below it as well as from the free names, so a node that mixes
+the two prints as text that parses back alpha-equal."""
 
 import random
 
 import pytest
+from level_names import levels
 
-from addlam.binders import canonical, fresh_name, free_vars
+from addlam.binders import alpha_eq, canonical, fresh_name, free_vars
 from addlam.corpus import generate_corpus, random_term, random_type
 from addlam.parser import parse_fterm, parse_ftype, parse_term, parse_type
 from addlam.syntax import Abs, App, Sum, Term, Var, Zero, canonicalize, show_term
@@ -51,6 +59,7 @@ from addlam.translation import trans_term
 from addlam.typesys import TArrow, TForall, TSum, TVar, TZero, Type, show_type, type_canonicalize
 
 # --- the frozen printers -----------------------------------------------------
+
 
 _NICE = "xyzwuvst"
 
@@ -82,7 +91,7 @@ def _display_names(t: Term) -> dict[int, str]:
 
 
 def reference_show_term(t: Term) -> str:
-    t = canonicalize(t)
+    t = levels(canonicalize(t))
     names = _display_names(t)
 
     def go(u: Term, level: int, env: dict[str, str], d: int) -> str:
@@ -110,6 +119,7 @@ _TNICE = "XYZWVU"
 
 
 def reference_show_type(t: Type) -> str:
+    t = levels(t)
     used = set(free_vars(t))
     fresh: dict[str, str] = {}
 
@@ -239,13 +249,21 @@ def test_f_terms_and_types_print_as_the_frozen_printers_print_them():
     fterms, ftypes = [], []
     for res in _translations():
         for n in _nodes(res.fderivation):
-            fterms.append(n.term)
-            ftypes += [n.ty] + ([n.inst_ty] if n.inst_ty is not None else [])
+            fterms += [n.term, f_canonicalize(n.term)]
+            ftypes += [n.ty, canonical(n.ty)] + ([n.inst_ty] if n.inst_ty is not None else [])
     assert len(set(fterms)) > 100
-    for t in fterms:
-        assert show_fterm(t) == reference_show_fterm(t), repr(t)
-    for ty in ftypes:
-        assert show_ftype(ty) == reference_show_ftype(ty), repr(ty)
+    nameless = 0
+    for t, show, ref, parse in [(t, show_fterm, reference_show_fterm, parse_fterm)
+                                for t in fterms] + [
+                               (ty, show_ftype, reference_show_ftype, parse_ftype)
+                               for ty in ftypes]:
+        shown = show(t)
+        if t == levels(t):
+            assert shown == ref(t), repr(t)
+        else:
+            nameless += 1
+        assert alpha_eq(parse(shown), t), repr(t)
+    assert nameless > len(fterms) // 4
 
 
 def test_canonical_f_terms_and_types_parse_back():
@@ -254,7 +272,7 @@ def test_canonical_f_terms_and_types_parse_back():
     for res in results:
         c = f_canonicalize(res.fterm)
         shown = show_fterm(c)
-        positional += reference_show_fterm(c) != shown
+        positional += reference_show_fterm(levels(c)) != shown
         back = parse_fterm(shown)
         assert f_canonicalize(back) == c, shown
         assert show_fterm(f_canonicalize(back)) == shown
@@ -263,7 +281,8 @@ def test_canonical_f_terms_and_types_parse_back():
         back = parse_ftype(shown)
         assert canonical(back) == cty, shown
         assert show_ftype(canonical(back)) == shown
-    # most of them have a binder, which the frozen printer left positional
+    # most of them have a binder, which the frozen printer printed by its
+    # level name
     assert positional > len(results) // 2
 
 
@@ -292,10 +311,10 @@ def test_a_node_of_another_language_is_a_type_error(show, node):
 
 
 def test_positional_names_keep_away_from_named_binders_below():
-    # a positional binder above a named one of its display name
-    t = FAbs("_0", FAbs("x", FVar("_0")))
+    # a nameless binder above a named one of its display name
+    t = FAbs("", FAbs("x", FVar(1)))
     assert show_fterm(t) == r"\x1. \x. x1"
     assert f_canonicalize(parse_fterm(show_fterm(t))) == f_canonicalize(t)
-    ty = TForall("_0", TForall("X", TVar("_0")))
+    ty = TForall("", TForall("X", TVar(1)))
     assert show_type(ty) == "forall X1. forall X. X1"
     assert type_canonicalize(parse_type(show_type(ty))) == type_canonicalize(ty)

@@ -94,7 +94,7 @@ def test_the_walk_passes_over_a_redex_free_subterm():
     redexes(t, reduction._TESTS)
     f = t.fun
     assert all(v._redexes is reduction._TESTS for v in _nodes(f))  # \y.y has no redex
-    u = step_at(t, Redex((1, 1, 1), "dist-left", 0), 0, reduction._RULES)
+    u = step_at(t, Redex((1, 1, 1), "dist-left", 0), reduction._RULES)
     assert u.fun is f  # the step shares \y.y, which the walk does not enter
     assert redexes(u, reduction._TESTS) == redexes(rebuild(u), reduction._TESTS)
     assert u._redexes[0] is reduction._TESTS

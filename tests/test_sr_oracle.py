@@ -7,8 +7,10 @@ maps the path through an abstraction with the binder core
 and compared the term at every node of the path and mapped the path
 through an abstraction with a multiset-matching alpha test of its own.
 It is frozen below with its ``_descend``, ``transfer_path`` and
-``alpha_eq_ren``, verbatim but for its name, ``reference_reduce_derivation``;
-it shares ``_focus`` and the systems' methods with the stepper it checks.
+``alpha_eq_ren``, verbatim but for its name, ``reference_reduce_derivation``,
+and for the level-named form of the terms that ``transfer_path`` reads,
+which canonical terms had before they held indices; it shares ``_focus``
+and the systems' methods with the stepper it checks.
 
 On every redex of the corpus derivations of seeds 1-3, additive and
 structured, taken bare and under one and two abstractions, and of
@@ -18,6 +20,7 @@ must build the same derivation or raise the same exception class."""
 from functools import lru_cache
 
 import pytest
+from level_names import levels
 
 from addlam.binders import Context, Redex, StaleRedex
 from addlam.corpus import generate_corpus
@@ -112,8 +115,9 @@ def _descend(core, r: Redex):
             "dist-left": (1, r.part),
             "sum-zero": (r.part,),
         }.get(r.rule, ())
+        named = levels(core.term)
         full = transfer_path(
-            core.term.body, p.term, rest + tail, {core.term.var: core.binder}
+            named.body, levels(p.term), rest + tail, {named.var: core.binder}
         )
         if tail:
             new_path, new_part = full[: len(full) - len(tail)], full[-1]

@@ -4,6 +4,7 @@ canonicalises the whole term."""
 import random
 
 import pytest
+from level_names import levels
 
 from addlam.corpus import generate_corpus, random_term
 from addlam.binders import Redex, subterm_at
@@ -100,9 +101,10 @@ def _contract(u: Term, r: Redex) -> Term:
 
 
 def reference_step(t: Term, r: Redex) -> Term:
-    """Contract with the raw capture-avoiding substitution, then
+    """Contract with the raw capture-avoiding substitution on the
+    level-named form of the canonical term, which has its paths, then
     canonicalise the whole rebuilt term once."""
-    t = canonicalize(t)
+    t = levels(canonicalize(t))
     return canonicalize(_replace_at(t, r.path, _contract(subterm_at(t, r.path), r)))
 
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from addlam.corpus import random_term
 from addlam.binders import free_vars, rebuild, subst
 from addlam.suites import _rename_binders, _shuffle_sums
@@ -38,7 +36,11 @@ def test_canonical_is_idempotent():
         assert canonicalize(c) is c
         copy = rebuild(c)
         assert copy is Zero or not copy._canonical
-        assert canonicalize(copy) == c
+        out = canonicalize(copy)
+        assert out == c
+        # the copy is marked when it is its own canonical form, and else it
+        # keeps the form its walk produced
+        assert copy._canonical is (True if out is copy else out)
 
 
 def test_sum_order_is_irrelevant():
@@ -85,12 +87,13 @@ def test_summands_of_a_non_sum_is_a_singleton():
     assert summands(Var("x")) == (Var("x"),)
 
 
-def test_a_free_positional_name_is_refused():
-    # _0 is the name the binder at depth 0 takes, so \x._0 would turn into
-    # the identity
-    with pytest.raises(ValueError, match="'_0'"):
-        canonicalize(Abs("x", Var("_0")))
-    assert canonicalize(Abs("x", Var("_a"))) == Abs("_0", Var("_a"))
+def test_a_free_name_of_the_old_positional_form_stays_free():
+    # _0 was the name the binder at depth 0 took, so \x._0 turned into the
+    # identity until such names were refused; a binder names no variable now
+    c = canonicalize(Abs("x", Var("_0")))
+    assert c == Abs("", Var("_0")) and c != canonicalize(Abs("x", Var("x")))
+    assert show_term(c) == r"\x. _0"
+    assert canonicalize(Abs("x", Var("_a"))) == Abs("", Var("_a"))
 
 
 def test_canonical_form_ignores_sum_order_and_binder_names():

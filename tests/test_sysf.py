@@ -91,11 +91,11 @@ def test_surjective_pairing_under_binders_does_not_capture():
     assert f_reducts(u) == {f_canonicalize(FAbs("x", FVar("x")))}
 
 
-def test_a_free_positional_name_is_refused():
-    # _0 is the name the binder at depth 0 takes, so \x._0 would turn into
-    # the identity
-    with pytest.raises(ValueError, match="'_0'"):
-        f_canonicalize(FAbs("x", FVar("_0")))
+def test_a_free_name_of_the_old_positional_form_stays_free():
+    # _0 was the name the binder at depth 0 took, so \x._0 turned into the
+    # identity until such names were refused; a binder names no variable now
+    c = f_canonicalize(FAbs("x", FVar("_0")))
+    assert c == FAbs("", FVar("_0")) and c != f_canonicalize(FAbs("x", FVar("x")))
 
 
 def test_a_stale_redex_is_refused_by_name():
@@ -128,13 +128,11 @@ def test_a_stale_redex_is_refused_by_name():
         FAbs("a", FPair(FVar("a"), FProjL(FPair(FVar("a"), Star)))))
 
 
-def test_a_free_positional_name_is_refused_where_the_axiom_names_it():
+def test_an_axiom_may_name_a_variable_of_the_old_positional_form():
     ctx = Context([("_0", FUnit)])
-    with pytest.raises(ValueError, match="'_0'"):
-        f_ax(ctx, "_0")
-    with pytest.raises(RuleViolation, match="'_0'") as e:
-        f_check(FDerivation("Ax", ctx, FVar("_0"), FUnit))
-    assert e.value.path == ()
+    d = f_ax(ctx, "_0")
+    assert d.term == FVar("_0")
+    f_check(FDerivation("Ax", ctx, FVar("_0"), FUnit))
 
 
 def test_checking_a_translation_canonicalises_nothing(monkeypatch):

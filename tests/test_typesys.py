@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from addlam.corpus import random_type
 from addlam.binders import Context, rebuild
 from addlam.typesys import (
@@ -48,13 +46,19 @@ def test_canonical_type_is_idempotent_on_random_types():
         assert type_canonicalize(c) is c
         copy = rebuild(c)
         assert copy is TZero or not copy._canonical
-        assert type_canonicalize(copy) == c
+        out = type_canonicalize(copy)
+        assert out == c
+        # the copy is marked when it is its own canonical form, and else it
+        # keeps the form its walk produced
+        assert copy._canonical is (True if out is copy else out)
 
 
-def test_a_free_positional_name_is_refused():
-    # the free _0 would be captured by the binder X once X is renamed _0
-    with pytest.raises(ValueError, match="'_0'"):
-        type_canonicalize(TForall("X", TArrow(TVar("_0"), X)))
+def test_a_free_name_of_the_old_positional_form_stays_free():
+    # the free _0 was captured by the binder X once X was renamed _0; a
+    # binder names no variable now
+    c = type_canonicalize(TForall("X", TArrow(TVar("_0"), X)))
+    assert c == TForall("", TArrow(TVar("_0"), TVar(0)))
+    assert c != type_canonicalize(TForall("X", TArrow(X, X)))
 
 
 def test_units_are_not_sums():

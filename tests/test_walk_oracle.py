@@ -6,7 +6,8 @@ each calculus's table for the test of each node's class.  Reference: the
 two walks before it, ``reduction._redexes`` and ``sysf._fredexes``, each
 a match on the node with its own recursion, frozen below under new names
 so that the oracle does not run the code it checks; the old F-walk gave
-(path, rule) pairs.
+(path, rule) pairs and read binder names, so it reads the level-named
+form of each F-term.
 
 The new walk must return the same redexes as a tuple, in the same order:
 ``check_sn`` explores the reducts of an atom in the order of its redexes,
@@ -25,6 +26,7 @@ from addlam.binders import Redex, free_vars
 from addlam.corpus import generate_corpus, random_term
 from addlam.syntax import Abs, App, Sum, Term, Zero, is_value
 from addlam.sysf import FAbs, FApp, FPair, FProjL, FProjR, FTerm, FVar
+from level_names import levels
 from test_fstep_oracle import HAND_WRITTEN, visited
 from test_sn_oracle import chain, wide
 
@@ -132,7 +134,8 @@ def test_the_walk_keeps_the_order_on_every_f_term_the_searches_expand(monkeypatc
     found = []
     for t in terms:
         out = sysf.redexes(t, sysf._TESTS)
-        assert out == tuple(Redex(path, rule) for path, rule in reference_fredexes(t)), t
+        want = reference_fredexes(levels(t))
+        assert out == tuple(Redex(path, rule) for path, rule in want), t
         found.extend(out)
     assert sum(len(sysf.redexes(t, sysf._TESTS)) > 1 for t in terms) > 250
     assert {r.rule for r in found} == set(sysf._RULES)
