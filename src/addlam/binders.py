@@ -177,6 +177,18 @@ def free_vars(t: Node) -> frozenset:
 # --- printing ------------------------------------------------------------------
 
 
+def names(t: Node) -> set:
+    """Every name written in t: each variable's name (an index in a
+    canonical node) and each binder's (empty when nameless)."""
+    out, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if u._role in (_VAR, _BINDER):
+            out.add(u.var if u._role == _BINDER else u.name)
+        todo.extend(u._kids())
+    return out
+
+
 def show(t: Node, forms: dict, letters: str) -> str:
     """t as text in its language's concrete syntax.  ``forms`` maps each
     node class of the language to its form, read by the class's role:
@@ -197,16 +209,11 @@ def show(t: Node, forms: dict, letters: str) -> str:
     its binder's name.  Each depth gets one display name, and every name
     prints as written.  A node of another language raises TypeError, and
     an index past the root of t raises ValueError."""
-    used, todo = set(), [t]
-    while todo:
-        u = todo.pop()
-        if u._role in (_VAR, _BINDER):
-            used.add(u.var if u._role == _BINDER else u.name)
-        todo.extend(u._kids())
+    used = names(t)
     shown: dict[int, str] = {}
 
-    def go(u: Node, level: int, names: tuple[str, ...]) -> str:
-        # names: the display names of the binders above u, outermost first
+    def go(u: Node, level: int, above: tuple[str, ...]) -> str:
+        # above: the display names of the binders above u, outermost first
         try:
             form = forms[u.__class__]
         except KeyError:
@@ -216,27 +223,27 @@ def show(t: Node, forms: dict, letters: str) -> str:
             x = u.name
             if x.__class__ is not int:
                 return x
-            if x >= len(names):
+            if x >= len(above):
                 raise ValueError(f"index {x} points past the root of the printed node")
-            return names[-1 - x]
+            return above[-1 - x]
         if role == _CONST:
             return form
         if role == _BINDER:
             nm = u.var
             if not nm:
-                d = len(names)
+                d = len(above)
                 nm = shown.get(d)
                 if nm is None:
                     nm = shown[d] = fresh_name(letters[d % len(letters)], used)
                     used.add(nm)
-            s = f"{form}{nm}. {go(u.body, 0, (*names, nm))}"
+            s = f"{form}{nm}. {go(u.body, 0, (*above, nm))}"
             return f"({s})" if level > 0 else s
         if role == _SUM:
             own, sep, inner = form
-            s = sep.join([go(p, inner, names) for p in u.parts])
+            s = sep.join([go(p, inner, above) for p in u.parts])
         else:
             own, template, inner = form
-            s = template.format(*[go(c, lv, names) for c, lv in zip(u._kids(), inner)])
+            s = template.format(*[go(c, lv, above) for c, lv in zip(u._kids(), inner)])
         return f"({s})" if level > own else s
 
     return go(t, 0, ())
@@ -332,19 +339,23 @@ class System:
     derivation nodes of one class.  A subclass supplies ``eq``, the
     equality of its types, and ``rules``, which maps each rule to (premise
     count, fields, build): the fields a node of that rule must carry
-    besides its premises, and ``build(n, ctx, *premises)``, the rule's
-    constructor applied to n's fields, the premises and, for an axiom, ctx.
-    Each typing rule is defined once, by its constructor: a node is valid
-    when its constructor rebuilds it (``check_derivation``)."""
+    besides its premises, and ``build(s, n, ctx, *premises)``, the rule's
+    constructor in system s applied to n's fields, the premises and, for
+    an axiom, ctx.  Each typing rule is defined once, by its constructor:
+    a node is valid when its constructor rebuilds it
+    (``check_derivation``), and the table is the one place that knows a
+    rule's fields, so a node of one system rebuilds in another that has
+    its rule (``rebuild``)."""
 
     def __init__(self, cls: type):
         self.cls = cls
         cls.system = self  # so the kernel finds the system from a node
 
     def rebuild(self, n, premises, ctx: Context | None = None):
-        """n built by its rule's constructor over premises, with ctx in
-        place of n's context where the rule reads one (an axiom)."""
-        return self.rules[n.rule][2](n, n.ctx if ctx is None else ctx, *premises)
+        """n built by its rule's constructor in this system over premises,
+        with ctx in place of n's context where the rule reads one (an
+        axiom); n may be a node of any system."""
+        return self.rules[n.rule][2](self, n, n.ctx if ctx is None else ctx, *premises)
 
 
 @dataclass(frozen=True)

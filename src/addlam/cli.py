@@ -193,11 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("name", choices=SUITES)
     ps.add_argument("--format", choices=("text", "json"), default="text")
     positive = _count(1, "must be a positive number")
-    ps.add_argument("--budget", type=positive, default=None)
+    ps.add_argument("--budget", type=positive, default=None,
+                    help="search bound of sn, trans-red and epsilon; the other suites ignore it")
     # a string default is converted like an argument, and only when suite
     # runs, so a bad ADDLAM_SEED is a bad argument of suite alone
     ps.add_argument("--seed", type=int, default=os.environ.get("ADDLAM_SEED", "1"))
-    ps.add_argument("--cases", type=positive, default=10000)
+    ps.add_argument("--cases", type=positive, default=10000,
+                    help="random cases drawn by ac and equiv; the other suites ignore it")
     ps.add_argument("--count", type=positive, default=500,
                     help="additive derivations in the corpus, its 10 fixed ones included "
                          "(so at least 10); the structured part has max(60, COUNT // 5)")

@@ -30,6 +30,7 @@ from .binders import (
     check_derivation,
     free_vars,
     fresh_name,
+    names,
     open_binder,
     refuse,
     sort_key,
@@ -96,7 +97,9 @@ def _map_key(m) -> tuple:
 class SourceSystem(System):
     """One presentation of the source type system.  The node constructors
     below validate one node, assuming valid premises, and are shared; the
-    rule table names them.  A subclass supplies what differs:
+    rule table names them, so ``rebuild`` makes a node of either
+    presentation again in the other (the conversions of ``structured.py``
+    add only what differs).  A subclass supplies what differs:
 
     * the ``equiv`` rule, if it has one, and ``unit_hypotheses`` (must an
       axiom's hypothesis be a unit type);
@@ -117,14 +120,14 @@ class SourceSystem(System):
 
     unit_hypotheses = False
     rules = {
-        "ax": (0, (), lambda n, ctx: n.system.ax(ctx, var_name(n.term))),
-        "ax0": (0, (), lambda n, ctx: n.system.ax0(ctx)),
-        "arrI": (1, ("binder",), lambda n, ctx, p: n.system.arr_i(p, n.binder)),
-        "plusI": (2, (), lambda n, ctx, p1, p2: n.system.plus_i(p1, p2)),
-        "forallI": (1, ("binder",), lambda n, ctx, p: n.system.forall_i(p, n.binder)),
-        "forallE": (1, ("inst_ty",), lambda n, ctx, p: n.system.forall_e(p, n.inst_ty)),
-        "arrE": (2, ("arr_u", "arr_ts", "arr_vs", "arr_xs"), lambda n, ctx, p1, p2:
-                 n.system.arr_e(p1, p2, n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs)),
+        "ax": (0, (), lambda s, n, ctx: s.ax(ctx, var_name(n.term))),
+        "ax0": (0, (), lambda s, n, ctx: s.ax0(ctx)),
+        "arrI": (1, ("binder",), lambda s, n, ctx, p: s.arr_i(p, n.binder)),
+        "plusI": (2, (), lambda s, n, ctx, p1, p2: s.plus_i(p1, p2)),
+        "forallI": (1, ("binder",), lambda s, n, ctx, p: s.forall_i(p, n.binder)),
+        "forallE": (1, ("inst_ty",), lambda s, n, ctx, p: s.forall_e(p, n.inst_ty)),
+        "arrE": (2, ("arr_u", "arr_ts", "arr_vs", "arr_xs"), lambda s, n, ctx, p1, p2:
+                 s.arr_e(p1, p2, n.arr_u, n.arr_ts, n.arr_vs, n.arr_xs)),
     }
 
     def __init__(self, cls: type):
@@ -229,7 +232,7 @@ class AdditiveSystem(SourceSystem):
     """Types compared up to equivalence; an ``equiv`` node retypes."""
 
     rules = {**SourceSystem.rules,
-             "equiv": (1, (), lambda n, ctx, p: n.system.retype(p, n.ty))}
+             "equiv": (1, (), lambda s, n, ctx, p: s.retype(p, n.ty))}
     norm = staticmethod(type_canonicalize)
     eq = staticmethod(type_equiv)
     subst = staticmethod(type_subst)
@@ -439,68 +442,40 @@ def elaborate(a: ATerm, ctx: Context, loc: str = "term") -> AddDerivation:
 
 def strip_wrappers(d: Derivation):
     """Peel equiv/forallI/forallE nodes; returns (core, wrappers) with
-    wrappers listed root-first."""
+    the wrapper nodes listed root-first."""
     wrappers = []
     while d.rule in ("equiv", "forallI", "forallE"):
-        if d.rule == "equiv":
-            wrappers.append(("equiv", d.ty))
-        elif d.rule == "forallI":
-            wrappers.append(("forallI", d.binder))
-        else:
-            wrappers.append(("forallE", d.inst_ty))
+        wrappers.append(d)
         d = d.premises[0]
     return d, wrappers
 
 
 def reapply_wrappers(d: Derivation, wrappers) -> Derivation:
+    """The wrapper nodes of ``strip_wrappers`` rebuilt over d."""
     system = d.system
-    for kind, w in reversed(wrappers):
-        if kind == "equiv":
-            d = system.retype(d, w)
-        elif kind == "forallI":
-            d = system.forall_i(d, w)
-        else:
-            d = system.forall_e(d, w)
+    for w in reversed(wrappers):
+        d = system.rebuild(w, (d,))
     return d
 
 
 def _all_tvars(d: Derivation) -> set[str]:
+    """Every type variable name written in d, free or bound, its
+    generalised and witness variables included."""
     out: set[str] = set()
     wit_values = d.system.wit_values
-
-    def tyvars(t: Type | None):
-        if t is None:
-            return
-        match t:
-            case TVar(x):
-                out.add(x)
-            case TArrow(a, b):
-                tyvars(a), tyvars(b)
-            case TForall(x, b):
-                out.add(x)
-                tyvars(b)
-            case TSum(ps):
-                for p in ps:
-                    tyvars(p)
-
-    def walk(n: Derivation):
-        tyvars(n.ty)
-        for _, v in n.ctx.items():
-            tyvars(v)
-        tyvars(n.inst_ty)
-        tyvars(n.arr_u)
-        for t in wit_values(n.arr_ts or ()):
-            tyvars(t)
-        for vec in wit_values(n.arr_vs or ()):
-            for v in vec:
-                tyvars(v)
+    todo = [d]
+    while todo:
+        n = todo.pop()
+        todo.extend(n.premises)
+        tys = [n.ty, n.inst_ty, n.arr_u, *(v for _, v in n.ctx.items())]
+        tys += wit_values(n.arr_ts or ())
+        tys += [v for vec in wit_values(n.arr_vs or ()) for v in vec]
+        for t in tys:
+            if t is not None:
+                out |= names(t)
         if n.rule == "forallI":
             out.add(n.binder)
         out.update(n.arr_xs or ())
-        for p in n.premises:
-            walk(p)
-
-    walk(d)
     return out
 
 
@@ -660,10 +635,7 @@ def decompose_sum(d: AddDerivation) -> list[AddDerivation]:
                 "quantifier rule over a sum without a unique non-zero component"
             )
         k = live[0]
-        if d.rule == "forallI":
-            ps[k] = forall_i(ps[k], d.binder)
-        else:
-            ps[k] = forall_e(ps[k], d.inst_ty)
+        ps[k] = d.system.rebuild(d, (ps[k],))
     else:
         raise UnsupportedDerivationShape(f"rule {d.rule} concludes a sum")
     ps.sort(key=lambda p: sort_key(p.term))
@@ -695,15 +667,13 @@ def _beta_subst_plan(wrappers, xs, vec) -> list[tuple[str, Type]]:
             raise UnsupportedDerivationShape("instantiation would capture a pending generalisation")
         subs.append((x0, v))
 
-    for kind, w in reversed(wrappers):  # abstraction-to-application order
-        if kind == "equiv":
-            continue
-        if kind == "forallI":
-            if w in binders:
+    for w in reversed(wrappers):  # abstraction-to-application order
+        if w.rule == "forallI":
+            if w.binder in binders:
                 raise UnsupportedDerivationShape("repeated generalisation binder")
-            binders.insert(0, w)
-        else:
-            pop(w)
+            binders.insert(0, w.binder)
+        elif w.rule == "forallE":
+            pop(w.inst_ty)
     if len(binders) != len(xs) or len(vec) != len(xs):
         raise UnsupportedDerivationShape("generalisation arity differs from the witness")
     for v in vec:
@@ -768,7 +738,7 @@ def _descend(core: Derivation, r: Redex) -> Derivation:
     if core.rule == "arrE":
         ps = list(core.premises)
         ps[head] = _reduce(ps[head], Redex(rest, r.rule, r.part))
-        return system.arr_e(ps[0], ps[1], core.arr_u, core.arr_ts, core.arr_vs, core.arr_xs)
+        return system.rebuild(core, ps)
     if core.rule == "arrI":
         # the premise's term is the body before it moved under the binder,
         # so the path and the summand a rule splits off are mapped back
@@ -781,7 +751,7 @@ def _descend(core: Derivation, r: Redex) -> Derivation:
         full = body_path(core.term, p.term, core.binder, rest + tail)
         new_path = full[: len(full) - len(tail)]
         sub = _reduce(p, Redex(new_path, r.rule, full[-1] if tail else None))
-        return system.arr_i(sub, core.binder)
+        return system.rebuild(core, (sub,))
     if core.rule == "plusI":
         return system.descend_sum(
             core, head, lambda piece: _reduce(piece, Redex(rest, r.rule, r.part))

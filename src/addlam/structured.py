@@ -15,18 +15,13 @@ from dataclasses import dataclass
 
 from .binders import Redex, RuleViolation, check_derivation, free_vars, open_binder, refuse
 from .derivation import (
+    ADD,
     AddDerivation,
     Derivation,
     SourceSystem,
     UnsupportedDerivationShape,
     arr_e,
-    arr_i,
-    ax,
-    ax0,
     forall_close,
-    forall_i,
-    forall_e,
-    plus_i,
     reduce_derivation,
 )
 from .syntax import Sum, canonicalize, summands
@@ -265,25 +260,16 @@ def add_to_sadd(d: AddDerivation) -> SaddDerivation:
     if d.rule == "equiv":
         return add_to_sadd(d.premises[0])
     ps = [add_to_sadd(p) for p in d.premises]
-    raw_ctx = d.ctx.map_types(to_raw)
+    if d.rule not in SADD.rules:
+        raise ConversionFailure(f"unknown rule {d.rule!r}")
     try:
-        if d.rule == "ax":
-            return sax(raw_ctx, d.term.name)
-        if d.rule == "ax0":
-            return sax0(raw_ctx)
-        if d.rule == "arrI":
-            return sarr_i(ps[0], d.binder)
-        if d.rule == "plusI":
-            return splus_i(ps[0], ps[1])
-        if d.rule == "forallI":
-            return sforall_i(ps[0], d.binder)
         if d.rule == "forallE":
             return sforall_e(ps[0], to_raw(d.inst_ty))
         if d.rule == "arrE":
             return struct_arr_e(*ps, *_sadd_witness(d, *ps))
+        return SADD.rebuild(d, ps, d.ctx.map_types(to_raw))
     except RuleViolation as e:
         raise ConversionFailure(e.message)
-    raise ConversionFailure(f"unknown rule {d.rule!r}")
 
 
 def _sadd_witness(d: AddDerivation, p1: SaddDerivation, p2: SaddDerivation):
@@ -319,28 +305,12 @@ def _sadd_witness(d: AddDerivation, p1: SaddDerivation, p2: SaddDerivation):
 
 def sadd_to_add(d: SaddDerivation) -> AddDerivation:
     """Read a structured derivation back as an ordinary one; total."""
-    ctx = d.ctx.map_types(type_canonicalize)
-    if d.rule == "ax":
-        return ax(ctx, d.term.name)
-    if d.rule == "ax0":
-        return ax0(ctx)
-    if d.rule == "arrI":
-        return arr_i(sadd_to_add(d.premises[0]), d.binder)
-    if d.rule == "plusI":
-        return plus_i(sadd_to_add(d.premises[0]), sadd_to_add(d.premises[1]))
-    if d.rule == "forallI":
-        return forall_i(sadd_to_add(d.premises[0]), d.binder)
-    if d.rule == "forallE":
-        return forall_e(sadd_to_add(d.premises[0]), d.inst_ty)
+    if d.rule not in SADD.rules:
+        raise ConversionFailure(f"unknown rule {d.rule!r}")
+    ps = [sadd_to_add(p) for p in d.premises]
     if d.rule == "arrE":
-        ts = dict(d.arr_ts)
-        vs = dict(d.arr_vs)
-        return arr_e(
-            sadd_to_add(d.premises[0]),
-            sadd_to_add(d.premises[1]),
-            d.arr_u,
-            tuple(ts[w] for w in sorted(ts)),
-            tuple(vs[v] for v in sorted(vs)),
-            d.arr_xs,
-        )
-    raise ConversionFailure(f"unknown rule {d.rule!r}")
+        # the additive witnesses are the structured ones' values in
+        # address order
+        ts, vs = (tuple(v for _, v in sorted(dict(m).items())) for m in (d.arr_ts, d.arr_vs))
+        return arr_e(*ps, d.arr_u, ts, vs, d.arr_xs)
+    return ADD.rebuild(d, ps, d.ctx.map_types(type_canonicalize))

@@ -339,15 +339,15 @@ class FSystem(System):
 
     eq = staticmethod(f_type_alpha_eq)
     rules = {
-        "Ax": (0, (), lambda n, ctx: f_ax(ctx, var_name(n.term))),
-        "UnitI": (0, (), lambda n, ctx: f_unit_i(ctx)),
-        "ArrI": (1, ("binder",), lambda n, ctx, p: f_arr_i(p, n.binder)),
-        "ArrE": (2, (), lambda n, ctx, p1, p2: f_arr_e(p1, p2)),
-        "ProdI": (2, (), lambda n, ctx, p1, p2: f_prod_i(p1, p2)),
-        "ProdEl": (1, (), lambda n, ctx, p: f_proj_l(p)),
-        "ProdEr": (1, (), lambda n, ctx, p: f_proj_r(p)),
-        "ForallI": (1, ("binder",), lambda n, ctx, p: f_forall_i(p, n.binder)),
-        "ForallE": (1, ("inst_ty",), lambda n, ctx, p: f_forall_e(p, n.inst_ty)),
+        "Ax": (0, (), lambda s, n, ctx: f_ax(ctx, var_name(n.term))),
+        "UnitI": (0, (), lambda s, n, ctx: f_unit_i(ctx)),
+        "ArrI": (1, ("binder",), lambda s, n, ctx, p: f_arr_i(p, n.binder)),
+        "ArrE": (2, (), lambda s, n, ctx, p1, p2: f_arr_e(p1, p2)),
+        "ProdI": (2, (), lambda s, n, ctx, p1, p2: f_prod_i(p1, p2)),
+        "ProdEl": (1, (), lambda s, n, ctx, p: f_proj_l(p)),
+        "ProdEr": (1, (), lambda s, n, ctx, p: f_proj_r(p)),
+        "ForallI": (1, ("binder",), lambda s, n, ctx, p: f_forall_i(p, n.binder)),
+        "ForallE": (1, ("inst_ty",), lambda s, n, ctx, p: f_forall_e(p, n.inst_ty)),
     }
 
 

@@ -127,7 +127,8 @@ def type_subst(t: Type, x: str, u: Type) -> Type:
 
 
 def type_subst_vec(t: Type, xs, us) -> Type:
-    """Sequential (left-to-right) vector substitution; result canonical."""
+    """Simultaneous vector substitution, as ``raw_subst_vec``; result
+    canonical.  ``type_subst_vec(X -> Y, (X, Y), (Y, X))`` is ``Y -> X``."""
     return type_canonicalize(raw_subst_vec(t, xs, us))
 
 

@@ -220,6 +220,15 @@ def test_flags_nothing_reads_are_rejected(argv):
     assert e.value.code == 2
 
 
+def test_suite_help_says_which_suites_read_budget_and_cases(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["suite", "--help"])
+    assert e.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--budget BUDGET search bound of sn, trans-red and epsilon" in out
+    assert "--cases CASES random cases drawn by ac and equiv" in out
+
+
 def test_fuel_budget_and_seed_where_they_are_read(capsys):
     code, out, _ = run(capsys, "reduce", "--fuel", "3", r"(\x. x) y")
     assert code == 0 and out.strip().splitlines()[-1] == "y"

@@ -200,6 +200,18 @@ def test_weakening_adds_an_unused_hypothesis():
     assert w.term == d.term
 
 
+def test_weakening_renames_a_generalisation_away_from_every_type_name():
+    # X collides with the new hypothesis' type, and X1, its first fresh
+    # name, is free in the context, so the binder becomes X2
+    ctx = Context((("c", TVar("X1")),))
+    d = forall_i(_ident(ctx), "X")
+    w = weaken(d, "h", X)
+    check_add(w)
+    assert w.rule == "forallI" and w.binder == "X2"
+    assert w.ctx == ctx.extend("h", X)
+    assert w.ty == d.ty
+
+
 def test_substitution_of_a_value_for_a_hypothesis():
     ctx = Context((("a", X),))
     body = ax(ctx.extend("x", X), "x")

@@ -5,16 +5,22 @@ import pytest
 from addlam.binders import Context, Redex, StaleRedex
 from addlam.corpus import (
     BASE_CTX,
+    _simple_fixtures,
     example_pair_tree,
     example_struct_elim,
     generate_corpus,
 )
 from addlam.derivation import (
+    ADD,
+    AddDerivation,
     RuleViolation,
     UnsupportedDerivationShape,
     ax,
     ax0,
+    check_add,
     plus_i,
+    reapply_wrappers,
+    strip_wrappers,
     subst_derivation,
     weaken,
 )
@@ -134,6 +140,48 @@ def test_conversion_round_trip_preserves_the_sequent():
         back = add_to_sadd(d)
         check_sadd(back)
         assert type_equiv(back.ty, sd.ty)
+
+
+def test_conversions_cover_every_rule_both_ways():
+    """The additive fixtures go to the structured system and back, and the
+    structured examples the other way round.  Every rule of the structured
+    system is converted both ways (no structured corpus has a forallE
+    node; the fixtures do), and each conversion keeps the term and an
+    equivalent type."""
+    check = {AddDerivation: check_add, SaddDerivation: check_sadd}
+    converted = {AddDerivation: set(), SaddDerivation: set()}
+    runs = [(add_to_sadd, sadd_to_add, d) for d in _simple_fixtures(BASE_CTX)]
+    runs += [(sadd_to_add, add_to_sadd, sd) for sd in (example_pair_tree(), example_struct_elim())]
+    for there, back, d in runs:
+        mid = there(d)
+        for a, b in ((d, mid), (mid, back(mid))):
+            check[type(b)](b)
+            assert canonicalize(a.term) == canonicalize(b.term)
+            assert type_equiv(a.ty, b.ty)
+            converted[type(b)].update(n.rule for _, n in nodes(b))
+    assert converted[AddDerivation] == converted[SaddDerivation] == set(SADD.rules)
+
+
+def test_wrappers_strip_and_reapply_to_the_same_derivation():
+    """Chains of forallI and forallE over an abstraction, in both systems:
+    reapplying the stripped wrapper nodes gives the derivation back.  An
+    equiv node is fused by the retyping that rebuilds it."""
+    z, w = TVar("Z"), TVar("W")
+    chains = []
+    for s in (ADD, SADD):
+        poly = s.forall_i(s.arr_i(s.ax(BASE_CTX.extend("x", z), "x"), "x"), "Z")
+        inst = s.forall_e(s.forall_i(s.forall_e(poly, w), "W"), X)
+        chains += [poly, s.forall_e(poly, Y), inst]
+    for d in chains:
+        core, wrappers = strip_wrappers(d)
+        assert core.rule == "arrI" and wrappers and wrappers[0] is d
+        assert reapply_wrappers(core, wrappers) == d
+    d = chains[2]
+    fused = AddDerivation("equiv", d.ctx, d.term, d.ty, (d,))
+    check_add(fused)
+    core, wrappers = strip_wrappers(fused)
+    assert [n.rule for n in wrappers] == ["equiv", "forallE", "forallI", "forallE", "forallI"]
+    assert reapply_wrappers(core, wrappers) == d
 
 
 def test_stepping_preserves_the_rigid_type():

@@ -14,6 +14,7 @@ from addlam.typesys import (
     raw_alpha_eq,
     raw_subst_vec,
     to_raw,
+    type_subst_vec,
     type_canonicalize,
     type_equiv,
     type_subst,
@@ -101,6 +102,7 @@ def test_vector_substitution_is_simultaneous():
     assert type_equiv(r, t)
     u = raw_subst_vec(TArrow(X, Y), ("X", "Y"), (Y, TArrow(X, X)))
     assert raw_alpha_eq(u, TArrow(Y, TArrow(X, X)))
+    assert type_subst_vec(TArrow(X, Y), ("X", "Y"), (Y, X)) == type_canonicalize(TArrow(Y, X))
 
 
 def test_to_raw_binarizes_nested_sums():
