@@ -9,13 +9,13 @@ from dataclasses import dataclass
 
 from .binders import Context
 from .derivation import (
+    ADD,
     AddDerivation,
     arr_e,
     arr_i,
     ax,
     ax0,
     check_add,
-    equiv,
     forall_e,
     forall_i,
     plus_i,
@@ -289,7 +289,7 @@ def _simple_fixtures(ctx: Context) -> list[AddDerivation]:
         ax0(ctx),
         plus_i(d_a, d_b),
         plus_i(d_a, ax0(ctx)),  # a summand that vanishes under equivalence
-        equiv(plus_i(d_a, ax0(ctx)), TX),
+        ADD.retype(plus_i(d_a, ax0(ctx)), TX),  # the same derivation at X
         ident,
         poly,
         forall_e(poly, TY),

@@ -4,8 +4,10 @@ reduction (substitution lemmas, one-step reduction of derivations).
 
 The paper presents one type system twice: the additive system here,
 typed up to type equivalence, and the structured system of
-``structured.py``, whose sum types are rigid binary trees.  The
-transformations are written once.  Each derivation class names its
+``structured.py``, whose sum types are rigid binary trees.  Type
+equivalence is the canonical form of ``typesys``: every additive
+constructor concludes the canonical representative, so no rule retypes.
+The transformations are written once.  Each derivation class names its
 ``SourceSystem``, and the members of the two instances are the only
 places where the presentations differ.
 
@@ -101,12 +103,11 @@ class SourceSystem(System):
     presentation again in the other (the conversions of ``structured.py``
     add only what differs).  A subclass supplies what differs:
 
-    * the ``equiv`` rule, if it has one, and ``unit_hypotheses`` (must an
-      axiom's hypothesis be a unit type);
+    * ``unit_hypotheses``: must an axiom's hypothesis be a unit type;
     * ``norm``, ``eq``, ``subst``: normal form, equality and unit
       substitution of types (an instantiation opens the quantifier's body
-      and takes its normal form);
-    * ``retype(d, ty)``: d re-derived at an equal type ``ty``;
+      and takes its normal form); ``retype`` keeps a derivation at any
+      type ``eq`` to its own;
     * ``fail(msg)``: reject the premises of a transformation;
     * ``wit_values``/``wit_map``: read and rewrite an ``arrE`` witness map;
     * ``app_witness``: check application premise types against the
@@ -145,6 +146,13 @@ class SourceSystem(System):
         except KeyError:
             out = self._witnesses[key] = self.app_witness(fun_ty, arg_ty, u, ts, vs, xs)
             return out
+
+    def retype(self, d, ty: Type):
+        """d itself, as a derivation of the type ``ty``, which must be equal
+        to d's in this system; ``fail`` otherwise."""
+        if not self.eq(d.ty, ty):
+            self.fail(f"cannot retype {show_type(d.ty)} as {show_type(ty)}")
+        return d
 
     def ax(self, ctx: Context, name: str):
         u = ctx.get(name)
@@ -217,38 +225,18 @@ class Derivation(DerivationNode):
 @dataclass(frozen=True)
 class AddDerivation(Derivation):
     """A derivation of the additive system: types are canonical and
-    ``arr_ts``/``arr_vs`` list T_i (alpha of them) and V vectors (beta)."""
-
-    @property
-    def alpha(self) -> int:
-        return len(self.arr_ts) if self.arr_ts is not None else 0
-
-    @property
-    def beta(self) -> int:
-        return len(self.arr_vs) if self.arr_vs is not None else 0
+    ``arr_ts``/``arr_vs`` list the T_i and the V vectors."""
 
 
 class AdditiveSystem(SourceSystem):
-    """Types compared up to equivalence; an ``equiv`` node retypes."""
+    """Types compared up to equivalence, that is, by canonical form."""
 
-    rules = {**SourceSystem.rules,
-             "equiv": (1, (), lambda s, n, ctx, p: s.retype(p, n.ty))}
     norm = staticmethod(type_canonicalize)
     eq = staticmethod(type_equiv)
     subst = staticmethod(type_subst)
 
     def fail(self, msg: str):
         refuse(msg)
-
-    def retype(self, d: AddDerivation, ty: Type) -> AddDerivation:
-        ty = type_canonicalize(ty)
-        if not type_equiv(d.ty, ty):
-            refuse(f"equiv between inequivalent types {show_type(d.ty)} and {show_type(ty)}")
-        if d.rule == "equiv":  # fuse consecutive equivalence nodes
-            d = d.premises[0]
-        if d.ty == ty:
-            return d
-        return AddDerivation("equiv", d.ctx, d.term, ty, (d,))
 
     def wit_values(self, m):
         return m
@@ -277,7 +265,7 @@ class AdditiveSystem(SourceSystem):
         return u, ts, vs, res
 
     def beta_vector(self, core: AddDerivation):
-        return core.arr_vs[0] if core.alpha == 1 and core.beta == 1 else None
+        return core.arr_vs[0] if len(core.arr_ts) == 1 and len(core.arr_vs) == 1 else None
 
     def focus_dist(self, core: AddDerivation, part: int, side: int) -> AddDerivation:
         prem, other = core.premises[side], core.premises[1 - side]
@@ -311,7 +299,6 @@ class AdditiveSystem(SourceSystem):
 ADD = AdditiveSystem(AddDerivation)
 ax = ADD.ax
 ax0 = ADD.ax0
-equiv = ADD.retype
 arr_i = ADD.arr_i
 plus_i = ADD.plus_i
 forall_i = ADD.forall_i
@@ -441,10 +428,10 @@ def elaborate(a: ATerm, ctx: Context, loc: str = "term") -> AddDerivation:
 
 
 def strip_wrappers(d: Derivation):
-    """Peel equiv/forallI/forallE nodes; returns (core, wrappers) with
-    the wrapper nodes listed root-first."""
+    """Peel forallI/forallE nodes; returns (core, wrappers) with the
+    wrapper nodes listed root-first."""
     wrappers = []
-    while d.rule in ("equiv", "forallI", "forallE"):
+    while d.rule in ("forallI", "forallE"):
         wrappers.append(d)
         d = d.premises[0]
     return d, wrappers
@@ -545,8 +532,6 @@ def type_subst_derivation(d: Derivation, x: str, u: Type) -> Derivation:
     def go(n: Derivation) -> Derivation:
         if not n.premises:
             return system.rebuild(n, (), n.ctx.map_types(sub))
-        if n.rule == "equiv":
-            return system.retype(go(n.premises[0]), sub(n.ty))
         if n.rule == "forallI":
             p, b = n.premises[0], n.binder
             if b == x:
@@ -623,8 +608,6 @@ def decompose_sum(d: AddDerivation) -> list[AddDerivation]:
     component, listed in component order."""
     if not isinstance(canonicalize(d.term), Sum):
         return [d]
-    if d.rule == "equiv":
-        return decompose_sum(d.premises[0])
     if d.rule == "plusI":
         ps = decompose_sum(d.premises[0]) + decompose_sum(d.premises[1])
     elif d.rule in ("forallI", "forallE"):
@@ -784,6 +767,5 @@ def reduce_derivation(d: Derivation, r: Redex) -> Derivation:
 
 
 def step_derivation(d: AddDerivation, r: Redex) -> AddDerivation:
-    """Subject reduction in the additive system; the result may insert
-    equiv nodes to keep the type."""
+    """Subject reduction in the additive system."""
     return reduce_derivation(d, r)

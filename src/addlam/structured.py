@@ -4,10 +4,10 @@ instead of reasoning up to equivalence.  A rigid type is its own tree:
 a binary ``TSum`` is a node, ``TZero`` a zero leaf and a unit type a
 labelled leaf, and ``fold_tree`` is the one walk over that shape.
 The rules are the node constructors of ``derivation.SourceSystem`` run
-with the ``StructuredSystem`` below, which has no ``equiv`` rule.  A node
-is valid when its constructor rebuilds it: checking is the derivation
-kernel of ``binders.py``, and the derivation transformations are those of
-``derivation.py``."""
+with the ``StructuredSystem`` below, whose types are equal only up to the
+renaming of bound variables.  A node is valid when its constructor
+rebuilds it: checking is the derivation kernel of ``binders.py``, and the
+derivation transformations are those of ``derivation.py``."""
 
 from __future__ import annotations
 
@@ -148,7 +148,7 @@ def _s_replace_piece(n: SaddDerivation, target, rank: int, fn) -> SaddDerivation
 
 
 class StructuredSystem(SourceSystem):
-    """Rigid types up to bound renaming and no equivalence rule: a
+    """Rigid types up to bound renaming and no equivalence: a
     transformation that would change a type is refused."""
 
     unit_hypotheses = True
@@ -161,13 +161,6 @@ class StructuredSystem(SourceSystem):
 
     def fail(self, msg: str):
         raise UnsupportedDerivationShape(msg)
-
-    def retype(self, d: SaddDerivation, ty: Type) -> SaddDerivation:
-        if not raw_alpha_eq(d.ty, ty):
-            raise UnsupportedDerivationShape(
-                f"the rigid type {show_type(ty)} would become {show_type(d.ty)}"
-            )
-        return d
 
     def wit_values(self, m):
         return [v for _, v in m]
@@ -257,8 +250,6 @@ def add_to_sadd(d: AddDerivation) -> SaddDerivation:
     whose types only fit their rule up to equivalence have no direct
     counterpart and raise ConversionFailure, with the message of the
     structured rule that refuses them."""
-    if d.rule == "equiv":
-        return add_to_sadd(d.premises[0])
     ps = [add_to_sadd(p) for p in d.premises]
     if d.rule not in SADD.rules:
         raise ConversionFailure(f"unknown rule {d.rule!r}")

@@ -1,9 +1,13 @@
 """Command-line interface: commands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import addlam
 from addlam.binders import canonical
 from addlam.cli import main
 from addlam.corpus import generate_corpus
@@ -61,6 +65,15 @@ def test_check_uses_the_context(capsys):
     assert ": X" in out
     code, _, err = run(capsys, "check", r"(\x: X. x) a")
     assert code == 1
+
+
+def test_check_reads_a_witness_over_two_generalised_variables(capsys):
+    code, out, _ = run(
+        capsys, "check", "--ctx", "a: X, b: Y",
+        r"(gen Z. gen W. \x: Z. \y: W. x) a {Z | W -> Z | [X, Y] | Z, W}",
+    )
+    assert code == 0
+    assert out.strip() == r"ok: (\x. \y. x) a : Y -> X"
 
 
 def test_translate_emits_the_pair_calculus(capsys):
@@ -123,6 +136,27 @@ def test_reverse_term_and_undefined(capsys):
     assert code == 0 and out.strip() == "f u"
     code, out, _ = run(capsys, "reverse", "proj_l x")
     assert code == 0 and out.strip() == "undefined"
+
+
+def test_reverse_a_type(capsys):
+    code, out, _ = run(capsys, "reverse", "--kind", "type", "forall X. X -> X * 1")
+    assert code == 0 and out.strip() == "forall X. X -> (X + void)"
+
+
+def test_a_closed_output_pipe_exits_as_sigpipe_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(addlam.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "addlam.cli", "suite", "sn", "--count", "20"],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_suite_json_schema(capsys):

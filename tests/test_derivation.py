@@ -13,13 +13,13 @@ from addlam.derivation import (
     AppWitness,
     ElaborationError,
     RuleViolation,
+    UnsupportedDerivationShape,
     arr_e,
     arr_i,
     ax,
     ax0,
     check_add,
     elaborate,
-    equiv,
     forall_e,
     forall_i,
     plus_i,
@@ -31,6 +31,7 @@ from addlam.parser import parse_aterm, parse_type
 from addlam.reduction import enumerate_redexes, step
 from addlam.syntax import Abs, App, Var, canonicalize, show_term
 from addlam.binders import Context, Redex, StaleRedex
+from addlam.structured import SADD, sax
 from addlam.typesys import TArrow, TSum, TVar, TZero, type_equiv
 from test_check_oracle import malformed_nodes_fail_at_their_paths, nodes
 
@@ -102,11 +103,18 @@ def test_elimination_rejects_a_mismatched_argument():
         arr_e(_ident(ctx, Y), ax(ctx, "a"), u=Y, ts=(Y,), vs=((),))
 
 
-def test_equivalence_nodes_are_fused_into_canonical_types():
+def test_retyping_at_an_equivalent_type_keeps_the_derivation():
     ctx = Context((("a", X),))
     d = plus_i(ax(ctx, "a"), ax0(ctx))
     assert d.ty == X  # the zero summand vanishes from the canonical type
-    assert equiv(d, TSum((X, TZero))) is d
+    for ty in (X, TSum((X, TZero)), TSum((TZero, X, TZero))):
+        assert ADD.retype(d, ty) is d
+    with pytest.raises(RuleViolation, match="cannot retype"):
+        ADD.retype(d, Y)
+    with pytest.raises(UnsupportedDerivationShape, match="cannot retype"):
+        SADD.retype(sax(BASE_CTX, "a"), TSum((X, TZero)))
+    assert ADD.rules.keys() == SADD.rules.keys()
+    assert "equiv" not in ADD.rules
 
 
 def test_checker_rejects_a_forged_type():
@@ -122,11 +130,15 @@ def test_a_malformed_node_fails_at_its_path():
     RuleViolation at the node, under every rule of the system."""
     ctx = Context((("a", X),))
     poly = forall_i(_ident(ctx, TVar("Z")), "Z")
-    app = arr_e(forall_e(poly, X), plus_i(ax(ctx, "a"), ax0(ctx)), u=X, ts=(X,), vs=((),))
-    d = AddDerivation("equiv", ctx, app.term, app.ty, (app,))
+    d = arr_e(forall_e(poly, X), plus_i(ax(ctx, "a"), ax0(ctx)), u=X, ts=(X,), vs=((),))
     check_add(d)
     assert {n.rule for _, n in nodes(d)} == set(ADD.rules)
-    assert malformed_nodes_fail_at_their_paths(d, check_add, RuleViolation) == 33
+    assert malformed_nodes_fail_at_their_paths(d, check_add, RuleViolation) == 30
+    # an equivalence node is a rule of neither system
+    wrapped = plus_i(d, AddDerivation("equiv", ctx, d.term, d.ty, (d,)))
+    with pytest.raises(RuleViolation, match="unknown rule 'equiv'") as e:
+        check_add(wrapped)
+    assert e.value.path == (1,)
 
 
 def test_elaboration_of_an_annotated_application():
@@ -228,3 +240,99 @@ def test_stepping_preserves_types_across_the_corpus():
             d2 = step_derivation(d, r)
             check_add(d2)
             assert type_equiv(d2.ty, d.ty), f"{show_term(d.term)} via {r.rule}"
+
+
+# --- polymorphic betas: the type-substitution lemma under quantifiers --------
+
+Z, V = TVar("Z"), TVar("V")
+POLY_CTX = Context((("a", X),))
+
+
+def _poly_beta(body):
+    r"""(gen Z. \x: Z. body) (\w: V. w) at Z := V -> V, where body is
+    derived in POLY_CTX extended with x: Z; stepped by the root beta, which
+    substitutes V -> V for Z throughout the body."""
+    fun = forall_i(arr_i(body, "x"), "Z")
+    arg = arr_i(ax(POLY_CTX.extend("w", V), "w"), "w")
+    cod = fun.premises[0].ty.cod
+    d = arr_e(fun, arg, u=Z, ts=(cod,), vs=((TArrow(V, V),),), xs=("Z",))
+    check_add(d)
+    d2 = step_derivation(d, Redex((), "beta"))
+    check_add(d2)
+    assert d2.ty == d.ty
+    return d2
+
+
+def _gen_abs(ctx, tvar, binder, var):
+    r"""gen tvar. \binder: tvar. var, typed in ctx."""
+    return forall_i(arr_i(ax(ctx.extend(binder, TVar(tvar)), var), binder), tvar)
+
+
+def test_a_beta_renames_a_generalisation_that_would_capture_the_instantiation():
+    # \x: Z. gen V. \y: V. x : Z -> forall V. V -> Z, at Z := V -> V: the
+    # inner V is renamed before V -> V moves under it
+    body = _gen_abs(POLY_CTX.extend("x", Z), "V", "y", "x")
+    d2 = _poly_beta(body)
+    assert show_term(d2.term) == r"\x. \y. y"
+    assert d2.rule == "forallI" and d2.binder != "V"
+
+
+def test_a_beta_renames_a_witness_variable_and_a_generalisation_under_it():
+    # \x: Z. (gen V. \w: V. w) x, applied through forall V. V -> V with the
+    # witness variable V
+    ctx = POLY_CTX.extend("x", Z)
+    body = arr_e(_gen_abs(ctx, "V", "w", "w"), ax(ctx, "x"), u=V, ts=(V,), vs=((Z,),), xs=("V",))
+    d2 = _poly_beta(body)
+    assert show_term(d2.term) == r"(\x. x) (\x. x)"
+    assert d2.rule == "arrE" and d2.arr_xs != ("V",)
+
+
+def test_a_beta_renames_a_witness_variable_its_schema_shares_with_the_instantiation():
+    # \x: Z. (gen V. \y: V. x) x, applied through forall V. V -> Z: the
+    # substitution reaches the witness schema's Z, which becomes V -> V, so
+    # the witness variable V must be renamed first
+    ctx = POLY_CTX.extend("x", Z)
+    body = arr_e(_gen_abs(ctx, "V", "y", "x"), ax(ctx, "x"), u=V, ts=(Z,), vs=((Z,),), xs=("V",))
+    d2 = _poly_beta(body)
+    assert d2.rule == "arrE" and d2.arr_xs != ("V",)
+    assert d2.arr_ts == (TArrow(V, V),)
+
+
+def test_a_beta_substitutes_into_an_instantiation():
+    # \x: Z. (inst (gen W. \w: W. w) Z) x: the instantiation Z becomes V -> V
+    ctx = POLY_CTX.extend("x", Z)
+    inst = forall_e(_gen_abs(ctx, "W", "w", "w"), Z)
+    body = arr_e(inst, ax(ctx, "x"), u=Z, ts=(Z,), vs=((),))
+    d2 = _poly_beta(body)
+    assert d2.premises[0].rule == "forallE"
+    assert d2.premises[0].inst_ty == TArrow(V, V)
+
+
+# --- quantifier nodes on the stepping paths -----------------------------------
+
+
+def test_distributing_over_a_generalised_sum_steps_through_the_quantifier():
+    # (gen Z. (\x: Z. x) + 0) a: the function's sum is split under forallI
+    ctx = POLY_CTX
+    fun = forall_i(plus_i(_ident(ctx, Z), ax0(ctx)), "Z")
+    d = arr_e(fun, ax(ctx, "a"), u=Z, ts=(Z,), vs=((X,),), xs=("Z",))
+    check_add(d)
+    rules = set()
+    for r in enumerate_redexes(d.term):
+        d2 = step_derivation(d, r)
+        check_add(d2)
+        assert d2.ty == X
+        rules.add((r.rule, r.part))
+        if r.rule == "dist-right":
+            assert show_term(d2.term) == r"(\x. x) a + zero a"
+    assert rules == {("dist-right", 0), ("dist-right", 1), ("sum-zero", 1)}
+
+
+def test_a_beta_through_an_instantiated_abstraction():
+    # (inst (gen Z. \x: Z. x) X) a -> a
+    ctx = POLY_CTX
+    fun = forall_e(forall_i(_ident(ctx, Z), "Z"), X)
+    d = arr_e(fun, ax(ctx, "a"), u=X, ts=(X,), vs=((),))
+    d2 = step_derivation(d, Redex((), "beta"))
+    check_add(d2)
+    assert d2.term == Var("a") and d2.ty == X

@@ -14,7 +14,16 @@ from addlam.corpus import (
 )
 from addlam.derivation import UnsupportedDerivationShape
 from addlam.reduction import enumerate_redexes
-from addlam.structured import ExcludedRule, sax, sax0, splus_i, step_sadd_derivation
+from addlam.structured import (
+    ExcludedRule,
+    sarr_i,
+    sax,
+    sax0,
+    sforall_e,
+    sforall_i,
+    splus_i,
+    step_sadd_derivation,
+)
 from addlam.suites import _has_empty_elim
 from addlam.syntax import App, Sum, Var, Zero, canonicalize
 from addlam.sysf import (
@@ -46,7 +55,7 @@ from addlam.translation import (
     trans_term,
     trans_type,
 )
-from addlam.typesys import TArrow, TForall, TSum, TVar, TZero, to_raw
+from addlam.typesys import TArrow, TForall, TSum, TVar, TZero, raw_alpha_eq, to_raw
 
 X, Y = TVar("X"), TVar("Y")
 
@@ -122,6 +131,21 @@ def test_reverse_translation_reads_the_canonical_form_as_the_raw_one():
             assert canonicalize(raw) == canonicalize(canon)
             read_back += canonicalize(raw) == canonicalize(sd.term)
     assert read_back == 75
+
+
+def test_an_instantiation_translates_to_a_type_application():
+    z = TVar("Z")
+    poly = sforall_i(sarr_i(sax(BASE_CTX.extend("x", z), "x"), "x"), "Z")
+    res = trans_term(sforall_e(poly, X))
+    f_check(res.fderivation)
+    assert f_type_alpha_eq(res.ftype, FArrow(FTVar("X"), FTVar("X")))
+
+
+def test_reverse_type_reads_a_quantifier_back():
+    poly = TForall("Z", TArrow(TVar("Z"), TVar("Z")))
+    assert raw_alpha_eq(rev_type(trans_type(poly)), poly)
+    # a quantifier over a sum is not a unit type of the source
+    assert rev_type(FForall("Z", FProd(FTVar("Z"), FTVar("Z")))) is None
 
 
 def test_reverse_type_requires_unit_domains():
